@@ -23,7 +23,6 @@ from .core import (
     Pair,
     check_isomorphism,
     compose,
-    generate_broad_poset,
     identity,
     is_monotone,
     pair_str,
@@ -40,12 +39,13 @@ from .errors import (
     NotUnaryVertex,
 )
 from .structure import (
+    _tree_poset,
+    _vertex_map,
     classify_all,
     degree,
     inclusion,
     inner_edges,
     leaves,
-    links,
     outer_clusters,
     require_dendroidal,
     root,
@@ -136,27 +136,16 @@ def inner_face(poset: BroadPoset, edge: str) -> MonotoneMap:
 
 
 def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
-    """Inclusion of the subtree obtained by pruning an outer cluster.
-
-    Pruning a stump keeps the carrier and rebuilds the relation from the
-    remaining vertices; pruning a leaf cluster drops the children.
-    """
+    """Inclusion of the subtree obtained by pruning an outer cluster: the
+    tree without the cluster's vertex and its children, so that the
+    vertex's edge becomes a leaf."""
     require_dendroidal(poset)
     if cluster not in outer_clusters(poset):
         raise NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster")
     children, vertex = cluster
-    if children.is_empty:
-        generators = [(w.letters, t) for w, t in links(poset) if (w, t) != cluster]
-        domain = generate_broad_poset(poset.carrier, generators, poset.flavour)
-    else:
-        keep = poset.carrier - set(children.letters)
-        dropped = set(children.letters)
-        relation = frozenset(
-            p
-            for p in poset.relation
-            if p[1] in keep and not dropped.intersection(p[0].letters)
-        )
-        domain = BroadPoset(poset.flavour, keep, relation)
+    vertices = _vertex_map(poset)
+    del vertices[vertex]
+    domain = _tree_poset(poset.flavour, poset.carrier - set(children.letters), vertices)
     return inclusion(domain, poset)
 
 
@@ -238,10 +227,7 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     results = []
     for r in sorted(poset.carrier):
         for carrier, verts in rooted(r):
-            sub = generate_broad_poset(
-                carrier, [(w.letters, t) for w, t in verts], flavour
-            )
-            results.append(sub)
+            results.append(_tree_poset(flavour, carrier, {t: w.letters for w, t in verts}))
     results.sort(key=lambda s: (len(s.carrier), sorted(s.carrier), sorted(map(pair_str, s.relation))))
     return results
 

@@ -306,6 +306,34 @@ def vertices(poset: BroadPoset) -> frozenset[Pair]:
     return links(poset)
 
 
+def _vertex_map(poset: BroadPoset) -> dict[str, tuple[str, ...]]:
+    """Each non-leaf edge of a tree with the letters of its children."""
+    return {t: w.letters for w, t in vertices(poset)}
+
+
+def _tree_poset(
+    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, tuple[str, ...]], meta=None
+) -> BroadPoset:
+    """The tree with the given edges and vertex map, its relation written out.
+
+    The words below an edge are the concatenations of one choice per
+    child: the child itself or a word below it.
+    """
+    children = {c for kids in vertices.values() for c in kids}
+    order = [x for x in vertices if x not in children]
+    for x in order:  # parents before children
+        order.extend(c for c in vertices[x] if c in vertices)
+    below: dict[str, list[tuple[str, ...]]] = {}
+    for x in reversed(order):
+        words: list[tuple[str, ...]] = [()]
+        for c in vertices[x]:
+            choices = [(c,), *below.get(c, ())]
+            words = [w + v for w in words for v in choices]
+        below[x] = words
+    relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
+    return BroadPoset(flavour, carrier, frozenset(relation), meta or {})
+
+
 def inner_edges(poset: BroadPoset) -> frozenset[str]:
     """Edges with a vertex at each end: neither the root nor a leaf."""
     the_root = root(poset)

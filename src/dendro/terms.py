@@ -32,8 +32,7 @@ from .errors import (
     NotDendroidal,
     ParseError,
 )
-from . import structure
-from .structure import EdgeKind, classify_all, leaves, require_dendroidal, root, subtree_at
+from .structure import _tree_poset, _vertex_map, leaves, require_dendroidal, root
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,20 +139,13 @@ def print_term(term: TreeTerm) -> str:
 # Grafting
 
 
-def _freshen(name: str, used: set[str]) -> str:
-    while name in used:
-        name += "'"
-    return name
-
-
 def graft(host: BroadPoset, leaf: str, scion: BroadPoset) -> BroadPoset:
     """Glue the root of ``scion`` onto a leaf of ``host``.
 
     The scion's root is renamed to the leaf; any of its other identifiers
     colliding with the host are renamed by priming.  The renaming applied
-    is recorded in the result's ``meta['renamed']``.  The relation is the
-    host's and scion's pairs together with every substitution of a word
-    below the scion's root into a host word through the glued edge.
+    is recorded in the result's ``meta['renamed']``.  The result is the
+    tree built from the host's vertices and the renamed scion's.
     """
     if host.flavour is not scion.flavour:
         raise GraftUndefined("flavours differ")
@@ -165,26 +157,18 @@ def graft(host: BroadPoset, leaf: str, scion: BroadPoset) -> BroadPoset:
     scion_root = root(scion)
     renaming: dict[str, str] = {scion_root: leaf}
     used = set(host.carrier)
-    for name in sorted(scion.carrier):
-        if name == scion_root:
-            continue
-        fresh = _freshen(name, used)
+    for name in sorted(scion.carrier - {scion_root}):
+        fresh = name
+        while fresh in used:
+            fresh += "'"
         renaming[name] = fresh
         used.add(fresh)
-    renamed = scion.rename(renaming)
 
-    relation = set(host.relation) | set(renamed.relation)
-    below_glue = [w for w, target in renamed.relation if target == leaf]
-    for w, target in host.relation:
-        if leaf not in w.letters:
-            continue
-        position = w.letters.index(leaf)  # simplicity: the leaf occurs once
-        for b in below_glue:
-            relation.add((w.substitute(position, b), target))
-
-    carrier = host.carrier | renamed.carrier
+    vertices = _vertex_map(host)
+    for target, letters in _vertex_map(scion).items():
+        vertices[renaming[target]] = tuple(renaming[x] for x in letters)
     meta = {"renamed": {k: v for k, v in renaming.items() if k != v}}
-    return BroadPoset(host.flavour, carrier, frozenset(relation), meta)
+    return _tree_poset(host.flavour, frozenset(used), vertices, meta)
 
 
 def full_graft(host: BroadPoset, assignment: Mapping[str, BroadPoset]) -> BroadPoset:
@@ -200,38 +184,33 @@ def full_graft(host: BroadPoset, assignment: Mapping[str, BroadPoset]) -> BroadP
 
 
 def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
-    """Interpret a term: a bare edge is a point, a corolla relates its
-    leaves to the root, and deeper terms graft child images onto the root
-    corolla."""
-    if term.children is None:
-        return BroadPoset.build(flavour, [term.edge])
-    child_edges = tuple(child.edge for child in term.children)
-    result = BroadPoset.build(
-        flavour, [term.edge, *child_edges], [(child_edges, term.edge)]
-    )
-    for child in term.children:
-        if child.children is not None:
-            result = graft(result, child.edge, to_broad(child, flavour))
-    return result
+    """Interpret a term as the tree built from its vertices: each edge
+    with a vertex relates the word of its children to itself."""
+    carrier: set[str] = set()
+    vertices: dict[str, tuple[str, ...]] = {}
+    pending = [term]
+    while pending:
+        t = pending.pop()
+        carrier.add(t.edge)
+        if t.children is not None:
+            vertices[t.edge] = tuple(child.edge for child in t.children)
+            pending.extend(t.children)
+    return _tree_poset(flavour, frozenset(carrier), vertices)
 
 
 def to_term(poset: BroadPoset) -> TreeTerm:
     """Recover a term from a dendroidally ordered set; inverse of
     :func:`to_broad` up to isomorphism."""
-    require_dendroidal(poset)
-    return _to_term(poset)
-
-
-def _to_term(poset: BroadPoset) -> TreeTerm:
-    the_root = root(poset)
-    cls = classify_all(poset)[the_root]
-    if cls.kind is EdgeKind.LEAF:
-        return TreeTerm(the_root, None)
-    children = cls.children
-    return TreeTerm(
-        the_root,
-        tuple(_to_term(subtree_at(poset, child)) for child in children.letters),
-    )
+    vertices = _vertex_map(poset)
+    order = [root(poset)]
+    for edge in order:  # parents before children
+        order.extend(vertices.get(edge, ()))
+    built: dict[str, TreeTerm] = {}
+    for edge in reversed(order):
+        letters = vertices.get(edge)
+        kids = None if letters is None else tuple(built[c] for c in letters)
+        built[edge] = TreeTerm(edge, kids)
+    return built[order[0]]
 
 
 # ---------------------------------------------------------------------------
