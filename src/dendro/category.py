@@ -179,10 +179,7 @@ def all_faces(poset: BroadPoset) -> list[Face]:
         lv = leaves(poset)
         for branch in sorted(set(cls.children.letters)):
             if all(x in lv for x in cls.children.letters if x != branch):
-                try:
-                    m = root_face(poset, branch)
-                except NoRootFace:
-                    continue
+                m = root_face(poset, branch)
                 out.append(Face(FaceKind(FaceType.ROOT, branch=branch), m.domain, m))
     return out
 
@@ -199,8 +196,8 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
 
     A subtree is a dendroidally ordered broad poset whose carrier is a
     subset of the ambient carrier and whose relation pairs all hold in the
-    ambient tree.  Each one is the closure of a choice of root vertex word
-    together with subtrees below its letters; note that a subtree may keep
+    ambient tree.  Each one is the tree built from a choice of root vertex
+    word together with subtrees below its letters; note that a subtree may keep
     an edge while dropping the vertex above it, so subtrees are not always
     induced on their carrier.
     """

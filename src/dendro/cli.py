@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 semantic failure (not dendroidal, not monotone,
-not maximal), 2 parse or flag error, 3 overflow or budget.
+not maximal, a JSON input that is not a broad poset), 2 parse or flag
+error (including malformed JSON), 3 overflow or budget.
 """
 
 from __future__ import annotations
@@ -95,6 +96,24 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _require_poset(poset: BroadPoset, where: str) -> BroadPoset:
+    report = core.validate(poset)
+    if not report.ok:
+        raise DendroError(f"{where} is not a broad poset: {'; '.join(report.violations)}")
+    return poset
+
+
+def _load_poset(path: str) -> BroadPoset:
+    return _require_poset(BroadPoset.from_json(_load_json(path)), path)
+
+
+def _load_map(path: str) -> MonotoneMap:
+    mapping = MonotoneMap.from_json(_load_json(path))
+    _require_poset(mapping.domain, f"the domain in {path}")
+    _require_poset(mapping.codomain, f"the codomain in {path}")
+    return mapping
+
+
 def _parse_assignment(text: str) -> dict[str, str]:
     assignment: dict[str, str] = {}
     for part in text.split(","):
@@ -106,10 +125,6 @@ def _parse_assignment(text: str) -> dict[str, str]:
         key, value = part.split("=>", 1)
         assignment[key.strip()] = value.strip()
     return assignment
-
-
-def _word_str(w) -> str:
-    return str(w)
 
 
 def _map_str(m: MonotoneMap) -> str:
@@ -220,10 +235,10 @@ def cmd_degeneracies(args, flavour: Flavour):
     return payload, text, 0
 
 
-def cmd_hom(args, flavour: Flavour, budget: int):
+def cmd_hom(args, flavour: Flavour):
     source = _parse_tree(args.source, flavour)
     target = _parse_tree(args.target, flavour)
-    maps = core.enumerate_monotone(source, target, budget)
+    maps = core.enumerate_monotone(source, target, args.budget)
     payload = {"count": len(maps), "maps": [dict(m.pairs) for m in maps]}
     text = [_map_str(m) for m in maps]
     text.append(f"total: {len(maps)}")
@@ -265,16 +280,16 @@ def cmd_graft(args, flavour: Flavour):
     return payload, text, 0
 
 
-def cmd_tensor(args, flavour: Flavour, max_word_len: int | None):
-    left = BroadPoset.from_json(_load_json(args.left_file))
-    right = BroadPoset.from_json(_load_json(args.right_file))
-    result = core.tensor(left, right, max_word_len)
+def cmd_tensor(args, flavour: Flavour):
+    left = _load_poset(args.left_file)
+    right = _load_poset(args.right_file)
+    result = core.tensor(left, right, args.max_word_len)
     return {"poset": result.to_json()}, _poset_lines(result), 0
 
 
 def cmd_product(args, flavour: Flavour):
-    left = BroadPoset.from_json(_load_json(args.left_file))
-    right = BroadPoset.from_json(_load_json(args.right_file))
+    left = _load_poset(args.left_file)
+    right = _load_poset(args.right_file)
     result, proj_left, proj_right = core.product(left, right)
     payload = {
         "poset": result.to_json(),
@@ -284,10 +299,10 @@ def cmd_product(args, flavour: Flavour):
     return payload, _poset_lines(result), 0
 
 
-def cmd_pushout(args, flavour: Flavour, max_word_len: int | None):
-    left_leg = MonotoneMap.from_json(_load_json(args.left_file))
-    right_leg = MonotoneMap.from_json(_load_json(args.right_file))
-    result, inj_left, inj_right = core.pushout(left_leg, right_leg, max_word_len)
+def cmd_pushout(args, flavour: Flavour):
+    left_leg = _load_map(args.left_file)
+    right_leg = _load_map(args.right_file)
+    result, inj_left, inj_right = core.pushout(left_leg, right_leg, args.max_word_len)
     payload = {
         "poset": result.to_json(),
         "injection_left": dict(inj_left.pairs),
@@ -313,41 +328,27 @@ def cmd_dot(args, flavour: Flavour):
     return {"dot": dot}, [dot], 0
 
 
+_COMMANDS = {
+    "check": cmd_check,
+    "info": cmd_info,
+    "subtrees": cmd_subtrees,
+    "faces": cmd_faces,
+    "degeneracies": cmd_degeneracies,
+    "hom": cmd_hom,
+    "factor": cmd_factor,
+    "graft": cmd_graft,
+    "tensor": cmd_tensor,
+    "product": cmd_product,
+    "pushout": cmd_pushout,
+    "dot": cmd_dot,
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flavour = Flavour(args.flavour)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            payload, text, code = cmd_check(args, flavour)
-        elif args.command == "info":
-            payload, text, code = cmd_info(args, flavour)
-        elif args.command == "subtrees":
-            payload, text, code = cmd_subtrees(args, flavour)
-        elif args.command == "faces":
-            payload, text, code = cmd_faces(args, flavour)
-        elif args.command == "degeneracies":
-            payload, text, code = cmd_degeneracies(args, flavour)
-        elif args.command == "hom":
-            payload, text, code = cmd_hom(args, flavour, args.budget)
-        elif args.command == "factor":
-            payload, text, code = cmd_factor(args, flavour)
-        elif args.command == "graft":
-            payload, text, code = cmd_graft(args, flavour)
-        elif args.command == "tensor":
-            payload, text, code = cmd_tensor(args, flavour, args.max_word_len)
-        elif args.command == "product":
-            payload, text, code = cmd_product(args, flavour)
-        elif args.command == "pushout":
-            payload, text, code = cmd_pushout(args, flavour, args.max_word_len)
-        elif args.command == "dot":
-            payload, text, code = cmd_dot(args, flavour)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
-    except (ParseError, DuplicateEdge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        payload, text, code = _COMMANDS[args.command](args, Flavour(args.flavour))
+    except (ParseError, DuplicateEdge, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClosureOverflow, BudgetExceeded) as exc:

@@ -34,6 +34,7 @@ from .errors import (
     DomainMismatch,
     FlavourMismatch,
     IdentifierError,
+    ParseError,
 )
 
 
@@ -196,13 +197,37 @@ class BroadPoset:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BroadPoset":
-        flavour = Flavour(data["flavour"])
-        pairs = [(tuple(entry["source"]), entry["target"]) for entry in data["relation"]]
-        return cls.build(flavour, data["carrier"], pairs)
+        """Read the form :meth:`to_json` writes; malformed data raises ParseError."""
+        flavour, carrier, relation = _json_fields(data, "flavour", "carrier", "relation")
+        if flavour not in {f.value for f in Flavour}:
+            raise ParseError(f"unknown flavour {flavour!r}")
+        if not isinstance(relation, (list, tuple)):
+            raise ParseError("'relation' must be a list")
+        pairs = []
+        for entry in relation:
+            source, target = _json_fields(entry, "source", "target")
+            pairs.append((_json_ids(source), _json_ids([target])[0]))
+        return cls.build(Flavour(flavour), _json_ids(carrier), pairs)
 
     def __repr__(self) -> str:  # compact, for test failures
         rel = ", ".join(sorted(pair_str(p) for p in self.relation))
         return f"BroadPoset({self.flavour.value}, {{{', '.join(sorted(self.carrier))}}}, {{{rel}}})"
+
+
+def _json_fields(data, *keys: str) -> list:
+    """The values of the required keys of a JSON object."""
+    if not isinstance(data, Mapping):
+        raise ParseError(f"expected a JSON object with keys {', '.join(keys)}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ParseError(f"JSON object lacks {', '.join(map(repr, missing))}")
+    return [data[k] for k in keys]
+
+
+def _json_ids(values) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(x, str) for x in values):
+        raise ParseError("identifiers must be strings, given in a list")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +568,12 @@ class MonotoneMap:
                 return registry[entry]
             return BroadPoset.from_json(entry)
 
-        return cls.from_dict(resolve(data["domain"]), resolve(data["codomain"]), data["assignment"])
+        domain, codomain, assignment = _json_fields(data, "domain", "codomain", "assignment")
+        if not isinstance(assignment, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in assignment.items()
+        ):
+            raise ParseError("'assignment' must map identifiers to identifiers, all strings")
+        return cls.from_dict(resolve(domain), resolve(codomain), assignment)
 
     def __repr__(self) -> str:
         assign = ",".join(f"{k}↦{v}" for k, v in self.pairs)
@@ -992,11 +1022,16 @@ def pushout(
 
 
 def abelianize(poset: BroadPoset) -> BroadPoset:
-    """Forget word order: each planar source becomes its multiset."""
+    """Forget word order: each planar source becomes its multiset.
+
+    Closure may keep words as long as the input's, which can exceed the
+    carrier size when a word repeats a letter.
+    """
     if poset.flavour is not Flavour.PLANAR:
         raise FlavourMismatch("abelianize expects a planar broad poset")
     pairs = [(w.letters, t) for w, t in poset.relation]
-    return generate_broad_poset(poset.carrier, pairs, Flavour.COMMUTATIVE)
+    bound = max([1, len(poset.carrier), *(len(w) for w, _ in poset.relation)])
+    return generate_broad_poset(poset.carrier, pairs, Flavour.COMMUTATIVE, bound)
 
 
 def forget_symmetry(poset: BroadPoset) -> BroadPoset:

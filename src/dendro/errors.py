@@ -76,10 +76,11 @@ class GraftUndefined(DendroError):
 
 
 class ParseError(DendroError):
-    """Invalid tree term syntax."""
+    """Invalid input: tree term syntax, a map literal, or serialized JSON
+    that lacks a key or holds a value of the wrong kind."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

@@ -81,11 +81,7 @@ def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 
 
 def descendant_leq(poset: BroadPoset, below: str, above: str) -> bool:
-    if below == above:
-        return True
-    return any(
-        target == above and below in w.letters for w, target in poset.relation
-    )
+    return below == above or (below, above) in _descendant_pairs(poset)
 
 
 def _maximum_word(

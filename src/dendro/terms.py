@@ -54,12 +54,15 @@ class TreeTerm:
         return self.children == ()
 
     def edges(self) -> Iterator[str]:
-        yield self.edge
-        for child in self.children or ():
-            yield from child.edges()
+        """Every edge, each before the edges above it, left to right."""
+        pending = [self]
+        while pending:
+            term = pending.pop()
+            yield term.edge
+            pending.extend(reversed(term.children or ()))
 
     def edge_count(self) -> int:
-        return 1 + sum(child.edge_count() for child in self.children or ())
+        return sum(1 for _ in self.edges())
 
     def __str__(self) -> str:
         return print_term(self)
@@ -93,30 +96,35 @@ def parse_term(text: str) -> TreeTerm:
             pos += 1
         return text[start:pos]
 
-    def tree() -> TreeTerm:
-        nonlocal pos
+    open_vertices: list[tuple[str, list[TreeTerm]]] = []  # innermost last
+    while True:
         name = ident()
         skip_ws()
         if pos < n and text[pos] == "(":
             pos += 1
             skip_ws()
-            children: list[TreeTerm] = []
+            if not (pos < n and text[pos] == ")"):
+                open_vertices.append((name, []))
+                continue
+            pos += 1
+            term = TreeTerm(name, ())
+        else:
+            term = TreeTerm(name, None)
+        while open_vertices:  # attach the finished term, closing vertices that end here
+            open_vertices[-1][1].append(term)
+            skip_ws()
+            if pos < n and text[pos] == ",":
+                pos += 1
+                break
             if pos < n and text[pos] == ")":
                 pos += 1
-                return TreeTerm(name, ())
-            while True:
-                children.append(tree())
-                skip_ws()
-                if pos < n and text[pos] == ",":
-                    pos += 1
-                    continue
-                if pos < n and text[pos] == ")":
-                    pos += 1
-                    return TreeTerm(name, tuple(children))
-                raise ParseError("expected ',' or ')'", pos)
-        return TreeTerm(name, None)
+                parent, children = open_vertices.pop()
+                term = TreeTerm(parent, tuple(children))
+                continue
+            raise ParseError("expected ',' or ')'", pos)
+        else:  # no vertex is open: the whole term is read
+            break
 
-    term = tree()
     skip_ws()
     if pos != n:
         raise ParseError("trailing input after term", pos)
@@ -191,6 +199,8 @@ def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
     pending = [term]
     while pending:
         t = pending.pop()
+        if t.edge in carrier:
+            raise DuplicateEdge(f"edge {t.edge!r} appears twice")
         carrier.add(t.edge)
         if t.children is not None:
             vertices[t.edge] = tuple(child.edge for child in t.children)

@@ -199,3 +199,43 @@ def test_output_deterministic_across_processes():
         ).stdout
 
     assert run_once("1") == run_once("42")
+
+
+GAMMA2 = corolla(2).to_json()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({k: v for k, v in GAMMA2.items() if k != "relation"}, "lacks 'relation'"),
+        (dict(GAMMA2, flavour="cyclic"), "unknown flavour"),
+        (dict(GAMMA2, carrier=["l1", "l2", 3]), "strings"),
+    ],
+)
+def test_malformed_poset_json_exit_two(tmp_path, capsys, data, message):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(data))
+    code, _, err = invoke(capsys, "tensor", str(path), str(path))
+    assert code == 2
+    assert message in err
+
+
+def test_product_of_non_poset_exit_one(tmp_path, capsys):
+    cycle = {
+        "flavour": "commutative",
+        "carrier": ["a", "b"],
+        "relation": [{"source": ["a"], "target": "b"}, {"source": ["b"], "target": "a"}],
+    }
+    left, right = tmp_path / "cycle.json", tmp_path / "unit.json"
+    left.write_text(json.dumps(cycle))
+    right.write_text(json.dumps(star("u").to_json()))
+    code, out, err = invoke(capsys, "product", str(left), str(right))
+    assert code == 1
+    assert out == ""
+    assert "not a broad poset" in err
+
+
+def test_deep_term_parse_error_exit_two(capsys):
+    code, _, err = invoke(capsys, "check", "".join(f"d{i}(" for i in range(1200)) + "x,,")
+    assert code == 2
+    assert "expected an identifier" in err

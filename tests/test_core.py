@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dendro.core import (
@@ -37,6 +37,7 @@ from dendro.errors import (
     DomainMismatch,
     FlavourMismatch,
     IdentifierError,
+    ParseError,
 )
 
 from conftest import stump_poset
@@ -499,6 +500,25 @@ def test_map_json_round_trip(small_posets):
     assert MonotoneMap.from_json(m.to_json()) == m
 
 
+def test_malformed_json_raises_parse_error(small_posets):
+    poset = small_posets["gamma2"].to_json()
+    bad_posets = [
+        [],
+        {"flavour": "commutative", "carrier": ["a"]},
+        dict(poset, flavour="cyclic"),
+        dict(poset, carrier="l1"),
+        dict(poset, relation=[{"source": ["l1", 2], "target": "r"}]),
+        dict(poset, relation=[{"source": ["l1"]}]),
+    ]
+    for data in bad_posets:
+        with pytest.raises(ParseError):
+            BroadPoset.from_json(data)
+    m = MonotoneMap.from_dict(small_posets["star"], small_posets["gamma2"], {"x": "l1"}).to_json()
+    for data in [{k: v for k, v in m.items() if k != "assignment"}, dict(m, assignment={"x": 1})]:
+        with pytest.raises(ParseError):
+            MonotoneMap.from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -538,6 +558,9 @@ def test_generation_idempotent(poset):
 
 @settings(max_examples=40, deadline=None)
 @given(broad_posets())
+@example(  # x0·x0·x0·x0 ≤ x2 is longer than the carrier
+    generate_broad_poset(["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], C, 8)
+)
 def test_abelianize_forget_round_trip(poset):
     if poset.flavour is C:
         assert abelianize(forget_symmetry(poset)) == poset

@@ -87,8 +87,32 @@ def test_parse_duplicate_edge():
         parse_term("r(a,a)")
 
 
+def test_parse_deep_terms_without_recursion():
+    depth = 3000
+    text = "".join(f"d{i}(" for i in range(depth)) + "x" + ")" * depth
+    term = parse_term(text)
+    assert term.edge_count() == depth + 1
+    assert list(term.edges())[-2:] == [f"d{depth - 1}", "x"]
+    with pytest.raises(ParseError) as info:
+        parse_term(text[: -depth] + ",,")
+    assert info.value.position == len(text) - depth + 1
+
+
 # ---------------------------------------------------------------------------
 # Terms to broad posets
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        TreeTerm("r", (TreeTerm("a", (TreeTerm("b"),)), TreeTerm("c", (TreeTerm("b"),)))),
+        TreeTerm("r", (TreeTerm("r", (TreeTerm("b"),)),)),
+    ],
+)
+def test_to_broad_rejects_repeated_edges(term):
+    for flavour in (C, P):
+        with pytest.raises(DuplicateEdge):
+            to_broad(term, flavour)
 
 
 def test_bare_edge_is_point():

@@ -1,0 +1,101 @@
+"""Trees written out from their vertices agree with saturating those
+vertices, on random trees beyond the exhaustive 7-edge corpus."""
+
+from collections import defaultdict
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dendro.category import FaceType, all_faces, enumerate_subtrees, is_subtree
+from dendro.core import Flavour, generate_broad_poset
+from dendro.structure import leaves, links
+from dendro.terms import TreeTerm, canonical_code, graft, to_broad, to_term
+
+flavours = st.sampled_from([Flavour.COMMUTATIVE, Flavour.PLANAR])
+
+
+@st.composite
+def tree_terms(draw, max_edges: int = 15) -> TreeTerm:
+    """Edge i sits above the vertex of an earlier edge; an edge left
+    without children is a leaf or a stump.  Names are shuffled so that
+    name order and planar order disagree."""
+    n = draw(st.integers(min_value=1, max_value=max_edges))
+    names = draw(st.permutations([f"e{i}" for i in range(n)]))
+    stumps = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    above: dict[int, list[int]] = defaultdict(list)
+    for i in range(1, n):
+        above[draw(st.integers(min_value=0, max_value=i - 1))].append(i)
+    built: dict[int, TreeTerm] = {}
+    for i in reversed(range(n)):
+        if above[i]:
+            built[i] = TreeTerm(names[i], tuple(built[j] for j in above[i]))
+        else:
+            built[i] = TreeTerm(names[i], () if i in stumps else None)
+    return built[0]
+
+
+def term_vertices(term: TreeTerm) -> list[tuple[tuple[str, ...], str]]:
+    out = []
+    pending = [term]
+    while pending:
+        t = pending.pop()
+        if t.children is not None:
+            out.append((tuple(c.edge for c in t.children), t.edge))
+            pending.extend(t.children)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavours, tree_terms())
+def test_codec_matches_saturation(flavour, term):
+    tree = to_broad(term, flavour)
+    assert tree == generate_broad_poset(set(term.edges()), term_vertices(term), flavour)
+    back = to_term(tree)
+    if flavour is Flavour.PLANAR:
+        assert back == term
+    else:
+        assert canonical_code(back, flavour) == canonical_code(term, flavour)
+    assert to_broad(back, flavour) == tree
+
+
+@settings(max_examples=40, deadline=None)
+@given(flavours, tree_terms(), tree_terms(), st.data())
+def test_graft_matches_saturation(flavour, host_term, scion_term, data):
+    host, scion = to_broad(host_term, flavour), to_broad(scion_term, flavour)
+    assume(leaves(host))
+    leaf = data.draw(st.sampled_from(sorted(leaves(host))))
+    result = graft(host, leaf, scion)
+    renaming = result.meta["renamed"]
+
+    def r(x: str) -> str:
+        return renaming.get(x, x)
+
+    renamed = [(tuple(map(r, w)), r(t)) for w, t in term_vertices(scion_term)]
+    carrier = host.carrier | {r(x) for x in scion.carrier}
+    assert renaming.get(scion_term.edge, leaf) == leaf
+    assert len(carrier) == len(host.carrier) + len(scion.carrier) - 1
+    assert result == generate_broad_poset(
+        carrier, term_vertices(host_term) + renamed, flavour
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavours, tree_terms())
+def test_outer_faces_match_saturation(flavour, term):
+    tree = to_broad(term, flavour)
+    for face in all_faces(tree):
+        if face.kind.type is FaceType.OUTER:
+            children, vertex = face.kind.cluster
+            kept = [(w, t) for w, t in term_vertices(term) if t != vertex]
+            carrier = tree.carrier - set(children.letters)
+            assert face.domain == generate_broad_poset(carrier, kept, flavour)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flavours, tree_terms(max_edges=8))
+def test_subtrees_match_saturation(flavour, term):
+    tree = to_broad(term, flavour)
+    for sub in enumerate_subtrees(tree):
+        generators = [(w.letters, t) for w, t in links(sub)]
+        assert sub == generate_broad_poset(sub.carrier, generators, flavour)
+        assert is_subtree(sub, tree)
