@@ -455,12 +455,12 @@ def validate(poset: BroadPoset) -> ValidationReport:
     """
     violations: list[str] = []
 
-    transitive = True
     relation = poset.relation
     planar = poset.flavour is Flavour.PLANAR
     by_target: dict[str, list[Pair]] = defaultdict(list)
     for p in relation:
         by_target[p[1]].append(p)
+    missing: list[str] = []
     for w, target in relation:
         for position, letter in (
             enumerate(w.letters) if planar else ((w.letters.index(x), x) for x in set(w.letters))
@@ -468,11 +468,12 @@ def validate(poset: BroadPoset) -> ValidationReport:
             for b, _ in by_target.get(letter, ()):
                 derived = w.substitute(position, b)
                 if derived.letters != (target,) and (derived, target) not in relation:
-                    transitive = False
-                    violations.append(
+                    missing.append(
                         f"missing {pair_str((derived, target))} obtained from "
                         f"{pair_str((w, target))} and {pair_str((b, letter))}"
                     )
+    transitive = not missing
+    violations.extend(sorted(missing))  # in an order that no hash seed moves
 
     antisymmetric = True
     unary = poset.unary_pairs()

@@ -13,6 +13,8 @@ stump, the shape of a constant.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -88,14 +90,8 @@ def _maximum_word(
     candidates: dict[str, tuple[tuple[str, ...], ...]],
     flavour: Flavour,
     words: list[BroadWord],
-    guess: BroadWord | None = None,
 ) -> BroadWord | None:
     """The maximum of a set of words in the induced order, if it exists."""
-    if guess is not None and all(
-        w == guess or _word_leq(candidates, flavour, w.letters, guess.letters)
-        for w in words
-    ):
-        return guess
     best = words[0]
     for w in words[1:]:
         if _word_leq(candidates, flavour, best.letters, w.letters):
@@ -106,53 +102,79 @@ def _maximum_word(
     return best
 
 
-@lru_cache(maxsize=16384)
-def _maxima_map(poset: BroadPoset) -> dict[str, BroadWord | None]:
-    """For each non-leaf element, the maximum word below it, or None.
+def _tree_words(poset: BroadPoset) -> dict[str, BroadWord] | None:
+    """The vertex map of a tree, each non-leaf edge with the word of its
+    children, or None when the poset is not a tree.
 
-    In a tree the maximum is the word of the descendant-maximal strict
-    descendants; that candidate is tried first and verified, with a full
-    search as fallback for arbitrary broad posets.
+    The map is guessed at once: the parent of an edge is its ancestor
+    with one ancestor fewer, and the children of an edge are the word
+    below it made of exactly the edges whose parent it is.  The guess is
+    accepted only when it spans the poset's own relation, so the answer
+    is exact.  Its relation is counted before it is written out, which
+    keeps a non-tree from spanning a tree far larger than itself.
     """
-    srcs = sources_map(poset)
+    ancestors: dict[str, list[str]] = {x: [] for x in poset.carrier}
+    for below, above in _descendant_pairs(poset):
+        ancestors[below].append(above)
+    depth = {x: len(ups) for x, ups in ancestors.items()}
+    if sum(1 for d in depth.values() if d == 1) != 1:
+        return None  # no unique root
+    children: dict[str, set[str]] = defaultdict(set)
+    for x, ups in ancestors.items():
+        if depth[x] > 1:
+            parents = [a for a in ups if depth[a] == depth[x] - 1]
+            if len(parents) != 1:
+                return None
+            children[parents[0]].add(x)
+    words: dict[str, BroadWord] = {}
+    for target, below in sources_map(poset).items():
+        if below:
+            kids = children.get(target, set())
+            match = next(
+                (w for w in below if len(w) == len(kids) and set(w.letters) == kids), None
+            )
+            if match is None:
+                return None
+            words[target] = match
+    count: dict[str, int] = {}  # words below each edge in the guessed tree
+    for x in sorted(words, key=depth.get, reverse=True):
+        count[x] = math.prod(1 + count.get(c, 0) for c in words[x].letters)
+    if sum(count.values()) != len(poset.relation):
+        return None
+    vertices = {x: w.letters for x, w in words.items()}
+    if _tree_poset(poset.flavour, poset.carrier, vertices).relation != poset.relation:
+        return None
+    return words
+
+
+@lru_cache(maxsize=16384)
+def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], bool]:
+    """For each non-leaf element, the maximum word below it, or None; and
+    whether the poset is a tree.
+
+    A tree's maxima are its vertices, read off :func:`_tree_words`; any
+    other broad poset gets a full search.
+    """
+    words = _tree_words(poset)
+    if words is not None:
+        return words, True
     candidates = _chunk_candidates(poset)
-    descend = _descendant_pairs(poset)
     flavour = poset.flavour
     out: dict[str, BroadWord | None] = {}
-    for target, below_set in srcs.items():
-        if not below_set:
-            continue
-        below = sorted(below_set, key=lambda w: (len(w), w.letters))
-        if len(below) == 1:
-            out[target] = below[0]
-            continue
-        guess = None
-        if all(len(set(w.letters)) == len(w.letters) for w in below):
-            letters = set().union(*(set(w.letters) for w in below))
-            top_letters = {
-                x
-                for x in letters
-                if not any(y != x and (x, y) in descend for y in letters)
-            }
-            matches = [
-                w
-                for w in below
-                if len(w) == len(top_letters) and set(w.letters) == top_letters
-            ]
-            if len(matches) == 1:
-                guess = matches[0]
-        out[target] = _maximum_word(candidates, flavour, below, guess)
-    return out
+    for target, below_set in sources_map(poset).items():
+        if below_set:
+            below = sorted(below_set, key=lambda w: (len(w), w.letters))
+            out[target] = _maximum_word(candidates, flavour, below)
+    return out, False
 
 
 @lru_cache(maxsize=16384)
 def classify_all(poset: BroadPoset) -> dict[str, EdgeClassification]:
     """Classification of every element in one pass; do not mutate the result."""
-    srcs = sources_map(poset)
-    maxima = _maxima_map(poset)
+    maxima, _ = _maxima_map(poset)
     out: dict[str, EdgeClassification] = {}
     for element in poset.carrier:
-        if not srcs[element]:
+        if element not in maxima:
             out[element] = EdgeClassification(EdgeKind.LEAF, None)
             continue
         top = maxima[element]
@@ -226,7 +248,14 @@ def join(poset: BroadPoset, left: str, right: str) -> str:
 
 @lru_cache(maxsize=16384)
 def is_dendroidal(poset: BroadPoset) -> DendroReport:
-    """Check the three tree axioms on top of broad poset validity."""
+    """Check the three tree axioms on top of broad poset validity.
+
+    A poset recognised as a tree passes them all, so nothing more is checked.
+    """
+    maxima, tree = _maxima_map(poset)
+    if tree:
+        (the_root,) = poset.carrier - {c for w in maxima.values() for c in w.letters}
+        return DendroReport(True, True, True, True, the_root, ())
     violations: list[str] = []
     report = validate(poset)
     if not report.ok:
@@ -269,25 +298,20 @@ def links(poset: BroadPoset) -> frozenset[Pair]:
 
     In a tree every link is a vertex, one per non-leaf edge.
     """
-    srcs = sources_map(poset)
-    candidates = _chunk_candidates(poset)
-    maxima = _maxima_map(poset)
-    flavour = poset.flavour
-    out: set[Pair] = set()
-    for target in poset.carrier:
-        below = srcs[target]
-        if not below:
-            continue
-        top = maxima[target]
-        if top is not None:
-            out.add((top, target))
-            continue
-        for w in below:
-            if not any(
-                v != w and _word_leq(candidates, flavour, w.letters, v.letters)
-                for v in below
-            ):
-                out.add((w, target))
+    maxima, _ = _maxima_map(poset)
+    out = {(top, target) for target, top in maxima.items() if top is not None}
+    unresolved = [target for target, top in maxima.items() if top is None]
+    if unresolved:
+        srcs = sources_map(poset)
+        candidates = _chunk_candidates(poset)
+        for target in unresolved:
+            below = srcs[target]
+            for w in below:
+                if not any(
+                    v != w and _word_leq(candidates, poset.flavour, w.letters, v.letters)
+                    for v in below
+                ):
+                    out.add((w, target))
     return frozenset(out)
 
 

@@ -137,10 +137,22 @@ def parse_term(text: str) -> TreeTerm:
 
 
 def print_term(term: TreeTerm) -> str:
-    if term.children is None:
-        return term.edge
-    inner = ",".join(print_term(child) for child in term.children)
-    return f"{term.edge}({inner})"
+    out: list[str] = []
+    pending: list[TreeTerm | str] = [term]  # terms still to print, and literal text
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(item.edge)
+        if item.children is not None:
+            out.append("(")
+            pending.append(")")
+            for i, child in reversed(list(enumerate(item.children))):
+                pending.append(child)
+                if i:
+                    pending.append(",")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +203,8 @@ def full_graft(host: BroadPoset, assignment: Mapping[str, BroadPoset]) -> BroadP
 # Codecs between terms and dendroidally ordered sets
 
 
-def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
-    """Interpret a term as the tree built from its vertices: each edge
-    with a vertex relates the word of its children to itself."""
+def _term_vertices(term: TreeTerm) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
+    """The edges of a term and its vertex map; a repeated edge raises."""
     carrier: set[str] = set()
     vertices: dict[str, tuple[str, ...]] = {}
     pending = [term]
@@ -205,7 +216,13 @@ def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
         if t.children is not None:
             vertices[t.edge] = tuple(child.edge for child in t.children)
             pending.extend(t.children)
-    return _tree_poset(flavour, frozenset(carrier), vertices)
+    return frozenset(carrier), vertices
+
+
+def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
+    """Interpret a term as the tree built from its vertices: each edge
+    with a vertex relates the word of its children to itself."""
+    return _tree_poset(flavour, *_term_vertices(term))
 
 
 def to_term(poset: BroadPoset) -> TreeTerm:
@@ -227,96 +244,150 @@ def to_term(poset: BroadPoset) -> TreeTerm:
 # Canonical codes and isomorphism
 
 
+def _codes(
+    top: str, vertices: Mapping[str, tuple[str, ...]], flavour: Flavour
+) -> dict[str, str]:
+    """The code of every edge of a tree, built children first."""
+    order = [top]
+    for edge in order:  # parents before children
+        order.extend(vertices.get(edge, ()))
+    codes: dict[str, str] = {}
+    for edge in reversed(order):
+        if edge not in vertices:
+            codes[edge] = "*"
+            continue
+        parts = [codes[c] for c in vertices[edge]]
+        if flavour is Flavour.COMMUTATIVE:
+            parts.sort()
+        codes[edge] = "(" + "".join(parts) + ")"
+    return codes
+
+
+def _coded(tree: BroadPoset) -> tuple[str, dict[str, tuple[str, ...]], dict[str, str]]:
+    """A tree's root, its vertex map and the code of every edge."""
+    vertices = _vertex_map(tree)
+    top = root(tree)
+    return top, vertices, _codes(top, vertices, tree.flavour)
+
+
 def term_code(term: TreeTerm, flavour: Flavour) -> str:
     """Rooted-shape code: equal codes mean isomorphic trees.
 
     Commutative codes sort child codes, planar codes keep them in order.
     """
-    if term.children is None:
-        return "*"
-    codes = [term_code(child, flavour) for child in term.children]
-    if flavour is Flavour.COMMUTATIVE:
-        codes.sort()
-    return "(" + "".join(codes) + ")"
+    return _codes(term.edge, _term_vertices(term)[1], flavour)[term.edge]
 
 
 def canonical_code(tree: TreeTerm | BroadPoset, flavour: Flavour | None = None) -> str:
     if isinstance(tree, BroadPoset):
-        return term_code(to_term(tree), tree.flavour)
+        top, _, codes = _coded(tree)
+        return codes[top]
     if flavour is None:
         raise ValueError("a flavour is required to encode a bare term")
     return term_code(tree, flavour)
 
 
-def _term_isomorphisms(
-    left: TreeTerm, right: TreeTerm, flavour: Flavour
+def _isomorphisms(
+    x: str, y: str, left: tuple[dict, dict], right: tuple[dict, dict], flavour: Flavour
 ) -> Iterator[dict[str, str]]:
-    """All edge bijections matching the rooted shapes."""
-    if term_code(left, flavour) != term_code(right, flavour):
+    """All bijections matching the rooted shapes above ``x`` and ``y``;
+    ``left`` and ``right`` are each a vertex map with its edge codes."""
+    (lv, lcodes), (rv, rcodes) = left, right
+    if lcodes[x] != rcodes[y]:
         return
-    if left.children is None:
-        yield {left.edge: right.edge}
+    if x not in lv:
+        yield {x: y}
         return
-    left_children = list(left.children)
-    right_children = list(right.children)
+    kids = lv[x]
     if flavour is Flavour.PLANAR:
-        orderings: Iterator[tuple[TreeTerm, ...]] = iter([tuple(right_children)])
+        orderings: Iterator[tuple[str, ...]] = iter([rv[y]])
     else:
-        seen: set[tuple[str, ...]] = set()
-
-        def commutative_orderings() -> Iterator[tuple[TreeTerm, ...]]:
-            codes = [term_code(c, flavour) for c in left_children]
-            for perm in itertools.permutations(right_children):
-                if [term_code(c, flavour) for c in perm] != codes:
-                    continue
-                key = tuple(c.edge for c in perm)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield perm
-
-        orderings = commutative_orderings()
+        codes = [lcodes[c] for c in kids]
+        orderings = (
+            perm
+            for perm in itertools.permutations(rv[y])
+            if [rcodes[c] for c in perm] == codes
+        )
     for ordering in orderings:
         for combo in itertools.product(
-            *[
-                list(_term_isomorphisms(lc, rc, flavour))
-                for lc, rc in zip(left_children, ordering)
-            ]
+            *[list(_isomorphisms(a, b, left, right, flavour)) for a, b in zip(kids, ordering)]
         ):
-            assignment = {left.edge: right.edge}
+            assignment = {x: y}
             for part in combo:
                 assignment.update(part)
             yield assignment
 
 
 def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str]]:
-    """Every isomorphism between two trees, as assignments."""
+    """Every isomorphism between two trees, as assignments.
+
+    This enumerates them all, n! of them between two n-leaf commutative
+    corollas, so it is only for callers who want every one; to decide
+    isomorphism use :func:`are_isomorphic`.
+    """
     if left.flavour is not right.flavour:
         return []
-    lt, rt = to_term(left), to_term(right)
-    found = []
-    for assignment in _term_isomorphisms(lt, rt, left.flavour):
-        if check_isomorphism(left, right, assignment):
-            found.append(assignment)
-    return found
+    ltop, lv, lcodes = _coded(left)
+    rtop, rv, rcodes = _coded(right)
+    return [
+        assignment
+        for assignment in _isomorphisms(ltop, rtop, (lv, lcodes), (rv, rcodes), left.flavour)
+        if check_isomorphism(left, right, assignment)
+    ]
 
 
 def are_isomorphic(
     left: BroadPoset, right: BroadPoset
 ) -> tuple[bool, dict[str, str] | None]:
-    """Decide tree isomorphism via codes; the witness returned is the
-    assignment least in lexicographic order."""
+    """Decide tree isomorphism by canonical codes; the witness returned is
+    the assignment least in lexicographic order of its values, listed by
+    sorted domain edge.
+
+    The witness is built greedily.  The root goes to the root; then each
+    edge not yet placed, in name order, climbs to its nearest placed
+    ancestor and takes the least image reachable from that ancestor's
+    image along a path of equal codes through unused children (at equal
+    child positions when planar), placing the whole path.  Every
+    code-consistent assignment closed upward extends to an isomorphism,
+    so no choice is ever undone; the other edges on the path have larger
+    names, and their images are forced by the edge's own.
+    """
     if left.flavour is not right.flavour:
         return False, None
     if len(left.carrier) != len(right.carrier):
         return False, None
-    if canonical_code(left) != canonical_code(right):
+    ltop, lv, lcodes = _coded(left)
+    rtop, rv, rcodes = _coded(right)
+    if lcodes[ltop] != rcodes[rtop]:
         return False, None
-    witnesses = tree_isomorphisms(left, right)
-    if not witnesses:
+    planar = left.flavour is Flavour.PLANAR
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
+    rparent = {c: x for x, kids in rv.items() for c in kids}
+    witness = {ltop: rtop}
+    used = {rtop}
+    for edge in sorted(left.carrier):
+        path = []  # unplaced edges from ``edge`` up to the nearest placed ancestor
+        above = edge
+        while above not in witness:
+            path.append(above)
+            above = lparent[above][0]
+        reachable = [witness[above]]
+        for x in reversed(path):
+            index = lparent[x][1]
+            reachable = [
+                c
+                for y in reachable
+                for i, c in enumerate(rv[y])
+                if rcodes[c] == lcodes[x] and c not in used and (i == index or not planar)
+            ]
+        image = min(reachable)
+        for x in path:
+            witness[x] = image
+            used.add(image)
+            image = rparent[image]
+    if not check_isomorphism(left, right, witness):
         return False, None
-    best = min(witnesses, key=lambda a: tuple(v for _, v in sorted(a.items())))
-    return True, best
+    return True, witness
 
 
 def isomorphism_map(left: BroadPoset, right: BroadPoset) -> MonotoneMap:

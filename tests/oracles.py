@@ -181,6 +181,11 @@ def brute_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict]:
     out = []
     for values in itertools.permutations(sorted(right.carrier)):
         assignment = dict(zip(elements, values))
-        if check_isomorphism(left, right, assignment):
+        monotone = all(
+            (BroadWord(right.flavour, tuple(assignment[x] for x in w)), assignment[t])
+            in right.relation
+            for w, t in left.relation
+        )  # necessary, and cheap to refute
+        if monotone and check_isomorphism(left, right, assignment):
             out.append(assignment)
     return out

@@ -239,3 +239,53 @@ def test_deep_term_parse_error_exit_two(capsys):
     code, _, err = invoke(capsys, "check", "".join(f"d{i}(" for i in range(1200)) + "x,,")
     assert code == 2
     assert "expected an identifier" in err
+
+
+def test_check_does_not_validate_a_tree(monkeypatch, capsys):
+    from dendro import core, structure
+
+    def refuse(poset):
+        raise AssertionError("a tree was validated")
+
+    monkeypatch.setattr(core, "validate", refuse)
+    monkeypatch.setattr(structure, "validate", refuse)
+    code, out, _ = invoke(capsys, "--output=json", "check", "q(b(e,f),c,d())")
+    assert code == 0
+    assert json.loads(out)["validation"] == {
+        "transitive": True,
+        "antisymmetric": True,
+        "stratified": True,
+        "violations": [],
+    }
+
+
+def test_violations_deterministic_across_processes(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # e3 ≤ e1 and e3 ≤ e2 over ε ≤ e3 each miss one pair
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "flavour": "commutative",
+        "carrier": ["e1", "e2", "e3"],
+        "relation": [
+            {"source": ["e3"], "target": "e2"},
+            {"source": [], "target": "e3"},
+            {"source": ["e2"], "target": "e1"},
+            {"source": ["e3"], "target": "e1"},
+        ],
+    }))
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "dendro.cli", "tensor", str(path), str(path)],
+            capture_output=True,
+            env=env,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    first = run_once("1")
+    assert first[0] == 1
+    assert first == run_once("4")

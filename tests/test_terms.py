@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from dendro.core import (
     star,
 )
 from dendro.errors import BudgetExceeded, DuplicateEdge, NotALeaf, ParseError
-from dendro.structure import degree, leaves, links, root
+from dendro.structure import degree, leaves, root
 from dendro.terms import (
     TreeTerm,
     are_isomorphic,
@@ -96,6 +97,15 @@ def test_parse_deep_terms_without_recursion():
     with pytest.raises(ParseError) as info:
         parse_term(text[: -depth] + ",,")
     assert info.value.position == len(text) - depth + 1
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_print_and_code_deep_terms_without_recursion(flavour):
+    depth = 5000
+    text = "".join(f"d{i}(" for i in range(depth)) + "x" + ")" * depth
+    term = parse_term(text)
+    assert print_term(term) == text
+    assert canonical_code(term, flavour) == "(" * depth + "*" + ")" * depth
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,6 @@ def test_graft_equals_closure_of_union(flavour):
     # the explicit description of grafting agrees with saturating the
     # union of both relations on the glued carrier
     from dendro.core import generate_broad_poset
-    from dendro.structure import root as tree_root
 
     corpus = tree_corpus(flavour, 4)
     for host in corpus[::3]:
@@ -319,6 +328,37 @@ def test_codes_decide_isomorphism_against_bruteforce():
             # the reported witness is the lexicographically least one
             key = lambda a: tuple(v for _, v in sorted(a.items()))
             assert key(witness) == min(key(a) for a in brute)
+
+
+def _renamed(poset, rng):
+    names = sorted(poset.carrier)
+    fresh = [f"n{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    return poset.rename(dict(zip(names, fresh)))
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_witness_is_least_brute_isomorphism(flavour):
+    from oracles import brute_isomorphisms
+
+    rng = random.Random(3)
+    key = lambda a: tuple(v for _, v in sorted(a.items()))  # noqa: E731
+    corpus = tree_corpus(flavour, 6)
+    for i, tree in enumerate(corpus):
+        for other in (tree, corpus[i - 1]):
+            right = _renamed(other, rng)
+            brute = brute_isomorphisms(tree, right)
+            ok, witness = are_isomorphic(tree, right)
+            assert ok == bool(brute)
+            assert witness == (min(brute, key=key) if brute else None)
+
+
+def test_wide_commutative_corolla_is_decided_without_enumeration():
+    left = corolla(12)
+    right = corolla(12, root="s", leaf_prefix="k")
+    ok, witness = are_isomorphic(left, right)
+    assert ok
+    assert witness == {"r": "s", **dict(zip(sorted(leaves(left)), sorted(leaves(right))))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Trees written out from their vertices agree with saturating those
-vertices, on random trees beyond the exhaustive 7-edge corpus."""
+vertices, and trees recognised by rebuilding them from their vertex map
+get the answers of the general search, on random trees beyond the
+exhaustive 7-edge corpus."""
 
 from collections import defaultdict
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dendro import structure
 from dendro.category import FaceType, all_faces, enumerate_subtrees, is_subtree
-from dendro.core import Flavour, generate_broad_poset
-from dendro.structure import leaves, links
+from dendro.core import BroadPoset, BroadWord, Flavour, generate_broad_poset
+from dendro.structure import classify_all, is_dendroidal, leaves, links
 from dendro.terms import TreeTerm, canonical_code, graft, to_broad, to_term
 
 flavours = st.sampled_from([Flavour.COMMUTATIVE, Flavour.PLANAR])
@@ -99,3 +103,71 @@ def test_subtrees_match_saturation(flavour, term):
         generators = [(w.letters, t) for w, t in links(sub)]
         assert sub == generate_broad_poset(sub.carrier, generators, flavour)
         assert is_subtree(sub, tree)
+
+
+STRUCTURE_CACHES = (
+    structure._maxima_map,
+    structure.classify_all,
+    structure.links,
+    structure.is_dendroidal,
+)
+
+
+def by_search(fn, poset):
+    """The answer of ``fn`` when no poset is recognised as a tree."""
+    for cached in STRUCTURE_CACHES:
+        cached.cache_clear()
+    try:
+        with patch.object(structure, "_tree_words", lambda poset: None):
+            return fn(poset)
+    finally:
+        for cached in STRUCTURE_CACHES:
+            cached.cache_clear()
+
+
+def assert_matches_search(poset):
+    recognised = structure._maxima_map(poset)[1]
+    answers = classify_all(poset), links(poset), is_dendroidal(poset)
+    searched = tuple(by_search(fn, poset) for fn in (classify_all, links, is_dendroidal))
+    assert answers == searched
+    assert recognised == searched[2].is_dendroidal
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavours, tree_terms())
+def test_recognised_trees_match_search(flavour, term):
+    tree = to_broad(term, flavour)
+    assert structure._maxima_map(tree)[1]
+    assert_matches_search(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavours, tree_terms(max_edges=10), st.data())
+def test_near_trees_match_search(flavour, term, data):
+    """One relation pair dropped from a tree or added to it."""
+    tree = to_broad(term, flavour)
+    relation = set(tree.relation)
+    if relation and data.draw(st.booleans(), label="drop"):
+        relation.remove(data.draw(st.sampled_from(sorted(relation, key=repr)), label="pair"))
+    else:
+        names = sorted(tree.carrier)
+        letters = data.draw(st.lists(st.sampled_from(names), max_size=3), label="letters")
+        target = data.draw(st.sampled_from(names), label="target")
+        assume(tuple(letters) != (target,))
+        relation.add((BroadWord(flavour, tuple(letters)), target))
+    assert_matches_search(BroadPoset(flavour, tree.carrier, frozenset(relation)))
+
+
+def test_guess_far_larger_than_the_poset_is_refused():
+    """The descendant order of a binary tree of height 6, whose relation
+    would hold about 2·10^11 words, carried by its 63 vertices and one
+    unary pair per farther ancestor."""
+    parent_of = {f"e{i}": f"e{(i - 1) // 2}" for i in range(1, 127)}
+    pairs = [((f"e{2 * i + 1}", f"e{2 * i + 2}"), f"e{i}") for i in range(63)]
+    for edge, up in parent_of.items():
+        while up in parent_of:
+            up = parent_of[up]
+            pairs.append(((edge,), up))
+    poset = BroadPoset.build(Flavour.COMMUTATIVE, [f"e{i}" for i in range(127)], pairs)
+    assert not structure._maxima_map(poset)[1]
+    assert not is_dendroidal(poset).is_dendroidal
