@@ -122,17 +122,20 @@ _FACE_TO_MAP_KIND = {
 # Face constructors
 
 
+def _without(poset: BroadPoset, edge: str) -> BroadPoset:
+    """The tree left when ``edge`` is contracted or collapsed: the pairs not mentioning it."""
+    relation = frozenset(
+        p for p in poset.relation if p[1] != edge and edge not in p[0].letters
+    )
+    return BroadPoset(poset.flavour, poset.carrier - {edge}, relation)
+
+
 def inner_face(poset: BroadPoset, edge: str) -> MonotoneMap:
     """Inclusion of the subtree obtained by contracting an inner edge."""
     require_dendroidal(poset)
     if edge not in inner_edges(poset):
         raise NotInnerEdge(f"{edge!r} is not an inner edge")
-    keep = poset.carrier - {edge}
-    relation = frozenset(
-        p for p in poset.relation if p[1] != edge and edge not in p[0].letters
-    )
-    domain = BroadPoset(poset.flavour, keep, relation)
-    return inclusion(domain, poset)
+    return inclusion(_without(poset, edge), poset)
 
 
 def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
@@ -272,13 +275,8 @@ def degeneracy(poset: BroadPoset, vertex: tuple[str, str]) -> MonotoneMap:
     cls = classify_all(poset)[edge]
     if cls.children is None or cls.children.letters != (child,):
         raise NotUnaryVertex(f"({child}, {edge}) is not a unary vertex")
-    keep = poset.carrier - {edge}
-    relation = frozenset(
-        p for p in poset.relation if p[1] != edge and edge not in p[0].letters
-    )
-    codomain = BroadPoset(poset.flavour, keep, relation)
     assignment = {x: (child if x == edge else x) for x in poset.carrier}
-    return MonotoneMap.from_dict(poset, codomain, assignment)
+    return MonotoneMap.from_dict(poset, _without(poset, edge), assignment)
 
 
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:

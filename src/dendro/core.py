@@ -482,31 +482,26 @@ def validate(poset: BroadPoset) -> ValidationReport:
             antisymmetric = False
             violations.append(f"mutual pair {a} ≤ {b} and {b} ≤ {a}")
 
-    stratified = True
-    descend = _descendant_pairs(poset)
-    # close the one-step descendant relation transitively before checking
-    changed = True
-    pairs = set(descend)
-    while changed:
-        changed = False
-        by_upper: dict[str, set[str]] = defaultdict(set)
-        for lo, hi in pairs:
-            by_upper[lo].add(hi)
-        new = {
-            (lo, top)
-            for lo, hi in pairs
-            for top in by_upper.get(hi, ())
-            if (lo, top) not in pairs
-        }
-        if new:
-            pairs |= new
-            changed = True
-    for a, b in sorted(pairs):
-        if a != b and (b, a) in pairs and a < b:
-            stratified = False
-            violations.append(f"descendant cycle between {a} and {b}")
+    above: dict[str, set[str]] = defaultdict(set)
+    for lo, hi in _descendant_pairs(poset):
+        above[lo].add(hi)
+    reach: dict[str, set[str]] = {}  # everything each element descends from
+    for x in poset.carrier:
+        seen, pending = {x}, [x]
+        while pending:
+            new = above[pending.pop()] - seen
+            seen |= new
+            pending.extend(new)
+        reach[x] = seen
+    cycles = [
+        f"descendant cycle between {a} and {b}"
+        for a in sorted(poset.carrier)
+        for b in sorted(reach[a])
+        if a < b and a in reach[b]
+    ]
+    violations.extend(cycles)
 
-    return ValidationReport(transitive, antisymmetric, stratified, tuple(violations))
+    return ValidationReport(transitive, antisymmetric, not cycles, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ class DendroReport:
         }
 
 
+# the key under which a tree written by _tree_poset keeps its vertex map and root
+_WRITTEN_FROM = "_written_from"
+
+
 def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
     """The descendant relation as reflexive pairs ``(below, above)``.
 
@@ -102,9 +106,9 @@ def _maximum_word(
     return best
 
 
-def _tree_words(poset: BroadPoset) -> dict[str, BroadWord] | None:
+def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     """The vertex map of a tree, each non-leaf edge with the word of its
-    children, or None when the poset is not a tree.
+    children, together with its root; or None when the poset is not a tree.
 
     The map is guessed at once: the parent of an edge is its ancestor
     with one ancestor fewer, and the children of an edge are the word
@@ -117,7 +121,8 @@ def _tree_words(poset: BroadPoset) -> dict[str, BroadWord] | None:
     for below, above in _descendant_pairs(poset):
         ancestors[below].append(above)
     depth = {x: len(ups) for x, ups in ancestors.items()}
-    if sum(1 for d in depth.values() if d == 1) != 1:
+    tops = [x for x, d in depth.items() if d == 1]
+    if len(tops) != 1:
         return None  # no unique root
     children: dict[str, set[str]] = defaultdict(set)
     for x, ups in ancestors.items():
@@ -144,20 +149,21 @@ def _tree_words(poset: BroadPoset) -> dict[str, BroadWord] | None:
     vertices = {x: w.letters for x, w in words.items()}
     if _tree_poset(poset.flavour, poset.carrier, vertices).relation != poset.relation:
         return None
-    return words
+    return words, tops[0]
 
 
 @lru_cache(maxsize=16384)
-def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], bool]:
+def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | None]:
     """For each non-leaf element, the maximum word below it, or None; and
-    whether the poset is a tree.
+    the root when the poset is a tree, else None.
 
-    A tree's maxima are its vertices, read off :func:`_tree_words`; any
-    other broad poset gets a full search.
+    A tree written by :func:`_tree_poset` carries its vertex map, and a
+    tree from elsewhere is recognised by :func:`_tree_words`; a tree's
+    maxima are its vertices.  Any other broad poset gets a full search.
     """
-    words = _tree_words(poset)
-    if words is not None:
-        return words, True
+    tree = poset.meta.get(_WRITTEN_FROM) or _tree_words(poset)
+    if tree is not None:
+        return tree
     candidates = _chunk_candidates(poset)
     flavour = poset.flavour
     out: dict[str, BroadWord | None] = {}
@@ -165,12 +171,11 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], bool]:
         if below_set:
             below = sorted(below_set, key=lambda w: (len(w), w.letters))
             out[target] = _maximum_word(candidates, flavour, below)
-    return out, False
+    return out, None
 
 
-@lru_cache(maxsize=16384)
 def classify_all(poset: BroadPoset) -> dict[str, EdgeClassification]:
-    """Classification of every element in one pass; do not mutate the result."""
+    """Classification of every element in one pass."""
     maxima, _ = _maxima_map(poset)
     out: dict[str, EdgeClassification] = {}
     for element in poset.carrier:
@@ -209,16 +214,18 @@ def stumps(poset: BroadPoset) -> frozenset[str]:
     )
 
 
+def _descendant_maxima(poset: BroadPoset) -> list[str]:
+    """The elements every element descends from, sorted."""
+    descend = _descendant_pairs(poset)
+    return sorted(x for x in poset.carrier if all((y, x) in descend for y in poset.carrier))
+
+
 def root(poset: BroadPoset) -> str:
     """The maximum of the descendant order."""
-    descend = _descendant_pairs(poset)
-    tops = [
-        x
-        for x in poset.carrier
-        if all((y, x) in descend for y in poset.carrier)
-    ]
+    the_root = _maxima_map(poset)[1]
+    tops = _descendant_maxima(poset) if the_root is None else [the_root]
     if len(tops) != 1:
-        raise NotDendroidal(f"expected a unique root, found {sorted(tops)}")
+        raise NotDendroidal(f"expected a unique root, found {tops}")
     return tops[0]
 
 
@@ -238,23 +245,20 @@ def parent(poset: BroadPoset, element: str) -> str:
 
 
 def join(poset: BroadPoset, left: str, right: str) -> str:
-    """Least common ancestor, found by climbing parents in lockstep."""
-    if descendant_leq(poset, left, right):
-        return right
-    if descendant_leq(poset, right, left):
-        return left
-    return join(poset, parent(poset, left), parent(poset, right))
+    """Least common ancestor, found by climbing from ``left`` until it
+    sits above ``right``."""
+    while not descendant_leq(poset, right, left):
+        left = parent(poset, left)
+    return left
 
 
-@lru_cache(maxsize=16384)
 def is_dendroidal(poset: BroadPoset) -> DendroReport:
     """Check the three tree axioms on top of broad poset validity.
 
-    A poset recognised as a tree passes them all, so nothing more is checked.
+    A tree passes them all, so nothing more is checked.
     """
-    maxima, tree = _maxima_map(poset)
-    if tree:
-        (the_root,) = poset.carrier - {c for w in maxima.values() for c in w.letters}
+    maxima, the_root = _maxima_map(poset)
+    if the_root is not None:
         return DendroReport(True, True, True, True, the_root, ())
     violations: list[str] = []
     report = validate(poset)
@@ -267,18 +271,15 @@ def is_dendroidal(poset: BroadPoset) -> DendroReport:
             simple = False
             violations.append(f"repeated letter in {pair_str((w, target))}")
 
-    descend = _descendant_pairs(poset)
-    tops = sorted(
-        x for x in poset.carrier if all((y, x) in descend for y in poset.carrier)
-    )
+    tops = _descendant_maxima(poset)
     has_root = len(tops) == 1
     the_root = tops[0] if has_root else None
     if not has_root:
         violations.append(f"no unique root: maximal elements {tops}")
 
     children_axiom = True
-    for element, cls in sorted(classify_all(poset).items()):
-        if cls.kind is EdgeKind.HAS_CHILDREN and cls.children is None:
+    for element, top in sorted(maxima.items()):
+        if top is None:
             children_axiom = False
             violations.append(f"words below {element!r} have no maximum")
 
@@ -292,7 +293,6 @@ def require_dendroidal(poset: BroadPoset) -> None:
         raise NotDendroidal("; ".join(report.violations) or "not dendroidal")
 
 
-@lru_cache(maxsize=16384)
 def links(poset: BroadPoset) -> frozenset[Pair]:
     """Covering pairs: words strictly below a target with nothing between.
 
@@ -328,7 +328,8 @@ def vertices(poset: BroadPoset) -> frozenset[Pair]:
 
 def _vertex_map(poset: BroadPoset) -> dict[str, tuple[str, ...]]:
     """Each non-leaf edge of a tree with the letters of its children."""
-    return {t: w.letters for w, t in vertices(poset)}
+    require_dendroidal(poset)
+    return {t: w.letters for t, w in _maxima_map(poset)[0].items()}
 
 
 def _tree_poset(
@@ -336,11 +337,14 @@ def _tree_poset(
 ) -> BroadPoset:
     """The tree with the given edges and vertex map, its relation written out.
 
-    The words below an edge are the concatenations of one choice per
-    child: the child itself or a word below it.
+    The map must span the carrier as one rooted tree: every edge but the
+    root is a child of exactly one edge.  The words below an edge are the
+    concatenations of one choice per child: the child itself or a word
+    below it.  The result keeps the map, each word of children as a
+    :class:`BroadWord`, and the root in its ``meta``.
     """
-    children = {c for kids in vertices.values() for c in kids}
-    order = [x for x in vertices if x not in children]
+    (top,) = carrier - {c for kids in vertices.values() for c in kids}
+    order = [top] if top in vertices else []
     for x in order:  # parents before children
         order.extend(c for c in vertices[x] if c in vertices)
     below: dict[str, list[tuple[str, ...]]] = {}
@@ -351,7 +355,8 @@ def _tree_poset(
             words = [w + v for w in words for v in choices]
         below[x] = words
     relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
-    return BroadPoset(flavour, carrier, frozenset(relation), meta or {})
+    written = ({x: BroadWord(flavour, kids) for x, kids in vertices.items()}, top)
+    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: written})
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:

@@ -9,7 +9,6 @@ late filtering.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from dendro.core import BroadPoset, BroadWord, Flavour
 
@@ -189,3 +188,21 @@ def brute_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict]:
         if monotone and check_isomorphism(left, right, assignment):
             out.append(assignment)
     return out
+
+
+def brute_descendant_cycles(poset: BroadPoset) -> list[tuple[str, str]]:
+    """Pairs ``a < b`` each of which descends from the other, through the
+    transitive closure of "occurs in a word below", taken Floyd–Warshall
+    style over every intermediate element."""
+    elements = sorted(poset.carrier)
+    reach = {
+        (a, b): a == b or any(a in w.letters and t == b for w, t in poset.relation)
+        for a in elements
+        for b in elements
+    }
+    for k in elements:
+        for a in elements:
+            for b in elements:
+                if reach[a, k] and reach[k, b]:
+                    reach[a, b] = True
+    return [(a, b) for a in elements for b in elements if a < b and reach[a, b] and reach[b, a]]

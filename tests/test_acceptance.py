@@ -9,8 +9,6 @@ whole suite stays well under two minutes.
 
 import itertools
 
-import pytest
-
 from dendro.category import (
     FaceType,
     MapKind,
@@ -22,12 +20,10 @@ from dendro.category import (
     maximal_subtrees,
 )
 from dendro.core import (
-    BroadPoset,
     FinitePoset,
     Flavour,
     MonotoneMap,
     check_isomorphism,
-    compose,
     corolla,
     embed_poset,
     enumerate_monotone,
@@ -35,7 +31,6 @@ from dendro.core import (
     forget_symmetry,
     abelianize,
     internal_hom,
-    identity,
     pair_id,
     product,
     pushout,
@@ -55,7 +50,6 @@ from dendro.structure import (
     subtree_at,
 )
 from dendro.terms import (
-    are_isomorphic,
     canonical_code,
     enumerate_trees,
     full_graft,

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from dendro.category import (
-    Factorization,
     FaceType,
     MapKind,
     all_faces,
@@ -41,8 +40,8 @@ from dendro.errors import (
     NotOuterCluster,
     NotUnaryVertex,
 )
-from dendro.structure import degree, inclusion, leaves, links, root, subtree_at
-from dendro.terms import are_isomorphic, graft, parse_term, to_broad, tree_isomorphisms
+from dendro.structure import degree, inclusion, links, root, subtree_at
+from dendro.terms import graft, parse_term, to_broad, tree_isomorphisms
 
 from conftest import linear_tree, stump_poset, tree_corpus
 from oracles import brute_subtree_posets, chain_map_count

@@ -41,7 +41,12 @@ from dendro.errors import (
 )
 
 from conftest import stump_poset
-from oracles import brute_monotone_count, naive_closure, poset_from_naive
+from oracles import (
+    brute_descendant_cycles,
+    brute_monotone_count,
+    naive_closure,
+    poset_from_naive,
+)
 
 C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
@@ -155,6 +160,28 @@ def test_validate_transitivity():
     report = validate(missing)
     assert not report.transitive
     assert any("b ≤ r" in v for v in report.violations)
+
+
+@st.composite
+def random_relations(draw) -> BroadPoset:
+    """Any pairs over up to five elements: cycles and gaps in transitivity
+    are both common."""
+    names = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    words = st.lists(st.sampled_from(names), max_size=3)
+    pairs = draw(st.lists(st.tuples(words, st.sampled_from(names)), max_size=8))
+    return BroadPoset.build(draw(st.sampled_from([C, P])), names, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_relations())
+@example(BroadPoset.build(C, ["a", "b", "c"], [(("a",), "b"), (("b",), "c"), (("c",), "a")]))
+@example(BroadPoset.build(P, ["a", "b", "c"], [(("a", "c"), "b"), (("b", "c"), "a")]))
+def test_descendant_cycles_match_oracle(poset):
+    report = validate(poset)
+    cycles = [f"descendant cycle between {a} and {b}" for a, b in brute_descendant_cycles(poset)]
+    assert report.stratified == (not cycles)
+    assert [v for v in report.violations if v.startswith("descendant cycle")] == cycles
+    assert report.violations[len(report.violations) - len(cycles):] == tuple(cycles)
 
 
 def test_report_violations_empty_iff_ok(small_posets):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -117,6 +118,23 @@ def test_join_in_example(example):
     assert join(example, "e", "f") == "b"
     assert join(example, "e", "d") == "r"
     assert join(example, "b", "e") == "b"
+
+
+def test_join_climbs_without_recursion():
+    """Two 300-deep branches under the root, joined under a recursion
+    limit of 200."""
+    branches = ["a0", "b0"]
+    for i in range(1, 300):
+        branches = [f"a{i}({branches[0]})", f"b{i}({branches[1]})"]
+    tree = to_broad(parse_term(f"r({','.join(branches)})"), C)
+    assert root(tree) == "r"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        top = join(tree, "a0", "b0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert top == "r"
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """Trees written out from their vertices agree with saturating those
-vertices, and trees recognised by rebuilding them from their vertex map
-get the answers of the general search, on random trees beyond the
-exhaustive 7-edge corpus."""
+vertices and keep the vertex map that recognition finds, and trees read
+off that map or recognised by rebuilding them from it get the answers of
+the general search, on random trees beyond the exhaustive 7-edge
+corpus."""
 
 from collections import defaultdict
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dendro import structure
-from dendro.category import FaceType, all_faces, enumerate_subtrees, is_subtree
+from dendro.category import FaceType, all_faces, enumerate_subtrees, is_subtree, outer_face
 from dendro.core import BroadPoset, BroadWord, Flavour, generate_broad_poset
-from dendro.structure import classify_all, is_dendroidal, leaves, links
-from dendro.terms import TreeTerm, canonical_code, graft, to_broad, to_term
+from dendro.structure import classify_all, is_dendroidal, leaves, links, outer_clusters
+from dendro.terms import TreeTerm, canonical_code, graft, parse_term, to_broad, to_term
+
+from conftest import tree_corpus
 
 flavours = st.sampled_from([Flavour.COMMUTATIVE, Flavour.PLANAR])
 
@@ -105,39 +109,74 @@ def test_subtrees_match_saturation(flavour, term):
         assert is_subtree(sub, tree)
 
 
-STRUCTURE_CACHES = (
-    structure._maxima_map,
-    structure.classify_all,
-    structure.links,
-    structure.is_dendroidal,
-)
+def bare(poset: BroadPoset) -> BroadPoset:
+    """An equal poset without the vertex map a tree is written from."""
+    return BroadPoset(poset.flavour, poset.carrier, poset.relation)
 
 
 def by_search(fn, poset):
     """The answer of ``fn`` when no poset is recognised as a tree."""
-    for cached in STRUCTURE_CACHES:
-        cached.cache_clear()
+    structure._maxima_map.cache_clear()
     try:
         with patch.object(structure, "_tree_words", lambda poset: None):
-            return fn(poset)
+            return fn(bare(poset))
     finally:
-        for cached in STRUCTURE_CACHES:
-            cached.cache_clear()
+        structure._maxima_map.cache_clear()
 
 
 def assert_matches_search(poset):
     recognised = structure._maxima_map(poset)[1]
     answers = classify_all(poset), links(poset), is_dendroidal(poset)
-    searched = tuple(by_search(fn, poset) for fn in (classify_all, links, is_dendroidal))
+    searched = by_search(lambda p: (classify_all(p), links(p), is_dendroidal(p)), poset)
     assert answers == searched
-    assert recognised == searched[2].is_dendroidal
+    report = searched[2]
+    assert recognised == (report.root if report.is_dendroidal else None)
+
+
+def assert_written_as_recognised(trees: list[BroadPoset]):
+    """Each tree keeps the vertex map and root that recognition finds on
+    an equal poset without them; equal trees are recognised once."""
+    written: dict[BroadPoset, tuple] = {}
+    for tree in trees:
+        record = tree.meta[structure._WRITTEN_FROM]
+        assert written.setdefault(tree, record) == record
+    for tree, record in written.items():
+        assert record == structure._tree_words(bare(tree))
+
+
+def written_trees(tree: BroadPoset, host: BroadPoset, leaf: str) -> list[BroadPoset]:
+    """A tree, its graft onto a leaf of the host, its outer-face domains
+    and, up to 8 edges, its subtrees: every tree the vertex-map builder
+    writes."""
+    out = [tree, graft(host, leaf, tree)]
+    out += [outer_face(tree, cluster).domain for cluster in outer_clusters(tree)]
+    if len(tree.carrier) <= 8:
+        out += enumerate_subtrees(tree)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavours, tree_terms(), tree_terms(max_edges=4), st.data())
+def test_written_map_is_the_recognised_map(flavour, term, host_term, data):
+    tree, host = to_broad(term, flavour), to_broad(host_term, flavour)
+    assume(leaves(host))
+    leaf = data.draw(st.sampled_from(sorted(leaves(host))))
+    assert_written_as_recognised(written_trees(tree, host, leaf))
+
+
+@pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
+def test_written_map_is_the_recognised_map_on_the_corpus(flavour):
+    host = to_broad(parse_term("h(l,m)"), flavour)
+    assert_written_as_recognised(
+        [w for tree in tree_corpus(flavour, 7) for w in written_trees(tree, host, "l")]
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(flavours, tree_terms())
 def test_recognised_trees_match_search(flavour, term):
     tree = to_broad(term, flavour)
-    assert structure._maxima_map(tree)[1]
+    assert structure._maxima_map(tree)[1] == term.edge
     assert_matches_search(tree)
 
 
@@ -169,5 +208,5 @@ def test_guess_far_larger_than_the_poset_is_refused():
             up = parent_of[up]
             pairs.append(((edge,), up))
     poset = BroadPoset.build(Flavour.COMMUTATIVE, [f"e{i}" for i in range(127)], pairs)
-    assert not structure._maxima_map(poset)[1]
+    assert structure._maxima_map(poset)[1] is None
     assert not is_dendroidal(poset).is_dendroidal
