@@ -13,6 +13,7 @@ maps, then an isomorphism, then face maps.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,8 +40,13 @@ from .errors import (
     NotUnaryVertex,
 )
 from .structure import (
+    CONTRACT,
+    PRUNE,
+    SUBTREE,
+    _cut,
+    _tree_index,
     _tree_poset,
-    _vertex_map,
+    _TreeIndex,
     classify_all,
     degree,
     inclusion,
@@ -122,20 +128,12 @@ _FACE_TO_MAP_KIND = {
 # Face constructors
 
 
-def _without(poset: BroadPoset, edge: str) -> BroadPoset:
-    """The tree left when ``edge`` is contracted or collapsed: the pairs not mentioning it."""
-    relation = frozenset(
-        p for p in poset.relation if p[1] != edge and edge not in p[0].letters
-    )
-    return BroadPoset(poset.flavour, poset.carrier - {edge}, relation)
-
-
 def inner_face(poset: BroadPoset, edge: str) -> MonotoneMap:
     """Inclusion of the subtree obtained by contracting an inner edge."""
     require_dendroidal(poset)
     if edge not in inner_edges(poset):
         raise NotInnerEdge(f"{edge!r} is not an inner edge")
-    return inclusion(_without(poset, edge), poset)
+    return inclusion(_cut(_tree_index(poset), CONTRACT, edge), poset)
 
 
 def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
@@ -145,11 +143,7 @@ def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
     require_dendroidal(poset)
     if cluster not in outer_clusters(poset):
         raise NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster")
-    children, vertex = cluster
-    vertices = _vertex_map(poset)
-    del vertices[vertex]
-    domain = _tree_poset(poset.flavour, poset.carrier - set(children.letters), vertices)
-    return inclusion(domain, poset)
+    return inclusion(_cut(_tree_index(poset), PRUNE, cluster[1]), poset)
 
 
 def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
@@ -166,24 +160,38 @@ def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
     return inclusion(subtree_at(poset, branch), poset)
 
 
+def _faces(poset: BroadPoset) -> tuple[_TreeIndex, list[tuple[FaceKind, frozenset[str], str, str]]]:
+    """The index of a tree and every face of it in order: its kind, the
+    carrier of its domain, and how and where :func:`_cut` cuts it out."""
+    require_dendroidal(poset)
+    tree = _tree_index(poset)
+    vertices, top, carrier = tree.vertices, tree.root, poset.carrier
+    leaf = carrier - vertices.keys()
+    out = [
+        (FaceKind(FaceType.INNER, edge=edge), carrier - {edge}, CONTRACT, edge)
+        for edge in sorted(vertices.keys() - {top})
+    ]
+    for vertex, kids in sorted(vertices.items()):
+        if leaf.issuperset(kids.letters):
+            kind = FaceKind(FaceType.OUTER, cluster=(kids, vertex))
+            out.append((kind, carrier - set(kids.letters), PRUNE, vertex))
+    if top in vertices:
+        kids = vertices[top].letters
+        for branch in sorted(kids):
+            others = {x for x in kids if x != branch}
+            if leaf.issuperset(others):
+                kind = FaceKind(FaceType.ROOT, branch=branch)
+                out.append((kind, carrier - others - {top}, SUBTREE, branch))
+    return tree, out
+
+
 def all_faces(poset: BroadPoset) -> list[Face]:
     """Every face of a tree, in a deterministic order."""
-    require_dendroidal(poset)
+    tree, faces = _faces(poset)
     out: list[Face] = []
-    for edge in sorted(inner_edges(poset)):
-        m = inner_face(poset, edge)
-        out.append(Face(FaceKind(FaceType.INNER, edge=edge), m.domain, m))
-    for cluster in sorted(outer_clusters(poset), key=lambda c: (c[1], c[0].letters)):
-        m = outer_face(poset, cluster)
-        out.append(Face(FaceKind(FaceType.OUTER, cluster=cluster), m.domain, m))
-    the_root = root(poset)
-    cls = classify_all(poset)[the_root]
-    if cls.children is not None:
-        lv = leaves(poset)
-        for branch in sorted(set(cls.children.letters)):
-            if all(x in lv for x in cls.children.letters if x != branch):
-                m = root_face(poset, branch)
-                out.append(Face(FaceKind(FaceType.ROOT, branch=branch), m.domain, m))
+    for kind, _, how, edge in faces:
+        domain = _cut(tree, how, edge)
+        out.append(Face(kind, domain, inclusion(domain, poset)))
     return out
 
 
@@ -228,7 +236,15 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     for r in sorted(poset.carrier):
         for carrier, verts in rooted(r):
             results.append(_tree_poset(flavour, carrier, {t: w.letters for w, t in verts}))
-    results.sort(key=lambda s: (len(s.carrier), sorted(s.carrier), sorted(map(pair_str, s.relation))))
+    # the relation breaks ties only among subtrees sharing a carrier
+    shared = Counter(s.carrier for s in results)
+    results.sort(
+        key=lambda s: (
+            len(s.carrier),
+            sorted(s.carrier),
+            sorted(map(pair_str, s.relation)) if shared[s.carrier] > 1 else [],
+        )
+    )
     return results
 
 
@@ -252,7 +268,12 @@ def maximal_subtrees(poset: BroadPoset) -> list[BroadPoset]:
 
 def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     """The unique face kind realising a maximal subtree."""
-    matches = [face.kind for face in all_faces(poset) if face.domain == sub]
+    tree, faces = _faces(poset)
+    matches = [
+        kind
+        for kind, carrier, how, edge in faces
+        if carrier == sub.carrier and _cut(tree, how, edge) == sub
+    ]
     if not matches:
         raise NotMaximal("the subtree is not the domain of any face")
     if len(matches) > 1:
@@ -275,17 +296,26 @@ def degeneracy(poset: BroadPoset, vertex: tuple[str, str]) -> MonotoneMap:
     cls = classify_all(poset)[edge]
     if cls.children is None or cls.children.letters != (child,):
         raise NotUnaryVertex(f"({child}, {edge}) is not a unary vertex")
-    assignment = {x: (child if x == edge else x) for x in poset.carrier}
-    return MonotoneMap.from_dict(poset, _without(poset, edge), assignment)
+    return _collapse(_tree_index(poset), child, edge)
+
+
+def _collapse(tree: _TreeIndex, child: str, edge: str) -> MonotoneMap:
+    assignment = {x: (child if x == edge else x) for x in tree.poset.carrier}
+    return MonotoneMap.from_dict(tree.poset, _cut(tree, CONTRACT, edge), assignment)
 
 
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     """All degeneracy maps out of a tree, ordered by collapsed edge."""
-    out = []
-    for edge, cls in sorted(classify_all(poset).items()):
-        if cls.children is not None and len(cls.children.letters) == 1:
-            out.append(degeneracy(poset, (cls.children.letters[0], edge)))
-    return out
+    unary = [
+        (cls.children.letters[0], edge)
+        for edge, cls in sorted(classify_all(poset).items())
+        if cls.children is not None and len(cls.children.letters) == 1
+    ]
+    if not unary:  # none, whether or not the poset is a tree
+        return []
+    require_dendroidal(poset)
+    tree = _tree_index(poset)
+    return [_collapse(tree, child, edge) for child, edge in unary]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +337,10 @@ def classify_map(mapping: MonotoneMap) -> MapKind:
             if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
                 return MapKind.DEGENERACY
     if all(k == v for k, v in mapping.pairs) and domain.carrier <= codomain.carrier:
-        for face in all_faces(codomain):
-            if face.domain == domain:
-                return _FACE_TO_MAP_KIND[face.kind.type]
+        tree, faces = _faces(codomain)
+        for kind, carrier, how, edge in faces:
+            if carrier == domain.carrier and _cut(tree, how, edge) == domain:
+                return _FACE_TO_MAP_KIND[kind.type]
     return MapKind.OTHER
 
 
@@ -354,19 +385,20 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> tuple[list[MonotoneM
     steps: list[Face] = []
     current = ambient
     while current != target:
-        candidates = [
-            face
-            for face in all_faces(current)
-            if target.carrier <= face.domain.carrier
-            and target.relation <= face.domain.relation
-        ]
+        tree, faces = _faces(current)
+        candidates = []
+        for kind, carrier, how, edge in faces:
+            if target.carrier <= carrier:
+                domain = _cut(tree, how, edge)
+                if target.relation <= domain.relation:
+                    candidates.append((kind, domain))
         if not candidates:
             raise FactorizationError(
                 f"no face of {current!r} contains the image {target!r}"
             )
-        face = min(candidates, key=lambda f: f.kind.sort_key())
-        steps.append(face)
-        current = face.domain
+        kind, domain = min(candidates, key=lambda c: c[0].sort_key())
+        steps.append(Face(kind, domain, inclusion(domain, current)))
+        current = domain
     steps.reverse()
     return [face.map for face in steps], [face.kind for face in steps]
 

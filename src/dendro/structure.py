@@ -13,7 +13,6 @@ stump, the shape of a constant.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +31,7 @@ from .core import (
     sources_map,
     validate,
 )
-from .errors import NoParent, NotDendroidal
+from .errors import BudgetExceeded, IdentifierError, NoParent, NotDendroidal
 
 
 class EdgeKind(str, Enum):
@@ -75,6 +74,9 @@ class DendroReport:
 
 # the key under which a tree written by _tree_poset keeps its vertex map and root
 _WRITTEN_FROM = "_written_from"
+
+# the most pairs a tree's relation is written out with; an n-edge chain has n(n-1)/2
+MAX_RELATION_PAIRS = 10**6
 
 
 def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
@@ -141,10 +143,7 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
             if match is None:
                 return None
             words[target] = match
-    count: dict[str, int] = {}  # words below each edge in the guessed tree
-    for x in sorted(words, key=depth.get, reverse=True):
-        count[x] = math.prod(1 + count.get(c, 0) for c in words[x].letters)
-    if sum(count.values()) != len(poset.relation):
+    if _relation_size(words, sorted(words, key=depth.get, reverse=True)) != len(poset.relation):
         return None
     vertices = {x: w.letters for x, w in words.items()}
     if _tree_poset(poset.flavour, poset.carrier, vertices).relation != poset.relation:
@@ -332,6 +331,20 @@ def _vertex_map(poset: BroadPoset) -> dict[str, tuple[str, ...]]:
     return {t: w.letters for t, w in _maxima_map(poset)[0].items()}
 
 
+def _relation_size(vertices: dict, bottom_up) -> int:
+    """The number of pairs in the relation of the tree with the given
+    vertex map, its edges with a vertex listed children first: an edge has
+    one word below it per choice, for each child, of the child itself or
+    one of the child's words."""
+    count: dict[str, int] = {}
+    for x in bottom_up:
+        words = 1
+        for c in vertices[x]:
+            words *= 1 + count.get(c, 0)
+        count[x] = words
+    return sum(count.values())
+
+
 def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, tuple[str, ...]], meta=None
 ) -> BroadPoset:
@@ -341,12 +354,17 @@ def _tree_poset(
     root is a child of exactly one edge.  The words below an edge are the
     concatenations of one choice per child: the child itself or a word
     below it.  The result keeps the map, each word of children as a
-    :class:`BroadWord`, and the root in its ``meta``.
+    :class:`BroadWord`, and the root in its ``meta``.  A relation of more
+    than :data:`MAX_RELATION_PAIRS` pairs is counted, not written, and
+    raises :class:`BudgetExceeded`.
     """
     (top,) = carrier - {c for kids in vertices.values() for c in kids}
     order = [top] if top in vertices else []
     for x in order:  # parents before children
         order.extend(c for c in vertices[x] if c in vertices)
+    size = _relation_size(vertices, reversed(order))
+    if size > MAX_RELATION_PAIRS:
+        raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
     below: dict[str, list[tuple[str, ...]]] = {}
     for x in reversed(order):
         words: list[tuple[str, ...]] = [()]
@@ -357,6 +375,90 @@ def _tree_poset(
     relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
     written = ({x: BroadWord(flavour, kids) for x, kids in vertices.items()}, top)
     return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: written})
+
+
+@dataclass(frozen=True, slots=True)
+class _TreeIndex:
+    """A tree's vertex map, root and parents, with its relation split into
+    the pairs below each edge and the pairs whose word mentions each edge."""
+
+    poset: BroadPoset
+    vertices: dict[str, BroadWord]
+    root: str
+    parent: dict[str, str]
+    below: dict[str, frozenset[Pair]]
+    mentions: dict[str, frozenset[Pair]]
+
+
+def _tree_index(poset: BroadPoset) -> _TreeIndex:
+    """The index of a tree, which the caller has checked to be one."""
+    vertices, top = _maxima_map(poset)
+    below: dict[str, list[Pair]] = defaultdict(list)
+    mentions: dict[str, list[Pair]] = defaultdict(list)
+    for pair in poset.relation:
+        below[pair[1]].append(pair)
+        for letter in pair[0].letters:
+            mentions[letter].append(pair)
+    return _TreeIndex(
+        poset,
+        vertices,
+        top,
+        {c: x for x, kids in vertices.items() for c in kids.letters},
+        {x: frozenset(pairs) for x, pairs in below.items()},
+        {x: frozenset(pairs) for x, pairs in mentions.items()},
+    )
+
+
+# the three ways _cut takes a smaller tree out of an indexed one
+CONTRACT, PRUNE, SUBTREE = "contract", "prune", "subtree"
+
+
+def _cut(tree: _TreeIndex, how: str, edge: str) -> BroadPoset:
+    """A tree cut out of an indexed one at ``edge``, keeping its vertex map
+    and root in ``meta`` as :func:`_tree_poset` does.
+
+    CONTRACT removes the edge and splices its children into its parent's
+    word; at the root, which must then be unary, the child becomes the
+    root.  PRUNE deletes the edge's vertex and its children, so the edge
+    becomes a leaf.  SUBTREE keeps the edge's descendants, rooted at it.
+    The relation is the ambient one less the pairs the cut drops, found
+    by set operations on the index.
+    """
+    poset = tree.poset
+    vertices = dict(tree.vertices)
+    top = tree.root
+    if how == CONTRACT:
+        kids = vertices.pop(edge)
+        if edge == top:
+            (top,) = kids.letters
+        else:
+            up = tree.parent[edge]
+            vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
+        carrier = poset.carrier - {edge}
+        relation = poset.relation.difference(tree.below[edge], tree.mentions.get(edge, ()))
+    elif how == PRUNE:
+        kids = vertices.pop(edge)
+        carrier = poset.carrier - set(kids.letters)
+        # the words below an ancestor in which the edge is expanded are
+        # those mentioning no edge on the path up from it: a stump's
+        # expansion to the empty word leaves no letter behind
+        dropped = [tree.below[edge]]
+        path = tree.mentions.get(edge, frozenset())
+        x = edge
+        while x != top:
+            x = tree.parent[x]
+            dropped.append(tree.below[x] - path)
+            path = path | tree.mentions.get(x, frozenset())
+        relation = poset.relation.difference(*dropped)
+    else:
+        keep = [edge]
+        for x in keep:  # parents before children
+            keep.extend(vertices[x].letters if x in vertices else ())
+        carrier = frozenset(keep)
+        vertices = {x: vertices[x] for x in keep if x in vertices}
+        top = edge
+        relation = frozenset().union(*(tree.below[x] for x in vertices))
+    return BroadPoset(poset.flavour, carrier, relation, {_WRITTEN_FROM: (vertices, top)})
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:
@@ -384,10 +486,9 @@ def outer_clusters(poset: BroadPoset) -> frozenset[Pair]:
 def subtree_at(poset: BroadPoset, element: str) -> BroadPoset:
     """The induced broad poset on the descendants of ``element``."""
     require_dendroidal(poset)
-    descend = _descendant_pairs(poset)
-    keep = frozenset(x for x in poset.carrier if (x, element) in descend)
-    relation = frozenset(p for p in poset.relation if p[1] in keep)
-    return BroadPoset(poset.flavour, keep, relation)
+    if element not in poset.carrier:
+        raise IdentifierError(f"{element!r} is not an edge of the tree")
+    return _cut(_tree_index(poset), SUBTREE, element)
 
 
 def root_corolla(poset: BroadPoset) -> BroadPoset:

@@ -21,7 +21,6 @@ from typing import Iterator, Mapping
 from .core import (
     BroadPoset,
     Flavour,
-    MonotoneMap,
     check_isomorphism,
 )
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     DuplicateEdge,
     GraftUndefined,
     NotALeaf,
-    NotDendroidal,
     ParseError,
 )
 from .structure import _tree_poset, _vertex_map, leaves, require_dendroidal, root
@@ -388,13 +386,6 @@ def are_isomorphic(
     if not check_isomorphism(left, right, witness):
         return False, None
     return True, witness
-
-
-def isomorphism_map(left: BroadPoset, right: BroadPoset) -> MonotoneMap:
-    ok, witness = are_isomorphic(left, right)
-    if not ok:
-        raise NotDendroidal("the trees are not isomorphic")
-    return MonotoneMap.from_dict(left, right, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -239,6 +240,19 @@ def test_deep_term_parse_error_exit_two(capsys):
     code, _, err = invoke(capsys, "check", "".join(f"d{i}(" for i in range(1200)) + "x,,")
     assert code == 2
     assert "expected an identifier" in err
+
+
+def test_check_refuses_a_relation_over_budget(capsys):
+    """A 3,000-deep chain has about 4.5 million relation pairs: they are
+    counted, not written."""
+    depth = 3000
+    text = "".join(f"d{i}(" for i in range(depth)) + "x" + ")" * depth
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "check", text)
+    assert code == 3
+    assert out == ""
+    assert "more than 1000000 pairs" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_check_does_not_validate_a_tree(monkeypatch, capsys):

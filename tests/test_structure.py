@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from dendro.core import BroadPoset, BroadWord, Flavour, corolla, star
-from dendro.errors import NoParent, NotDendroidal
+from dendro.errors import IdentifierError, NoParent, NotDendroidal
 from dendro.structure import (
     EdgeKind,
     classify_all,
@@ -218,6 +218,11 @@ def test_subtree_at_inner_edge(example):
     assert sub.relation == frozenset({(BroadWord(C, ("e", "f")), "b")})
     stump_sub = subtree_at(example, "d")
     assert stump_sub == stump_poset("d")
+
+
+def test_subtree_at_unknown_edge_raises(example):
+    with pytest.raises(IdentifierError):
+        subtree_at(example, "z")
 
 
 def test_root_corolla(example):

@@ -1,4 +1,5 @@
-"""Trees written out from their vertices agree with saturating those
+"""Trees written out from their vertices, and the faces, subtrees and
+degeneracy codomains cut out of them, agree with saturating those
 vertices and keep the vertex map that recognition finds, and trees read
 off that map or recognised by rebuilding them from it get the answers of
 the general search, on random trees beyond the exhaustive 7-edge
@@ -8,13 +9,21 @@ from collections import defaultdict
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dendro import structure
-from dendro.category import FaceType, all_faces, enumerate_subtrees, is_subtree, outer_face
-from dendro.core import BroadPoset, BroadWord, Flavour, generate_broad_poset
-from dendro.structure import classify_all, is_dendroidal, leaves, links, outer_clusters
+from dendro.category import (
+    FaceType,
+    all_faces,
+    degeneracies,
+    degeneracy,
+    enumerate_subtrees,
+    is_subtree,
+    outer_face,
+)
+from dendro.core import BroadPoset, BroadWord, Flavour, corolla, generate_broad_poset
+from dendro.structure import classify_all, is_dendroidal, leaves, links, subtree_at
 from dendro.terms import TreeTerm, canonical_code, graft, parse_term, to_broad, to_term
 
 from conftest import tree_corpus
@@ -87,16 +96,50 @@ def test_graft_matches_saturation(flavour, host_term, scion_term, data):
     )
 
 
+def cut_from_term(term: TreeTerm, how: str, edge: str, flavour: Flavour) -> BroadPoset:
+    """The saturated tree left when the term's edge is contracted, its
+    vertex pruned, or all but the subterm at it dropped."""
+    if how == "subtree":
+        pending = [term]
+        while pending[-1].edge != edge:
+            t = pending.pop()
+            pending.extend(t.children or ())
+        sub = pending[-1]
+        return generate_broad_poset(set(sub.edges()), term_vertices(sub), flavour)
+    vertices = {t: w for w, t in term_vertices(term)}
+    kids = vertices.pop(edge)
+    if how == "contract":
+        carrier = set(term.edges()) - {edge}
+        for t, w in vertices.items():
+            if edge in w:
+                i = w.index(edge)
+                vertices[t] = w[:i] + kids + w[i + 1:]
+    else:
+        carrier = set(term.edges()) - set(kids)
+    return generate_broad_poset(carrier, [(w, t) for t, w in vertices.items()], flavour)
+
+
 @settings(max_examples=60, deadline=None)
 @given(flavours, tree_terms())
-def test_outer_faces_match_saturation(flavour, term):
+@example(Flavour.PLANAR, parse_term("e1(e2(e3()))"))
+@example(Flavour.COMMUTATIVE, parse_term("r(l1)"))
+def test_faces_match_saturation(flavour, term):
+    """Face domains, degeneracy codomains and the subtree at every edge."""
     tree = to_broad(term, flavour)
     for face in all_faces(tree):
-        if face.kind.type is FaceType.OUTER:
-            children, vertex = face.kind.cluster
-            kept = [(w, t) for w, t in term_vertices(term) if t != vertex]
-            carrier = tree.carrier - set(children.letters)
-            assert face.domain == generate_broad_poset(carrier, kept, flavour)
+        kind = face.kind
+        if kind.type is FaceType.INNER:
+            expected = cut_from_term(term, "contract", kind.edge, flavour)
+        elif kind.type is FaceType.OUTER:
+            expected = cut_from_term(term, "prune", kind.cluster[1], flavour)
+        else:
+            expected = cut_from_term(term, "subtree", kind.branch, flavour)
+        assert face.domain == expected
+    for sigma in degeneracies(tree):
+        (edge,) = tree.carrier - sigma.codomain.carrier
+        assert sigma.codomain == cut_from_term(term, "contract", edge, flavour)
+    for edge in tree.carrier:
+        assert subtree_at(tree, edge) == cut_from_term(term, "subtree", edge, flavour)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,11 +188,14 @@ def assert_written_as_recognised(trees: list[BroadPoset]):
 
 
 def written_trees(tree: BroadPoset, host: BroadPoset, leaf: str) -> list[BroadPoset]:
-    """A tree, its graft onto a leaf of the host, its outer-face domains
-    and, up to 8 edges, its subtrees: every tree the vertex-map builder
-    writes."""
+    """A tree, its graft onto a leaf of the host, its face domains, its
+    subtree at every edge, its degeneracy codomains and, up to 8 edges,
+    its subtrees: every tree that is written from a vertex map or cut out
+    of a tree with its map."""
     out = [tree, graft(host, leaf, tree)]
-    out += [outer_face(tree, cluster).domain for cluster in outer_clusters(tree)]
+    out += [face.domain for face in all_faces(tree)]
+    out += [subtree_at(tree, edge) for edge in sorted(tree.carrier)]
+    out += [sigma.codomain for sigma in degeneracies(tree)]
     if len(tree.carrier) <= 8:
         out += enumerate_subtrees(tree)
     return out
@@ -170,6 +216,17 @@ def test_written_map_is_the_recognised_map_on_the_corpus(flavour):
     assert_written_as_recognised(
         [w for tree in tree_corpus(flavour, 7) for w in written_trees(tree, host, "l")]
     )
+
+
+@pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
+def test_collapsed_root_and_pruned_stump_keep_their_maps(flavour):
+    """Collapsing a unary root makes its child the root, and pruning a
+    stump drops the words that expand it to the empty word."""
+    collapsed = degeneracy(corolla(1, flavour), ("l1", "r")).codomain
+    stumped = to_broad(parse_term("e1(e2(e3()))"), flavour)
+    pruned = outer_face(stumped, (BroadWord(flavour, ()), "e3")).domain
+    assert pruned == to_broad(parse_term("e1(e2(e3))"), flavour)
+    assert_written_as_recognised([collapsed, pruned])
 
 
 @settings(max_examples=60, deadline=None)
