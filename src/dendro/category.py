@@ -51,6 +51,7 @@ from .structure import (
     degree,
     inclusion,
     inner_edges,
+    is_dendroidal,
     leaves,
     outer_clusters,
     require_dendroidal,
@@ -250,8 +251,6 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
 
 def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
     """Carrier and relation containment plus the tree axioms."""
-    from .structure import is_dendroidal
-
     return (
         candidate.flavour is ambient.flavour
         and candidate.carrier <= ambient.carrier
@@ -306,14 +305,14 @@ def _collapse(tree: _TreeIndex, child: str, edge: str) -> MonotoneMap:
 
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     """All degeneracy maps out of a tree, ordered by collapsed edge."""
+    require_dendroidal(poset)
     unary = [
         (cls.children.letters[0], edge)
         for edge, cls in sorted(classify_all(poset).items())
         if cls.children is not None and len(cls.children.letters) == 1
     ]
-    if not unary:  # none, whether or not the poset is a tree
+    if not unary:
         return []
-    require_dendroidal(poset)
     tree = _tree_index(poset)
     return [_collapse(tree, child, edge) for child, edge in unary]
 

@@ -328,6 +328,18 @@ def _descendant_pairs(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 # Generation (reflexive-transitive closure plus anti-symmetry quotient)
 
 
+def _substitution_sites(w: BroadWord) -> Iterator[tuple[int, str]]:
+    """The positions of ``w`` whose substitutions can give distinct words.
+
+    Every position of a planar word; in a commutative word, which is sorted,
+    the first occurrence of each distinct letter.
+    """
+    letters = w.letters
+    if w.flavour is Flavour.PLANAR:
+        return enumerate(letters)
+    return ((i, x) for i, x in enumerate(letters) if i == 0 or letters[i - 1] != x)
+
+
 def generate_broad_poset(
     carrier: Iterable[str],
     generators: Iterable[tuple[Sequence[str] | BroadWord, str]],
@@ -336,22 +348,25 @@ def generate_broad_poset(
 ) -> BroadPoset:
     """The broad poset generated by a relation.
 
-    Saturates the generators under letterwise substitution, then quotients
-    by mutual comparability of single elements, choosing the least
-    identifier as each class representative.  Any collapse performed by the
-    quotient is recorded in the result's ``meta['collapsed']``.
+    Saturates by substituting generators only, one site at a time;
+    substitution is associative, so this reaches every composite.  Pairs
+    leave the queue in a fixed order that starts from the generators sorted
+    by target, length and letters.  Then quotients by mutual comparability
+    of single elements, choosing the least identifier as each class
+    representative.  Any collapse performed by the quotient is
+    recorded in the result's ``meta['collapsed']``.
 
     Raises :class:`ClosureOverflow` when a word longer than
     ``max_word_len`` (default: the carrier size) appears, which signals a
-    possibly infinite relation.
+    possibly infinite relation.  It names the first such pair in that order,
+    so the message does not depend on the hash seed.
     """
     carrier = frozenset(carrier)
     bound = max(1, len(carrier)) if max_word_len is None else max_word_len
     if bound < 1:
         raise ValueError("max_word_len must be at least 1")
 
-    planar = flavour is Flavour.PLANAR
-    queue: deque[Pair] = deque()
+    gens: set[Pair] = set()
     for source, target in generators:
         w = source if isinstance(source, BroadWord) else BroadWord(flavour, tuple(source))
         if target not in carrier:
@@ -359,22 +374,14 @@ def generate_broad_poset(
         for letter in w.letters:
             if letter not in carrier:
                 raise IdentifierError(f"letter {letter!r} not in carrier")
-        queue.append((w, target))
+        if w.letters != (target,):
+            gens.add((w, target))
+    queue: deque[Pair] = deque(sorted(gens, key=lambda p: (p[1], len(p[0]), p[0].letters)))
+    below: dict[str, list[BroadWord]] = defaultdict(list)  # target -> generator words
+    for w, target in queue:
+        below[target].append(w)
 
     relation: set[Pair] = set()
-    occurrences: dict[str, set[Pair]] = defaultdict(set)   # letter -> pairs containing it
-    by_target: dict[str, set[Pair]] = defaultdict(set)     # target -> pairs below it
-
-    def substitutions(outer: Pair, inner: Pair) -> Iterator[Pair]:
-        w, target = outer
-        b, x = inner
-        if planar:
-            for position, letter in enumerate(w.letters):
-                if letter == x:
-                    yield (w.substitute(position, b), target)
-        elif x in w.letters:
-            yield (w.substitute(w.letters.index(x), b), target)
-
     while queue:
         current = queue.popleft()
         w, target = current
@@ -385,16 +392,9 @@ def generate_broad_poset(
                 f"saturation produced {pair_str(current)} with length {len(w)} > {bound}"
             )
         relation.add(current)
-        for letter in set(w.letters):
-            occurrences[letter].add(current)
-        by_target[target].add(current)
-        # use existing pairs as substitutions into the new pair
-        for letter in set(w.letters):
-            for inner in by_target.get(letter, ()):
-                queue.extend(substitutions(current, inner))
-        # use the new pair as a substitution into existing pairs
-        for outer in list(occurrences.get(target, ())):
-            queue.extend(substitutions(outer, current))
+        for position, letter in _substitution_sites(w):
+            for b in below.get(letter, ()):
+                queue.append((w.substitute(position, b), target))
 
     # quotient by mutual single-element comparability
     unary = {(w.letters[0], t) for w, t in relation if len(w) == 1}
@@ -456,15 +456,12 @@ def validate(poset: BroadPoset) -> ValidationReport:
     violations: list[str] = []
 
     relation = poset.relation
-    planar = poset.flavour is Flavour.PLANAR
     by_target: dict[str, list[Pair]] = defaultdict(list)
     for p in relation:
         by_target[p[1]].append(p)
     missing: list[str] = []
     for w, target in relation:
-        for position, letter in (
-            enumerate(w.letters) if planar else ((w.letters.index(x), x) for x in set(w.letters))
-        ):
+        for position, letter in _substitution_sites(w):
             for b, _ in by_target.get(letter, ()):
                 derived = w.substitute(position, b)
                 if derived.letters != (target,) and (derived, target) not in relation:
@@ -891,12 +888,12 @@ def tensor(
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
     flavour = left.flavour
-    carrier = [pair_id(a, b) for a in sorted(left.carrier) for b in sorted(right.carrier)]
+    carrier = [pair_id(a, b) for a in left.carrier for b in right.carrier]
     generators: list[tuple[tuple[str, ...], str]] = []
-    for a in sorted(left.carrier):
+    for a in left.carrier:
         for w, b in right.relation:
             generators.append((tuple(pair_id(a, y) for y in w.letters), pair_id(a, b)))
-    for b in sorted(right.carrier):
+    for b in right.carrier:
         for w, a in left.relation:
             generators.append((tuple(pair_id(x, b) for x in w.letters), pair_id(a, b)))
     return generate_broad_poset(carrier, generators, flavour, max_word_len)

@@ -80,11 +80,6 @@ def naive_closure(
     return frozenset(quotiented), rep
 
 
-def poset_from_naive(carrier, generators, flavour: Flavour) -> BroadPoset:
-    relation, rep = naive_closure(carrier, generators, flavour)
-    return BroadPoset.build(flavour, {rep[x] for x in carrier}, relation)
-
-
 def brute_monotone_count(domain: BroadPoset, codomain: BroadPoset) -> int:
     """Count monotone maps by scanning every total assignment."""
     elements = sorted(domain.carrier)

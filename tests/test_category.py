@@ -34,6 +34,7 @@ from dendro.core import (
 from dendro.errors import (
     GraftUndefined,
     NoRootFace,
+    NotDendroidal,
     NotInnerEdge,
     NotMaximal,
     NotMonotone,
@@ -246,6 +247,12 @@ def test_two_degeneracies_on_three_chain():
 @pytest.mark.parametrize("n", [0, 2, 3])
 def test_corollas_have_no_degeneracies(n):
     assert degeneracies(corolla(n)) == []
+
+
+def test_degeneracies_reject_a_non_tree():
+    # two unrelated edges have no unary vertex, yet are no tree
+    with pytest.raises(NotDendroidal):
+        degeneracies(BroadPoset.build(C, ["a", "b"]))
 
 
 def test_degeneracy_requires_unary_vertex():

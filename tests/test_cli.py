@@ -202,6 +202,31 @@ def test_output_deterministic_across_processes():
     assert run_once("1") == run_once("42")
 
 
+def test_overflow_message_deterministic_across_processes(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    paths = []
+    for name, term in [("A", "r(a(b,c),d)"), ("B", "s(x,y)")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(to_broad(parse_term(term), Flavour.COMMUTATIVE).to_json()))
+        paths.append(str(path))
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "dendro.cli", "--max-word-len=3", "tensor", *paths],
+            capture_output=True,
+            env=env,
+        )
+        return done.returncode, done.stderr
+
+    first = run_once("1")
+    assert first[0] == 3
+    assert first == run_once("7")
+
+
 GAMMA2 = corolla(2).to_json()
 
 

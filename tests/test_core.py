@@ -45,7 +45,6 @@ from oracles import (
     brute_descendant_cycles,
     brute_monotone_count,
     naive_closure,
-    poset_from_naive,
 )
 
 C = Flavour.COMMUTATIVE
@@ -97,18 +96,35 @@ def test_generate_epsilon_substitution():
     assert {(w.letters, t) for w, t in result.relation} == set(expected)
 
 
+@st.composite
+def generator_sets(draw):
+    """Up to five generators of length 0-3 over up to five elements, and a
+    word bound (None: the carrier size) that many of their closures exceed."""
+    carrier = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    words = st.lists(st.sampled_from(carrier), max_size=3)
+    generators = draw(st.lists(st.tuples(words, st.sampled_from(carrier)), max_size=5))
+    return carrier, generators, draw(st.sampled_from([None, 3, 6, 8]))
+
+
 @pytest.mark.parametrize("flavour", [C, P])
-def test_generate_matches_naive_oracle(flavour):
-    cases = [
-        (["r", "a", "b"], [(("a", "b"), "r"), ((), "a")]),
-        (["r", "a", "b", "c"], [(("a", "b"), "r"), (("c",), "a")]),
-        (["r", "a", "b", "c"], [(("a",), "r"), (("b", "c"), "a")]),
-        (["x", "y"], [(("x",), "y"), (("y",), "x")]),  # collapses
-    ]
-    for carrier, gens in cases:
-        assert generate_broad_poset(carrier, gens, flavour, 10) == poset_from_naive(
-            carrier, gens, flavour
-        )
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+@example((["r", "a", "b"], [(("a", "b"), "r"), ((), "a")], 10))
+@example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c",), "a")], 10))
+@example((["r", "a", "b", "c"], [(("a",), "r"), (("b", "c"), "a")], 10))
+@example((["x", "y"], [(("x",), "y"), (("y",), "x")], 10))  # collapses
+def test_generate_matches_naive_oracle(flavour, case):
+    carrier, generators, bound = case
+    max_len = max(1, len(carrier)) if bound is None else bound
+    try:
+        relation, rep = naive_closure(carrier, generators, flavour, max_len)
+    except OverflowError:
+        with pytest.raises(ClosureOverflow):
+            generate_broad_poset(carrier, generators, flavour, bound)
+        return
+    result = generate_broad_poset(carrier, generators, flavour, bound)
+    assert result == BroadPoset.build(flavour, {rep[x] for x in carrier}, relation)
+    assert result.meta.get("collapsed", {}) == {x: r for x, r in rep.items() if x != r}
 
 
 def test_generate_collapse_metadata():

@@ -1,7 +1,9 @@
 """Every imported name is used: a scan of the source with ``ast``.
 
 Package ``__init__`` modules re-export what they import, and ``from
-__future__`` imports are directives, so both are exempt.
+__future__`` imports are directives, so both are exempt.  The benchmark's
+scripts in ``perfbench/`` are scanned too; like every file here they are
+read as text, never imported.
 """
 
 import ast
@@ -12,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path
-    for path in [*(ROOT / "src" / "dendro").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for folder in [ROOT / "src" / "dendro", ROOT / "tests", ROOT / "perfbench"]
+    for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
 
