@@ -23,6 +23,17 @@ from .errors import (
 )
 
 
+def _word_length(text: str) -> int:
+    """The type of ``--max-word-len``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dendro",
@@ -35,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="commutative (default) or planar",
     )
     parser.add_argument("--output", choices=["text", "json"], default="text")
-    parser.add_argument("--max-word-len", type=int, default=None)
+    parser.add_argument("--max-word-len", type=_word_length, default=None)
     parser.add_argument("--budget", type=int, default=10**7)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,14 +127,16 @@ def _load_map(path: str) -> MonotoneMap:
 
 def _parse_assignment(text: str) -> dict[str, str]:
     assignment: dict[str, str] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=>" not in part:
-            raise ParseError(f"expected 'a=>b' in map literal, got {part!r}", 0)
-        key, value = part.split("=>", 1)
-        assignment[key.strip()] = value.strip()
+    start = 0  # offset of the current part in ``text``
+    for raw in text.split(","):
+        part = raw.strip()
+        if part:
+            if "=>" not in part:
+                at = start + len(raw) - len(raw.lstrip())
+                raise ParseError(f"expected 'a=>b' in map literal, got {part!r}", at)
+            key, value = part.split("=>", 1)
+            assignment[key.strip()] = value.strip()
+        start += len(raw) + 1
     return assignment
 
 

@@ -25,7 +25,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -199,7 +199,7 @@ class BroadPoset:
     def from_json(cls, data: Mapping) -> "BroadPoset":
         """Read the form :meth:`to_json` writes; malformed data raises ParseError."""
         flavour, carrier, relation = _json_fields(data, "flavour", "carrier", "relation")
-        if flavour not in {f.value for f in Flavour}:
+        if not isinstance(flavour, str) or flavour not in {f.value for f in Flavour}:
             raise ParseError(f"unknown flavour {flavour!r}")
         if not isinstance(relation, (list, tuple)):
             raise ParseError("'relation' must be a list")
@@ -407,7 +407,7 @@ def generate_broad_poset(
             for x in merged:
                 classes[x] = merged
         rep = {x: min(cls) for x, cls in classes.items()}
-        collapsed = {x: r for x, r in rep.items() if x != r}
+        collapsed = {x: r for x, r in sorted(rep.items()) if x != r}
     if collapsed:
         def r(x: str) -> str:
             return collapsed.get(x, x)
@@ -624,37 +624,71 @@ def enumerate_monotone(
         raise BudgetExceeded(
             f"{len(values)}^{len(elements)} assignments exceed budget {budget}"
         )
-    index = {x: i for i, x in enumerate(elements)}
-    checkable: list[list[Pair]] = [[] for _ in elements]
+    return [
+        MonotoneMap.from_dict(domain, codomain, assignment)
+        for assignment in _assignments(domain, codomain, elements, lambda x, a: values, False)
+    ]
+
+
+def _assignments(
+    domain: BroadPoset,
+    codomain: BroadPoset,
+    order: Sequence[str],
+    candidates: Callable[[str, Mapping[str, str]], Iterable[str]],
+    injective: bool,
+) -> Iterator[dict[str, str]]:
+    """Every monotone assignment, injective when asked.
+
+    ``order`` lists the domain's carrier, and each element ``x`` takes its
+    values from ``candidates(x, assignment)``, where the assignment holds
+    the values of the elements before ``x``; assignments come in
+    lexicographic order of their values along ``order``, each value ranked
+    by its place among its candidates.  Every relation pair is filed under
+    the last of its elements in ``order`` and checked once that element has
+    a value.  The search keeps its own stack of candidate iterators, so its
+    depth is not bounded by Python's.  An injective image that is a single
+    letter equal to its target can only come from a reflexive pair, which
+    is never stored, so one pair test serves both modes.
+    """
+    if not order:
+        yield {}
+        return
+    index = {x: i for i, x in enumerate(order)}
+    checkable: list[list[Pair]] = [[] for _ in order]
     for w, target in domain.relation:
         last = max([index[target]] + [index[x] for x in w.letters])
         checkable[last].append((w, target))
 
     relation = codomain.relation
     flavour = codomain.flavour
-    out: list[MonotoneMap] = []
-    assignment: dict[str, str] = {}
-
-    def extend(k: int) -> None:
-        if k == len(elements):
-            out.append(MonotoneMap.from_dict(domain, codomain, assignment))
-            return
-        x = elements[k]
-        for value in values:
+    assignment: dict[str, str] = {}  # entries past the current element may be stale
+    used: set[str] = set()  # when injective, the values before the current element
+    stack = [iter(candidates(order[0], assignment))]  # one iterator per element up to the current one
+    while stack:
+        k = len(stack) - 1
+        x = order[k]
+        for value in stack[k]:
+            if value in used:
+                continue
             assignment[x] = value
-            ok = True
             for w, target in checkable[k]:
                 image = BroadWord(flavour, tuple(assignment[y] for y in w.letters))
                 ft = assignment[target]
                 if image.letters != (ft,) and (image, ft) not in relation:
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
-        assignment.pop(x, None)
-
-    extend(0)
-    return out
+                    break  # a pair fails: try the next value
+            else:
+                break  # every pair filed under x holds
+        else:  # no value left for x: step back, freeing the value before it
+            stack.pop()
+            if injective and k:
+                used.discard(assignment[order[k - 1]])
+            continue
+        if k + 1 == len(order):
+            yield dict(assignment)
+        else:
+            if injective:
+                used.add(value)
+            stack.append(iter(candidates(order[k + 1], assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -683,23 +717,25 @@ def _element_profiles(poset: BroadPoset) -> dict[str, tuple]:
         below[target].append(len(w))
         for letter in w.letters:
             occurs[letter].append(len(w))
-    base = {
-        x: (tuple(sorted(below[x])), tuple(sorted(occurs[x]))) for x in poset.carrier
-    }
-    # one refinement round over the relation's shape
-    refined = {}
-    for x in poset.carrier:
-        neighbour = sorted(
-            (tuple(sorted(base[l] for l in w.letters)), base[t])
-            for w, t in poset.relation
-            if x == t or x in w.letters
-        )
-        refined[x] = (base[x], tuple(neighbour))
-    return refined
+    def counted(lengths: list[int]) -> tuple:  # each length with its count
+        return tuple(sorted(Counter(lengths).items()))
+
+    base = {x: (counted(below[x]), counted(occurs[x])) for x in poset.carrier}
+    # one refinement round over the relation's shape: each pair's shape
+    # counts once for every element it mentions
+    neighbours: dict[str, list[tuple]] = {x: [] for x in poset.carrier}
+    for w, t in poset.relation:
+        shape = (tuple(sorted(base[l] for l in w.letters)), base[t])
+        for x in {t, *w.letters}:
+            neighbours[x].append(shape)
+    return {x: (base[x], tuple(sorted(neighbours[x]))) for x in poset.carrier}
 
 
 def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | None:
-    """Search for a bijection monotone both ways; None when there is none."""
+    """Search for a bijection monotone both ways; None when there is none.
+
+    The shared search's first injective monotone assignment needs no check:
+    between carriers and relations of equal size it is an isomorphism."""
     if left.flavour is not right.flavour:
         return None
     if len(left.carrier) != len(right.carrier) or len(left.relation) != len(right.relation):
@@ -714,43 +750,7 @@ def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | No
         x: sorted(y for y in right.carrier if rprof[y] == lprof[x]) for x in left.carrier
     }
     order = sorted(left.carrier, key=lambda x: (len(candidates[x]), x))
-    index = {x: i for i, x in enumerate(order)}
-    checkable: list[list[Pair]] = [[] for _ in order]
-    for w, target in left.relation:
-        last = max([index[target]] + [index[x] for x in w.letters])
-        checkable[last].append((w, target))
-
-    relation = right.relation
-    flavour = right.flavour
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(k: int) -> dict[str, str] | None:
-        if k == len(order):
-            if check_isomorphism(left, right, assignment):
-                return dict(assignment)
-            return None
-        x = order[k]
-        for value in candidates[x]:
-            if value in used:
-                continue
-            assignment[x] = value
-            used.add(value)
-            ok = True
-            for w, target in checkable[k]:
-                image = BroadWord(flavour, tuple(assignment[y] for y in w.letters))
-                if (image, assignment[target]) not in relation:
-                    ok = False
-                    break
-            if ok:
-                found = extend(k + 1)
-                if found is not None:
-                    return found
-            used.discard(value)
-            del assignment[x]
-        return None
-
-    return extend(0)
+    return next(_assignments(left, right, order, lambda x, a: candidates[x], True), None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 from .core import (
     BroadPoset,
     Flavour,
+    _assignments,
     check_isomorphism,
 )
 from .errors import (
@@ -285,40 +286,16 @@ def canonical_code(tree: TreeTerm | BroadPoset, flavour: Flavour | None = None) 
     return term_code(tree, flavour)
 
 
-def _isomorphisms(
-    x: str, y: str, left: tuple[dict, dict], right: tuple[dict, dict], flavour: Flavour
-) -> Iterator[dict[str, str]]:
-    """All bijections matching the rooted shapes above ``x`` and ``y``;
-    ``left`` and ``right`` are each a vertex map with its edge codes."""
-    (lv, lcodes), (rv, rcodes) = left, right
-    if lcodes[x] != rcodes[y]:
-        return
-    if x not in lv:
-        yield {x: y}
-        return
-    kids = lv[x]
-    if flavour is Flavour.PLANAR:
-        orderings: Iterator[tuple[str, ...]] = iter([rv[y]])
-    else:
-        codes = [lcodes[c] for c in kids]
-        orderings = (
-            perm
-            for perm in itertools.permutations(rv[y])
-            if [rcodes[c] for c in perm] == codes
-        )
-    for ordering in orderings:
-        for combo in itertools.product(
-            *[list(_isomorphisms(a, b, left, right, flavour)) for a, b in zip(kids, ordering)]
-        ):
-            assignment = {x: y}
-            for part in combo:
-                assignment.update(part)
-            yield assignment
-
-
 def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str]]:
-    """Every isomorphism between two trees, as assignments.
+    """Every isomorphism between two trees, as assignments, in
+    lexicographic order of their values listed by sorted domain edge.
 
+    The shared monotone search runs injectively from the root up, and each
+    edge takes only children of its parent's image with its own code (at
+    its own child position when planar), so no branch of the search dies
+    out.  No found assignment is checked again: the search has checked
+    every relation pair, and equal root codes give relations of equal size,
+    between which every injective monotone assignment is an isomorphism.
     This enumerates them all, n! of them between two n-leaf commutative
     corollas, so it is only for callers who want every one; to decide
     isomorphism use :func:`are_isomorphic`.
@@ -327,11 +304,24 @@ def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str
         return []
     ltop, lv, lcodes = _coded(left)
     rtop, rv, rcodes = _coded(right)
-    return [
-        assignment
-        for assignment in _isomorphisms(ltop, rtop, (lv, lcodes), (rv, rcodes), left.flavour)
-        if check_isomorphism(left, right, assignment)
-    ]
+    if lcodes[ltop] != rcodes[rtop]:
+        return []
+    planar = left.flavour is Flavour.PLANAR
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
+
+    def candidates(x: str, assignment: Mapping[str, str]) -> list[str]:
+        if x == ltop:
+            return [rtop]
+        parent, i = lparent[x]
+        kids = rv[assignment[parent]]
+        return [y for y in ((kids[i],) if planar else kids) if rcodes[y] == lcodes[x]]
+
+    order = [ltop]  # each edge after its parent
+    for x in order:
+        order.extend(lv.get(x, ()))
+    found = _assignments(left, right, order, candidates, True)
+    edges = sorted(left.carrier)
+    return sorted(found, key=lambda assignment: [assignment[x] for x in edges])
 
 
 def are_isomorphic(
@@ -443,12 +433,6 @@ def _shape_key(shape: _Shape) -> tuple:
     if shape[0] == "L":
         return (0,)
     return (1, tuple(_shape_key(c) for c in shape[1]))
-
-
-def _shape_edges(shape: _Shape) -> int:
-    if shape[0] == "L":
-        return 1
-    return 1 + sum(_shape_edges(c) for c in shape[1])
 
 
 def _name_shape(shape: _Shape, counter: itertools.count) -> TreeTerm:

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from dendro.cli import run
-from dendro.core import BroadPoset, Flavour, MonotoneMap, corolla, star
+from dendro.core import BroadPoset, Flavour, MonotoneMap, corolla, identity, star
 from dendro.terms import parse_term, to_broad
 
 
@@ -328,3 +328,58 @@ def test_violations_deterministic_across_processes(tmp_path):
     first = run_once("1")
     assert first[0] == 1
     assert first == run_once("4")
+
+
+def test_collapse_message_deterministic_across_processes(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # p, q, r go up one chain and down the other, so a2 and a3 collapse onto a1
+    chain_a = BroadPoset.build(
+        Flavour.COMMUTATIVE, ["a1", "a2", "a3"], [(["a1"], "a2"), (["a1"], "a3"), (["a2"], "a3")]
+    )
+    chain_b = chain_a.rename({"a1": "b1", "a2": "b2", "a3": "b3"})
+    shared = BroadPoset.build(Flavour.COMMUTATIVE, ["p", "q", "r"])
+    legs = [
+        MonotoneMap.from_dict(shared, chain_a, {"p": "a1", "q": "a2", "r": "a3"}),
+        MonotoneMap.from_dict(shared, chain_b, {"p": "b3", "q": "b2", "r": "b1"}),
+    ]
+    paths = []
+    for name, leg in zip("fg", legs):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(leg.to_json()))
+        paths.append(str(path))
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "dendro.cli", "pushout", *paths],
+            capture_output=True,
+            env=env,
+        )
+        return done.returncode, done.stderr
+
+    first = run_once("0")
+    assert first[0] == 1
+    assert first == run_once("1")
+
+
+@pytest.mark.parametrize("command", ["tensor", "pushout"])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_word_length_below_one_exit_two(tmp_path, capsys, command, bound):
+    c1 = corolla(1)
+    data = c1.to_json() if command == "tensor" else identity(c1).to_json()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_info:
+        run([f"--max-word-len={bound}", command, str(path), str(path)])
+    assert exit_info.value.code == 2
+    assert "--max-word-len: must be at least 1" in capsys.readouterr().err
+
+
+def test_map_literal_error_reports_its_offset(capsys):
+    code, out, err = invoke(capsys, "factor", "r(a)", "s(p,q)", "--map", "a=>s, r")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected 'a=>b' in map literal, got 'r' (at position 6)\n"

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -513,6 +514,30 @@ def test_find_isomorphism_relabelling(small_posets):
 def test_find_isomorphism_distinguishes(small_posets):
     assert find_isomorphism(small_posets["gamma2"], small_posets["chain3"]) is None
     assert find_isomorphism(small_posets["star"], small_posets["stump"]) is None
+
+
+def test_map_searches_run_without_recursion():
+    """On a 301-edge chain under a recursion limit of 200: its one map to a
+    point, a witness against a renamed copy, and its one isomorphism onto
+    that copy."""
+    from dendro.terms import parse_term, to_broad, tree_isomorphisms
+
+    term = "e0"
+    for i in range(1, 301):
+        term = f"e{i}({term})"
+    chain = to_broad(parse_term(term), C)
+    renamed = chain.rename({x: f"n{x}" for x in chain.carrier})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        maps = enumerate_monotone(chain, star("y"))
+        witness = find_isomorphism(chain, renamed)
+        isomorphisms = tree_isomorphisms(chain, renamed)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(maps) == 1
+    assert witness == {x: f"n{x}" for x in chain.carrier}
+    assert isomorphisms == [witness]
 
 
 # ---------------------------------------------------------------------------

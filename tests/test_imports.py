@@ -1,4 +1,5 @@
-"""Every imported name is used: a scan of the source with ``ast``.
+"""Every imported name is used, and every private name of the package is
+mentioned: scans of the source with ``ast`` and text search.
 
 Package ``__init__`` modules re-export what they import, and ``from
 __future__`` imports are directives, so both are exempt.  The benchmark's
@@ -7,6 +8,7 @@ read as text, never imported.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ SOURCES = sorted(
     for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "dendro").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +52,48 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unmentioned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names ``_x`` that no line outside their own definition
+    mentions, so a private function that only calls itself is found too."""
+    lines = [
+        (name, number, line)
+        for name, text in sources.items()
+        for number, line in enumerate(text.splitlines(), 1)
+    ]
+    found = []
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            for private in defined:
+                if not private.startswith("_") or private.endswith("__"):
+                    continue
+                mention = re.compile(rf"\b{re.escape(private)}\b")
+                if not any(
+                    mention.search(line)
+                    for where, number, line in lines
+                    if where != name or not node.lineno <= number <= node.end_lineno
+                ):
+                    found.append(f"{name}:{node.lineno}: {private}")
+    return found
+
+
+def test_the_scan_finds_an_unmentioned_private_name():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _unused():\n    return _unused()\n",
+        "b.py": "from a import _used\n__all__ = []\n_TABLE: dict = {}\n",
+    }
+    assert unmentioned_private_names(sources) == ["a.py:5: _unused", "b.py:3: _TABLE"]
+
+
+def test_every_private_name_is_mentioned():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unmentioned_private_names(sources) == []

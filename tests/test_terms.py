@@ -310,6 +310,21 @@ def test_self_isomorphisms():
     assert tree_isomorphisms(g2p, g2p) == [{"r": "r", "a": "a", "b": "b"}]
 
 
+def test_wide_and_leaf_first_trees_list_their_one_isomorphism():
+    """Leaves share one code, so only the tree's shape keeps the search
+    from trying every assignment of leaves to leaves."""
+    planar = corolla(12, P)
+    assert tree_isomorphisms(planar, planar) == [{x: x for x in planar.carrier}]
+    term = "x12(a12)"
+    for i in range(11, 0, -1):
+        term = f"x{i}(a{i}, {term})"
+    caterpillar = to_broad(parse_term(f"r(a0, {term})"), C)
+    assert tree_isomorphisms(caterpillar, caterpillar) == [
+        {x: x for x in caterpillar.carrier}
+    ]
+    assert len(tree_isomorphisms(corolla(6), corolla(6, root="s", leaf_prefix="k"))) == 720
+
+
 def test_isomorphism_respects_size():
     ok, _ = are_isomorphic(corolla(2), corolla(3))
     assert not ok
@@ -339,6 +354,8 @@ def _renamed(poset, rng):
 
 @pytest.mark.parametrize("flavour", [C, P])
 def test_witness_is_least_brute_isomorphism(flavour):
+    """The witness is the oracle's least isomorphism, and the list of all
+    of them is the oracle's, in its order; on a renamed left side too."""
     from oracles import brute_isomorphisms
 
     rng = random.Random(3)
@@ -347,10 +364,12 @@ def test_witness_is_least_brute_isomorphism(flavour):
     for i, tree in enumerate(corpus):
         for other in (tree, corpus[i - 1]):
             right = _renamed(other, rng)
-            brute = brute_isomorphisms(tree, right)
-            ok, witness = are_isomorphic(tree, right)
-            assert ok == bool(brute)
-            assert witness == (min(brute, key=key) if brute else None)
+            for left in (tree, _renamed(tree, rng)):
+                brute = brute_isomorphisms(left, right)
+                ok, witness = are_isomorphic(left, right)
+                assert ok == bool(brute)
+                assert witness == (min(brute, key=key) if brute else None)
+                assert tree_isomorphisms(left, right) == brute
 
 
 def test_wide_commutative_corolla_is_decided_without_enumeration():
