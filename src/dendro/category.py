@@ -44,20 +44,19 @@ from .structure import (
     PRUNE,
     SUBTREE,
     _cut,
+    _cut_map,
+    _maxima_map,
+    _top_down,
     _tree_index,
     _tree_poset,
     _TreeIndex,
-    classify_all,
     degree,
     inclusion,
-    inner_edges,
     is_dendroidal,
     leaves,
-    outer_clusters,
     require_dendroidal,
     root,
     sources_map,
-    subtree_at,
 )
 from .terms import graft
 
@@ -118,55 +117,46 @@ class MapKind(str, Enum):
     OTHER = "other"
 
 
-_FACE_TO_MAP_KIND = {
-    FaceType.INNER: MapKind.INNER_FACE,
-    FaceType.OUTER: MapKind.OUTER_FACE,
-    FaceType.ROOT: MapKind.ROOT_FACE,
-}
-
-
 # ---------------------------------------------------------------------------
 # Face constructors
 
 
 def inner_face(poset: BroadPoset, edge: str) -> MonotoneMap:
     """Inclusion of the subtree obtained by contracting an inner edge."""
-    require_dendroidal(poset)
-    if edge not in inner_edges(poset):
-        raise NotInnerEdge(f"{edge!r} is not an inner edge")
-    return inclusion(_cut(_tree_index(poset), CONTRACT, edge), poset)
+    kind = FaceKind(FaceType.INNER, edge=edge)
+    return _face_map(poset, kind, NotInnerEdge(f"{edge!r} is not an inner edge"))
 
 
 def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
     """Inclusion of the subtree obtained by pruning an outer cluster: the
     tree without the cluster's vertex and its children, so that the
     vertex's edge becomes a leaf."""
-    require_dendroidal(poset)
-    if cluster not in outer_clusters(poset):
-        raise NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster")
-    return inclusion(_cut(_tree_index(poset), PRUNE, cluster[1]), poset)
+    kind = FaceKind(FaceType.OUTER, cluster=cluster)
+    return _face_map(poset, kind, NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster"))
 
 
 def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
     """Inclusion of the branch left after removing the root vertex."""
-    require_dendroidal(poset)
-    the_root = root(poset)
-    cls = classify_all(poset)[the_root]
-    if cls.children is None or branch not in cls.children.letters:
-        raise NoRootFace(f"{branch!r} is not a child of the root")
-    others = [x for x in cls.children.letters if x != branch]
-    lv = leaves(poset)
-    if any(x not in lv for x in others):
-        raise NoRootFace("all root children other than the branch must be leaves")
-    return inclusion(subtree_at(poset, branch), poset)
+    kind = FaceKind(FaceType.ROOT, branch=branch)
+    message = f"{branch!r} is not a child of the root whose other children are all leaves"
+    return _face_map(poset, kind, NoRootFace(message))
 
 
-def _faces(poset: BroadPoset) -> tuple[_TreeIndex, list[tuple[FaceKind, frozenset[str], str, str]]]:
-    """The index of a tree and every face of it in order: its kind, the
-    carrier of its domain, and how and where :func:`_cut` cuts it out."""
-    require_dendroidal(poset)
-    tree = _tree_index(poset)
-    vertices, top, carrier = tree.vertices, tree.root, poset.carrier
+def _face_map(poset: BroadPoset, kind: FaceKind, absent: Exception) -> MonotoneMap:
+    """The inclusion of the face of the given kind, or ``absent`` raised."""
+    for face_kind, _, how, edge in _faces(poset):
+        if face_kind == kind:
+            return inclusion(_cut(_tree_index(poset), how, edge), poset)
+    raise absent
+
+
+def _faces(poset: BroadPoset) -> list[tuple[FaceKind, frozenset[str], str, str]]:
+    """Every face of a tree in order: its kind, the carrier of its domain,
+    and how and where :func:`_cut` cuts it out."""
+    vertices, top = _maxima_map(poset)
+    if top is None:  # not a tree: raise with its violations
+        require_dendroidal(poset)
+    carrier = poset.carrier
     leaf = carrier - vertices.keys()
     out = [
         (FaceKind(FaceType.INNER, edge=edge), carrier - {edge}, CONTRACT, edge)
@@ -183,12 +173,13 @@ def _faces(poset: BroadPoset) -> tuple[_TreeIndex, list[tuple[FaceKind, frozense
             if leaf.issuperset(others):
                 kind = FaceKind(FaceType.ROOT, branch=branch)
                 out.append((kind, carrier - others - {top}, SUBTREE, branch))
-    return tree, out
+    return out
 
 
 def all_faces(poset: BroadPoset) -> list[Face]:
     """Every face of a tree, in a deterministic order."""
-    tree, faces = _faces(poset)
+    faces = _faces(poset)
+    tree = _tree_index(poset)
     out: list[Face] = []
     for kind, _, how, edge in faces:
         domain = _cut(tree, how, edge)
@@ -213,30 +204,30 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     an edge while dropping the vertex above it, so subtrees are not always
     induced on their carrier.
     """
+    return _subtrees(poset, cap)
+
+
+def _subtrees(poset: BroadPoset, cap: int, vertex_count: int | None = None) -> list[BroadPoset]:
+    """The subtrees with ``vertex_count`` vertices, or all of them.  The
+    subtrees rooted at each edge, its children's first, are held as their
+    carrier and vertex map, and only those kept are written out."""
     require_dendroidal(poset)
     if len(poset.carrier) > cap:
         raise BudgetExceeded(f"carrier larger than {cap}")
     srcs = sources_map(poset)
-    flavour = poset.flavour
-    memo: dict[str, list[tuple[frozenset[str], frozenset[Pair]]]] = {}
-
-    def rooted(element: str) -> list[tuple[frozenset[str], frozenset[Pair]]]:
-        if element in memo:
-            return memo[element]
-        out = [(frozenset([element]), frozenset())]
-        for w in sorted(srcs[element], key=lambda w: (len(w), w.letters)):
-            branch_choices = [rooted(x) for x in w.letters]
-            for combo in itertools.product(*branch_choices):
-                carrier = frozenset([element]).union(*(c for c, _ in combo))
-                verts = frozenset([(w, element)]).union(*(v for _, v in combo))
-                out.append((carrier, verts))
-        memo[element] = out
-        return out
-
-    results = []
-    for r in sorted(poset.carrier):
-        for carrier, verts in rooted(r):
-            results.append(_tree_poset(flavour, carrier, {t: w.letters for w, t in verts}))
+    rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, tuple[str, ...]], ...]]]] = {}
+    for x in reversed(_top_down(*_maxima_map(poset))):
+        pieces = rooted[x] = [(frozenset([x]), ())]
+        for w in sorted(srcs[x], key=lambda w: (len(w), w.letters)):
+            for combo in itertools.product(*(rooted[c] for c in w.letters)):
+                carrier = frozenset([x]).union(*(c for c, _ in combo))
+                pieces.append((carrier, sum((v for _, v in combo), ((x, w.letters),))))
+    results = [
+        _tree_poset(poset.flavour, carrier, dict(verts))
+        for x in sorted(poset.carrier)
+        for carrier, verts in rooted[x]
+        if vertex_count is None or len(verts) == vertex_count
+    ]
     # the relation breaks ties only among subtrees sharing a carrier
     shared = Counter(s.carrier for s in results)
     results.sort(
@@ -260,24 +251,25 @@ def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
 
 
 def maximal_subtrees(poset: BroadPoset) -> list[BroadPoset]:
-    """Subtrees of degree one less than the ambient tree."""
-    target = degree(poset) - 1
-    return [sub for sub in enumerate_subtrees(poset) if degree(sub) == target]
+    """Subtrees of degree one less than the ambient tree: a tree's degree
+    is its number of vertices."""
+    return _subtrees(poset, MAX_SUBTREE_CARRIER, degree(poset) - 1)
 
 
 def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
-    """The unique face kind realising a maximal subtree."""
-    tree, faces = _faces(poset)
-    matches = [
-        kind
-        for kind, carrier, how, edge in faces
-        if carrier == sub.carrier and _cut(tree, how, edge) == sub
-    ]
-    if not matches:
-        raise NotMaximal("the subtree is not the domain of any face")
-    if len(matches) > 1:
-        raise NotMaximal(f"ambiguous classification: {[k.describe() for k in matches]}")
-    return matches[0]
+    """The face kind realising a maximal subtree, unique since distinct
+    faces have distinct domains.  A tree is written from its vertex map, so
+    faces are matched by map; a non-tree has no root and matches none."""
+    faces = _faces(poset)
+    vertices, top = _maxima_map(poset)
+    for kind, carrier, how, edge in faces:
+        if (
+            carrier == sub.carrier
+            and sub.flavour is poset.flavour
+            and _cut_map(vertices, top, how, edge) == _maxima_map(sub)
+        ):
+            return kind
+    raise NotMaximal("the subtree is not the domain of any face")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +284,7 @@ def degeneracy(poset: BroadPoset, vertex: tuple[str, str]) -> MonotoneMap:
     """
     require_dendroidal(poset)
     child, edge = vertex
-    cls = classify_all(poset)[edge]
-    if cls.children is None or cls.children.letters != (child,):
+    if (edge, child) not in _unary(poset):
         raise NotUnaryVertex(f"({child}, {edge}) is not a unary vertex")
     return _collapse(_tree_index(poset), child, edge)
 
@@ -306,15 +297,21 @@ def _collapse(tree: _TreeIndex, child: str, edge: str) -> MonotoneMap:
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     """All degeneracy maps out of a tree, ordered by collapsed edge."""
     require_dendroidal(poset)
-    unary = [
-        (cls.children.letters[0], edge)
-        for edge, cls in sorted(classify_all(poset).items())
-        if cls.children is not None and len(cls.children.letters) == 1
-    ]
+    unary = _unary(poset)
     if not unary:
         return []
     tree = _tree_index(poset)
-    return [_collapse(tree, child, edge) for child, edge in unary]
+    return [_collapse(tree, child, edge) for edge, child in unary]
+
+
+def _unary(poset: BroadPoset) -> list[tuple[str, str]]:
+    """Each edge whose maximum word below is a single letter, with that
+    letter, sorted; in a tree these are its unary vertices."""
+    return sorted(
+        (edge, w.letters[0])
+        for edge, w in _maxima_map(poset)[0].items()
+        if w is not None and len(w) == 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +326,14 @@ def classify_map(mapping: MonotoneMap) -> MapKind:
         domain, codomain, assignment
     ):
         return MapKind.ISOMORPHISM
-    cls = classify_all(domain)
-    for edge, c in sorted(cls.items()):
-        if c.children is not None and len(c.children.letters) == 1:
-            child = c.children.letters[0]
-            if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
-                return MapKind.DEGENERACY
+    for edge, child in _unary(domain):
+        if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
+            return MapKind.DEGENERACY
     if all(k == v for k, v in mapping.pairs) and domain.carrier <= codomain.carrier:
-        tree, faces = _faces(codomain)
-        for kind, carrier, how, edge in faces:
-            if carrier == domain.carrier and _cut(tree, how, edge) == domain:
-                return _FACE_TO_MAP_KIND[kind.type]
+        try:
+            return MapKind(f"{classify_maximal(codomain, domain).type.value}_face")
+        except NotMaximal:
+            pass
     return MapKind.OTHER
 
 
@@ -383,10 +377,10 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> tuple[list[MonotoneM
     """
     steps: list[Face] = []
     current = ambient
-    while current != target:
-        tree, faces = _faces(current)
+    while current != target:  # a tree: factorize has checked the codomain
+        tree = _tree_index(current)
         candidates = []
-        for kind, carrier, how, edge in faces:
+        for kind, carrier, how, edge in _faces(current):
             if target.carrier <= carrier:
                 domain = _cut(tree, how, edge)
                 if target.relation <= domain.relation:
@@ -419,13 +413,7 @@ def factorize(mapping: MonotoneMap) -> Factorization:
     current = mapping.domain
     values = mapping.mapping
     while True:
-        collapsible = sorted(
-            (edge, cls.children.letters[0])
-            for edge, cls in classify_all(current).items()
-            if cls.children is not None
-            and len(cls.children.letters) == 1
-            and values[edge] == values[cls.children.letters[0]]
-        )
+        collapsible = [(e, c) for e, c in _unary(current) if values[e] == values[c]]
         if not collapsible:
             break
         edge, child = collapsible[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -131,11 +132,13 @@ def _parse_assignment(text: str) -> dict[str, str]:
     for raw in text.split(","):
         part = raw.strip()
         if part:
+            at = start + len(raw) - len(raw.lstrip())
             if "=>" not in part:
-                at = start + len(raw) - len(raw.lstrip())
                 raise ParseError(f"expected 'a=>b' in map literal, got {part!r}", at)
-            key, value = part.split("=>", 1)
-            assignment[key.strip()] = value.strip()
+            key, value = (side.strip() for side in part.split("=>", 1))
+            if key in assignment:
+                raise ParseError(f"edge {key!r} is assigned twice in map literal", at)
+            assignment[key] = value
         start += len(raw) + 1
     return assignment
 
@@ -374,11 +377,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.output == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text:
-            print(line)
+    try:
+        if args.output == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in text:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send what is still buffered nowhere, so
+        # that the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

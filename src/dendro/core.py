@@ -274,44 +274,60 @@ def _word_leq(
 ) -> bool:
     if lower == upper:
         return True
+    if not upper:
+        return not lower
+    # one frame per letter of ``upper`` matched so far, each holding the
+    # iterator over that letter's chunks, so no match recurses
+    n, m = len(upper), len(lower)
+    stack = [iter(candidates[upper[0]])]
     if flavour is Flavour.PLANAR:
-        n = len(upper)
-        m = len(lower)
-        seen: set[tuple[int, int]] = set()
-
-        def match(i: int, pos: int) -> bool:
-            if (i, pos) in seen:
-                return False
-            if i == n:
-                return pos == m
-            for chunk in candidates[upper[i]]:
-                k = len(chunk)
-                if pos + k <= m and lower[pos:pos + k] == chunk and match(i + 1, pos + k):
-                    return True
-            seen.add((i, pos))
-            return False
-
-        return match(0, 0)
+        starts = [0]  # where each frame's chunk begins in ``lower``
+        failed: set[tuple[int, int]] = set()  # (frame, start) with no match
+        while stack:
+            i, pos = len(stack) - 1, starts[-1]
+            for chunk in stack[-1]:
+                end = pos + len(chunk)
+                if lower[pos:end] != chunk or (i + 1, end) in failed:
+                    continue
+                if i + 1 == n:
+                    if end == m:
+                        return True
+                    continue
+                stack.append(iter(candidates[upper[i + 1]]))
+                starts.append(end)
+                break
+            else:
+                failed.add((i, pos))
+                stack.pop()
+                starts.pop()
+        return False
 
     remaining = Counter(lower)
-
-    def match_c(i: int) -> bool:
-        if i == len(upper):
-            return not +remaining
-        total_left = sum(remaining.values())
-        for chunk in candidates[upper[i]]:
-            if len(chunk) > total_left:
+    left = m  # letters of ``lower`` not yet in a chunk
+    taken: list[tuple[str, ...]] = []  # the chunk each frame below the top took
+    while stack:
+        i = len(stack) - 1
+        for chunk in stack[-1]:
+            if len(chunk) > left:
                 continue
             need = Counter(chunk)
             if all(remaining[x] >= k for x, k in need.items()):
+                if i + 1 == n:
+                    if len(chunk) == left:
+                        return True
+                    continue
                 remaining.subtract(need)
-                if match_c(i + 1):
-                    remaining.update(need)
-                    return True
-                remaining.update(need)
-        return False
-
-    return match_c(0)
+                left -= len(chunk)
+                taken.append(chunk)
+                stack.append(iter(candidates[upper[i + 1]]))
+                break
+        else:
+            stack.pop()
+            if taken:
+                chunk = taken.pop()
+                remaining.update(chunk)
+                left += len(chunk)
+    return False
 
 
 @lru_cache(maxsize=16384)

@@ -228,9 +228,16 @@ def root(poset: BroadPoset) -> str:
     return tops[0]
 
 
+def _require_edge(poset: BroadPoset, element: str) -> None:
+    if element not in poset.carrier:
+        raise IdentifierError(f"{element!r} is not an edge of the tree")
+
+
 def parent(poset: BroadPoset, element: str) -> str:
     """The unique edge having ``element`` among its children."""
-    if element == root(poset):
+    the_root = root(poset)
+    _require_edge(poset, element)
+    if element == the_root:
         raise NoParent(f"{element!r} is the root")
     classified = classify_all(poset)
     owners = [
@@ -246,6 +253,8 @@ def parent(poset: BroadPoset, element: str) -> str:
 def join(poset: BroadPoset, left: str, right: str) -> str:
     """Least common ancestor, found by climbing from ``left`` until it
     sits above ``right``."""
+    _require_edge(poset, left)
+    _require_edge(poset, right)
     while not descendant_leq(poset, right, left):
         left = parent(poset, left)
     return left
@@ -345,6 +354,15 @@ def _relation_size(vertices: dict, bottom_up) -> int:
     return sum(count.values())
 
 
+def _top_down(vertices: dict, top: str) -> list[str]:
+    """The edges of the tree with the given vertex map and root, each one
+    after its parent."""
+    order = [top]
+    for x in order:
+        order.extend(vertices.get(x, ()))
+    return order
+
+
 def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, tuple[str, ...]], meta=None
 ) -> BroadPoset:
@@ -359,9 +377,7 @@ def _tree_poset(
     raises :class:`BudgetExceeded`.
     """
     (top,) = carrier - {c for kids in vertices.values() for c in kids}
-    order = [top] if top in vertices else []
-    for x in order:  # parents before children
-        order.extend(c for c in vertices[x] if c in vertices)
+    order = [x for x in _top_down(vertices, top) if x in vertices]
     size = _relation_size(vertices, reversed(order))
     if size > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
@@ -413,51 +429,56 @@ def _tree_index(poset: BroadPoset) -> _TreeIndex:
 CONTRACT, PRUNE, SUBTREE = "contract", "prune", "subtree"
 
 
-def _cut(tree: _TreeIndex, how: str, edge: str) -> BroadPoset:
-    """A tree cut out of an indexed one at ``edge``, keeping its vertex map
-    and root in ``meta`` as :func:`_tree_poset` does.
+def _cut_map(vertices: dict[str, BroadWord], top: str, how: str, edge: str) -> tuple[dict, str]:
+    """The vertex map and root of a tree cut out at ``edge`` from the tree
+    with the given vertex map and root.
 
     CONTRACT removes the edge and splices its children into its parent's
     word; at the root, which must then be unary, the child becomes the
     root.  PRUNE deletes the edge's vertex and its children, so the edge
     becomes a leaf.  SUBTREE keeps the edge's descendants, rooted at it.
-    The relation is the ambient one less the pairs the cut drops, found
-    by set operations on the index.
     """
-    poset = tree.poset
-    vertices = dict(tree.vertices)
-    top = tree.root
+    vertices = dict(vertices)
     if how == CONTRACT:
         kids = vertices.pop(edge)
         if edge == top:
             (top,) = kids.letters
         else:
-            up = tree.parent[edge]
+            up = next(x for x, word in vertices.items() if edge in word.letters)
             vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
+    elif how == PRUNE:
+        del vertices[edge]
+    else:
+        vertices = {x: vertices[x] for x in _top_down(vertices, edge) if x in vertices}
+        top = edge
+    return vertices, top
+
+
+def _cut(tree: _TreeIndex, how: str, edge: str) -> BroadPoset:
+    """The tree :func:`_cut_map` cuts out of an indexed one, its map kept
+    in ``meta`` as :func:`_tree_poset` does; its relation is the ambient
+    one less the pairs the cut drops, found by set operations."""
+    poset = tree.poset
+    vertices, top = _cut_map(tree.vertices, tree.root, how, edge)
+    if how == CONTRACT:
         carrier = poset.carrier - {edge}
         relation = poset.relation.difference(tree.below[edge], tree.mentions.get(edge, ()))
     elif how == PRUNE:
-        kids = vertices.pop(edge)
-        carrier = poset.carrier - set(kids.letters)
+        carrier = poset.carrier - set(tree.vertices[edge].letters)
         # the words below an ancestor in which the edge is expanded are
         # those mentioning no edge on the path up from it: a stump's
         # expansion to the empty word leaves no letter behind
         dropped = [tree.below[edge]]
         path = tree.mentions.get(edge, frozenset())
         x = edge
-        while x != top:
+        while x != tree.root:
             x = tree.parent[x]
             dropped.append(tree.below[x] - path)
             path = path | tree.mentions.get(x, frozenset())
         relation = poset.relation.difference(*dropped)
     else:
-        keep = [edge]
-        for x in keep:  # parents before children
-            keep.extend(vertices[x].letters if x in vertices else ())
-        carrier = frozenset(keep)
-        vertices = {x: vertices[x] for x in keep if x in vertices}
-        top = edge
         relation = frozenset().union(*(tree.below[x] for x in vertices))
+        carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
     return BroadPoset(poset.flavour, carrier, relation, {_WRITTEN_FROM: (vertices, top)})
 
 
@@ -486,8 +507,7 @@ def outer_clusters(poset: BroadPoset) -> frozenset[Pair]:
 def subtree_at(poset: BroadPoset, element: str) -> BroadPoset:
     """The induced broad poset on the descendants of ``element``."""
     require_dendroidal(poset)
-    if element not in poset.carrier:
-        raise IdentifierError(f"{element!r} is not an edge of the tree")
+    _require_edge(poset, element)
     return _cut(_tree_index(poset), SUBTREE, element)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotALeaf,
     ParseError,
 )
-from .structure import _tree_poset, _vertex_map, leaves, require_dendroidal, root
+from .structure import _top_down, _tree_poset, _vertex_map, leaves, require_dendroidal, root
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +228,7 @@ def to_term(poset: BroadPoset) -> TreeTerm:
     """Recover a term from a dendroidally ordered set; inverse of
     :func:`to_broad` up to isomorphism."""
     vertices = _vertex_map(poset)
-    order = [root(poset)]
-    for edge in order:  # parents before children
-        order.extend(vertices.get(edge, ()))
+    order = _top_down(vertices, root(poset))
     built: dict[str, TreeTerm] = {}
     for edge in reversed(order):
         letters = vertices.get(edge)
@@ -247,9 +245,7 @@ def _codes(
     top: str, vertices: Mapping[str, tuple[str, ...]], flavour: Flavour
 ) -> dict[str, str]:
     """The code of every edge of a tree, built children first."""
-    order = [top]
-    for edge in order:  # parents before children
-        order.extend(vertices.get(edge, ()))
+    order = _top_down(vertices, top)
     codes: dict[str, str] = {}
     for edge in reversed(order):
         if edge not in vertices:
@@ -316,9 +312,7 @@ def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str
         kids = rv[assignment[parent]]
         return [y for y in ((kids[i],) if planar else kids) if rcodes[y] == lcodes[x]]
 
-    order = [ltop]  # each edge after its parent
-    for x in order:
-        order.extend(lv.get(x, ()))
+    order = _top_down(lv, ltop)
     found = _assignments(left, right, order, candidates, True)
     edges = sorted(left.carrier)
     return sorted(found, key=lambda assignment: [assignment[x] for x in edges])

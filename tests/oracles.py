@@ -80,6 +80,32 @@ def naive_closure(
     return frozenset(quotiented), rep
 
 
+def brute_word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> bool:
+    """Whether ``lower <= upper`` in the induced order on words, by trying
+    every split of ``lower`` into one chunk per letter of ``upper``:
+    consecutive chunks for planar words, any partition of the letters for
+    commutative ones.  A chunk is below its letter when it is the letter
+    itself or a relation pair says so."""
+    flavour, letters, targets = poset.flavour, lower.letters, upper.letters
+
+    def below(chunk, target):
+        return chunk == (target,) or (BroadWord(flavour, chunk), target) in poset.relation
+
+    if flavour is Flavour.PLANAR:
+        if not targets:
+            return not letters
+        splits = []
+        for cuts in itertools.combinations_with_replacement(range(len(letters) + 1), len(targets) - 1):
+            bounds = (0, *cuts, len(letters))
+            splits.append([letters[a:b] for a, b in zip(bounds, bounds[1:])])
+    else:
+        splits = [
+            [tuple(x for x, part in zip(letters, parts) if part == i) for i in range(len(targets))]
+            for parts in itertools.product(range(len(targets)), repeat=len(letters))
+        ]
+    return any(all(map(below, chunks, targets)) for chunks in splits)
+
+
 def brute_monotone_count(domain: BroadPoset, codomain: BroadPoset) -> int:
     """Count monotone maps by scanning every total assignment."""
     elements = sorted(domain.carrier)

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from dendro import category
 from dendro.category import (
+    FaceKind,
     FaceType,
     MapKind,
     all_faces,
@@ -41,7 +43,7 @@ from dendro.errors import (
     NotOuterCluster,
     NotUnaryVertex,
 )
-from dendro.structure import degree, inclusion, links, root, subtree_at
+from dendro.structure import _maxima_map, degree, inclusion, links, root, subtree_at
 from dendro.terms import graft, parse_term, to_broad, tree_isomorphisms
 
 from conftest import linear_tree, stump_poset, tree_corpus
@@ -164,6 +166,53 @@ def test_classification_exclusive_and_complete(flavour):
                 assert contains_root
 
 
+def test_maximal_subtrees_write_only_what_they_return(example, monkeypatch):
+    writes = []
+    write = category._tree_poset
+
+    def counted(*args, **kwargs):
+        writes.append(args)
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(category, "_tree_poset", counted)
+    assert len(maximal_subtrees(example)) == 4
+    assert len(writes) == 4
+
+
+def test_classification_builds_no_index(example, monkeypatch):
+    subs = maximal_subtrees(example)
+    faces = all_faces(example)
+
+    def refuse(poset):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr(category, "_tree_index", refuse)
+    kinds = [classify_maximal(example, sub) for sub in subs]
+    assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in faces), key=FaceKind.sort_key)
+    for face in faces:
+        assert classify_map(face.map).value == face.kind.type.value + "_face"
+
+
+def test_face_match_compares_flavour():
+    # both faces towards a have an empty vertex map
+    tree = to_broad(parse_term("r(a)"), C)
+    assert classify_maximal(tree, star("a")).type is FaceType.ROOT
+    with pytest.raises(NotMaximal):
+        classify_maximal(tree, star("a", P))
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_unrecorded_subtrees_classify_alike(flavour):
+    pairs = [
+        (poset, sub, BroadPoset(sub.flavour, sub.carrier, sub.relation))
+        for poset in tree_corpus(flavour, 4)
+        for sub in maximal_subtrees(poset)
+    ]
+    _maxima_map.cache_clear()  # equal posets share a cache entry: recognise the copies afresh
+    kinds = [classify_maximal(poset, bare) for poset, _, bare in pairs]
+    assert kinds == [classify_maximal(poset, sub) for poset, sub, _ in pairs]
+
+
 # ---------------------------------------------------------------------------
 # Face constructors
 
@@ -255,9 +304,19 @@ def test_degeneracies_reject_a_non_tree():
         degeneracies(BroadPoset.build(C, ["a", "b"]))
 
 
+def test_faces_reject_a_non_tree():
+    with pytest.raises(NotDendroidal):
+        all_faces(BroadPoset.build(C, ["a", "b"]))
+
+
 def test_degeneracy_requires_unary_vertex():
     with pytest.raises(NotUnaryVertex):
         degeneracy(corolla(2), ("l1", "r"))
+
+
+def test_degeneracy_at_an_unknown_edge_is_not_unary():
+    with pytest.raises(NotUnaryVertex):
+        degeneracy(to_broad(parse_term("r(a(b))"), C), ("b", "zzz"))
 
 
 def test_degeneracies_monotone_and_surjective():

@@ -383,3 +383,29 @@ def test_map_literal_error_reports_its_offset(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: expected 'a=>b' in map literal, got 'r' (at position 6)\n"
+
+
+def test_map_literal_rejects_a_repeated_edge(capsys):
+    code, out, err = invoke(capsys, "factor", "r(a)", "s(p,q)", "--map", "a=>p,a=>s,r=>s")
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge 'a' is assigned twice in map literal (at position 5)\n"
+
+
+def test_reader_closing_the_pipe_early_is_quiet():
+    """The JSON is about 90 KB, more than a pipe holds, so the writer is
+    still printing when its reader goes away."""
+    import subprocess
+    import sys
+
+    term = "r(a(b,c),d(e,f),g(h,i),j(k,l))"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dendro.cli", "--output", "json", "subtrees", term],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 0
+    assert err == b""

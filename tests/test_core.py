@@ -29,6 +29,7 @@ from dendro.core import (
     tensor,
     underlying_poset,
     validate,
+    word,
     word_leq,
 )
 from dendro.errors import (
@@ -43,6 +44,7 @@ from dendro.errors import (
 
 from conftest import stump_poset
 from oracles import (
+    brute_word_leq,
     brute_descendant_cycles,
     brute_monotone_count,
     naive_closure,
@@ -71,6 +73,43 @@ def test_word_leq_chunks():
     assert word_leq(g2, BroadWord(C, ("l1", "l2")), BroadWord(C, ("r",)))
     assert not word_leq(g2, BroadWord(C, ("l1",)), BroadWord(C, ("r",)))
     assert word_leq(g2, BroadWord(C, ("l1",)), BroadWord(C, ("l1",)))
+
+
+@st.composite
+def word_questions(draw):
+    """A relation over three letters, not closed, and two words; the lower
+    word is often made of chunks below the upper word's letters."""
+    flavour = draw(st.sampled_from([C, P]))
+    carrier = ["a", "b", "c"]
+    letters = st.lists(st.sampled_from(carrier), max_size=3)
+    pairs = draw(st.lists(st.tuples(letters, st.sampled_from(carrier)), max_size=5))
+    upper = draw(st.lists(st.sampled_from(carrier), max_size=3))
+    if draw(st.booleans()):
+        lower = draw(st.lists(st.sampled_from(carrier), max_size=5))
+    else:
+        lower = []
+        for t in upper:
+            below = [[t], *(w for w, target in pairs if target == t)]
+            lower += draw(st.sampled_from(below) | letters)
+    poset = BroadPoset.build(flavour, carrier, pairs)
+    return poset, word(flavour, lower), word(flavour, upper)
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_questions())
+def test_word_leq_matches_every_split(question):
+    poset, lower, upper = question
+    assert word_leq(poset, lower, upper) == brute_word_leq(poset, lower, upper)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_word_leq_does_not_recurse_per_letter(flavour):
+    """1,500 letters under the default recursion limit of 1,000."""
+    xs = [f"x{i:04d}" for i in range(1500)]
+    poset = BroadPoset.build(flavour, xs)
+    assert not word_leq(poset, word(flavour, xs[:-1] + ["x0000"]), word(flavour, xs))
+    grown = BroadPoset.build(flavour, ["s", *xs], [((), "s")])
+    assert word_leq(grown, word(flavour, xs), word(flavour, [*xs, "s"]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ succeed or raise a ``DendroError``, never anything else."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dendro.cli import _parse_assignment
 from dendro.core import BroadPoset, Flavour, MonotoneMap, star
-from dendro.errors import DendroError
+from dendro.errors import DendroError, ParseError
 from dendro.terms import parse_term, to_broad
 
 IDS = st.sampled_from(["a", "b", "c"])
@@ -60,3 +61,14 @@ def test_poset_json_loads_or_raises(data):
 @example({"domain": LISTED_FLAVOUR, "codomain": "a", "assignment": {}}, None)
 def test_map_json_loads_or_raises(data, registry):
     succeeds_or_raises_dendro_error(lambda: MonotoneMap.from_json(data, registry))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab=>, ", max_size=16))
+@example("a=>p,a=>s")
+def test_map_literal_parses_or_raises(text):
+    try:
+        assignment = _parse_assignment(text)
+    except ParseError:
+        return
+    assert isinstance(assignment, dict)

@@ -107,6 +107,16 @@ def test_root_and_parent():
         parent(g2, "r")
 
 
+def test_unknown_edge_has_no_parent():
+    with pytest.raises(IdentifierError):
+        parent(to_broad(parse_term("r(a(b))"), C), "zzz")
+
+
+def test_unknown_edge_has_no_join():
+    with pytest.raises(IdentifierError):
+        join(to_broad(parse_term("r(a(b))"), C), "a", "zzz")
+
+
 def test_join_in_corolla():
     g2 = corolla(2)
     assert join(g2, "l1", "l2") == "r"
