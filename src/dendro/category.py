@@ -47,6 +47,7 @@ from .structure import (
     _cut_map,
     _maxima_map,
     _top_down,
+    _tree,
     _tree_index,
     _tree_poset,
     _TreeIndex,
@@ -54,7 +55,6 @@ from .structure import (
     inclusion,
     is_dendroidal,
     leaves,
-    require_dendroidal,
     root,
     sources_map,
 )
@@ -153,9 +153,7 @@ def _face_map(poset: BroadPoset, kind: FaceKind, absent: Exception) -> MonotoneM
 def _faces(poset: BroadPoset) -> list[tuple[FaceKind, frozenset[str], str, str]]:
     """Every face of a tree in order: its kind, the carrier of its domain,
     and how and where :func:`_cut` cuts it out."""
-    vertices, top = _maxima_map(poset)
-    if top is None:  # not a tree: raise with its violations
-        require_dendroidal(poset)
+    vertices, top = _tree(poset)
     carrier = poset.carrier
     leaf = carrier - vertices.keys()
     out = [
@@ -211,17 +209,17 @@ def _subtrees(poset: BroadPoset, cap: int, vertex_count: int | None = None) -> l
     """The subtrees with ``vertex_count`` vertices, or all of them.  The
     subtrees rooted at each edge, its children's first, are held as their
     carrier and vertex map, and only those kept are written out."""
-    require_dendroidal(poset)
+    vertices, top = _tree(poset)
     if len(poset.carrier) > cap:
         raise BudgetExceeded(f"carrier larger than {cap}")
     srcs = sources_map(poset)
-    rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, tuple[str, ...]], ...]]]] = {}
-    for x in reversed(_top_down(*_maxima_map(poset))):
+    rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, BroadWord], ...]]]] = {}
+    for x in reversed(_top_down(vertices, top)):
         pieces = rooted[x] = [(frozenset([x]), ())]
         for w in sorted(srcs[x], key=lambda w: (len(w), w.letters)):
             for combo in itertools.product(*(rooted[c] for c in w.letters)):
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
-                pieces.append((carrier, sum((v for _, v in combo), ((x, w.letters),))))
+                pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
     results = [
         _tree_poset(poset.flavour, carrier, dict(verts))
         for x in sorted(poset.carrier)
@@ -261,7 +259,7 @@ def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     faces have distinct domains.  A tree is written from its vertex map, so
     faces are matched by map; a non-tree has no root and matches none."""
     faces = _faces(poset)
-    vertices, top = _maxima_map(poset)
+    vertices, top = _tree(poset)
     for kind, carrier, how, edge in faces:
         if (
             carrier == sub.carrier
@@ -282,9 +280,9 @@ def degeneracy(poset: BroadPoset, vertex: tuple[str, str]) -> MonotoneMap:
     The codomain is the induced tree without the collapsed edge; the map
     is the identity elsewhere and surjective.
     """
-    require_dendroidal(poset)
+    vertices, _ = _tree(poset)
     child, edge = vertex
-    if (edge, child) not in _unary(poset):
+    if (edge, child) not in _unary(vertices):
         raise NotUnaryVertex(f"({child}, {edge}) is not a unary vertex")
     return _collapse(_tree_index(poset), child, edge)
 
@@ -296,22 +294,17 @@ def _collapse(tree: _TreeIndex, child: str, edge: str) -> MonotoneMap:
 
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     """All degeneracy maps out of a tree, ordered by collapsed edge."""
-    require_dendroidal(poset)
-    unary = _unary(poset)
+    unary = _unary(_tree(poset)[0])
     if not unary:
         return []
     tree = _tree_index(poset)
     return [_collapse(tree, child, edge) for edge, child in unary]
 
 
-def _unary(poset: BroadPoset) -> list[tuple[str, str]]:
-    """Each edge whose maximum word below is a single letter, with that
-    letter, sorted; in a tree these are its unary vertices."""
-    return sorted(
-        (edge, w.letters[0])
-        for edge, w in _maxima_map(poset)[0].items()
-        if w is not None and len(w) == 1
-    )
+def _unary(vertices: dict[str, BroadWord]) -> list[tuple[str, str]]:
+    """The unary vertices of a tree's vertex map, each edge with its
+    child, sorted."""
+    return sorted((edge, w.letters[0]) for edge, w in vertices.items() if len(w) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +319,11 @@ def classify_map(mapping: MonotoneMap) -> MapKind:
         domain, codomain, assignment
     ):
         return MapKind.ISOMORPHISM
-    for edge, child in _unary(domain):
-        if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
-            return MapKind.DEGENERACY
+    vertices, top = _maxima_map(domain)
+    if top is not None:  # only a tree has degeneracies
+        for edge, child in _unary(vertices):
+            if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
+                return MapKind.DEGENERACY
     if all(k == v for k, v in mapping.pairs) and domain.carrier <= codomain.carrier:
         try:
             return MapKind(f"{classify_maximal(codomain, domain).type.value}_face")
@@ -404,8 +399,8 @@ def factorize(mapping: MonotoneMap) -> Factorization:
     subtree of the codomain, giving the isomorphism; the inclusion of that
     subtree is expanded into a chain of face maps.
     """
-    require_dendroidal(mapping.domain)
-    require_dendroidal(mapping.codomain)
+    vertices, _ = _tree(mapping.domain)
+    _tree(mapping.codomain)
     if not is_monotone(mapping.mapping, mapping.domain, mapping.codomain):
         raise NotMonotone("the assignment is not monotone")
 
@@ -413,13 +408,14 @@ def factorize(mapping: MonotoneMap) -> Factorization:
     current = mapping.domain
     values = mapping.mapping
     while True:
-        collapsible = [(e, c) for e, c in _unary(current) if values[e] == values[c]]
+        collapsible = [(e, c) for e, c in _unary(vertices) if values[e] == values[c]]
         if not collapsible:
             break
         edge, child = collapsible[0]
         sigma = degeneracy(current, (child, edge))
         degs.append(sigma)
         current = sigma.codomain
+        vertices, _ = _tree(current)
         values.pop(edge)
 
     flavour = mapping.codomain.flavour

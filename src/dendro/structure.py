@@ -145,8 +145,7 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
             words[target] = match
     if _relation_size(words, sorted(words, key=depth.get, reverse=True)) != len(poset.relation):
         return None
-    vertices = {x: w.letters for x, w in words.items()}
-    if _tree_poset(poset.flavour, poset.carrier, vertices).relation != poset.relation:
+    if _tree_poset(poset.flavour, poset.carrier, words).relation != poset.relation:
         return None
     return words, tops[0]
 
@@ -235,29 +234,27 @@ def _require_edge(poset: BroadPoset, element: str) -> None:
 
 def parent(poset: BroadPoset, element: str) -> str:
     """The unique edge having ``element`` among its children."""
-    the_root = root(poset)
+    vertices, top = _tree(poset)
     _require_edge(poset, element)
-    if element == the_root:
+    if element == top:
         raise NoParent(f"{element!r} is the root")
-    classified = classify_all(poset)
-    owners = [
-        x
-        for x, cls in classified.items()
-        if cls.children is not None and element in cls.children.letters
-    ]
-    if len(owners) != 1:
-        raise NotDendroidal(f"{element!r} has {len(owners)} parents")
-    return owners[0]
+    return next(x for x, word in vertices.items() if element in word.letters)
 
 
 def join(poset: BroadPoset, left: str, right: str) -> str:
-    """Least common ancestor, found by climbing from ``left`` until it
-    sits above ``right``."""
+    """Least common ancestor: the first edge on the path up from ``right``
+    that lies on the path up from ``left``."""
     _require_edge(poset, left)
     _require_edge(poset, right)
-    while not descendant_leq(poset, right, left):
-        left = parent(poset, left)
-    return left
+    vertices, top = _tree(poset)
+    up = {c: x for x, word in vertices.items() for c in word.letters}
+    above_left = {left}
+    while left != top:
+        left = up[left]
+        above_left.add(left)
+    while right not in above_left:
+        right = up[right]
+    return right
 
 
 def is_dendroidal(poset: BroadPoset) -> DendroReport:
@@ -295,10 +292,14 @@ def is_dendroidal(poset: BroadPoset) -> DendroReport:
     return DendroReport(ok, simple, has_root, children_axiom, the_root, tuple(violations))
 
 
-def require_dendroidal(poset: BroadPoset) -> None:
-    report = is_dendroidal(poset)
-    if not report.is_dendroidal:
-        raise NotDendroidal("; ".join(report.violations) or "not dendroidal")
+def _tree(poset: BroadPoset) -> tuple[dict[str, BroadWord], str]:
+    """A tree's vertex map, each non-leaf edge with its word of children,
+    and its root; a broad poset that is not a tree raises
+    :class:`NotDendroidal` with the violations :func:`is_dendroidal` finds."""
+    vertices, top = _maxima_map(poset)
+    if top is None:
+        raise NotDendroidal("; ".join(is_dendroidal(poset).violations))
+    return vertices, top
 
 
 def links(poset: BroadPoset) -> frozenset[Pair]:
@@ -330,17 +331,10 @@ def degree(poset: BroadPoset) -> int:
 
 def vertices(poset: BroadPoset) -> frozenset[Pair]:
     """Links of a dendroidally ordered set."""
-    require_dendroidal(poset)
-    return links(poset)
+    return frozenset((word, x) for x, word in _tree(poset)[0].items())
 
 
-def _vertex_map(poset: BroadPoset) -> dict[str, tuple[str, ...]]:
-    """Each non-leaf edge of a tree with the letters of its children."""
-    require_dendroidal(poset)
-    return {t: w.letters for t, w in _maxima_map(poset)[0].items()}
-
-
-def _relation_size(vertices: dict, bottom_up) -> int:
+def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
     """The number of pairs in the relation of the tree with the given
     vertex map, its edges with a vertex listed children first: an edge has
     one word below it per choice, for each child, of the child itself or
@@ -348,7 +342,7 @@ def _relation_size(vertices: dict, bottom_up) -> int:
     count: dict[str, int] = {}
     for x in bottom_up:
         words = 1
-        for c in vertices[x]:
+        for c in vertices[x].letters:
             words *= 1 + count.get(c, 0)
         count[x] = words
     return sum(count.values())
@@ -364,19 +358,20 @@ def _top_down(vertices: dict, top: str) -> list[str]:
 
 
 def _tree_poset(
-    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, tuple[str, ...]], meta=None
+    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
 ) -> BroadPoset:
     """The tree with the given edges and vertex map, its relation written out.
 
     The map must span the carrier as one rooted tree: every edge but the
-    root is a child of exactly one edge.  The words below an edge are the
-    concatenations of one choice per child: the child itself or a word
-    below it.  The result keeps the map, each word of children as a
-    :class:`BroadWord`, and the root in its ``meta``.  A relation of more
-    than :data:`MAX_RELATION_PAIRS` pairs is counted, not written, and
-    raises :class:`BudgetExceeded`.
+    root is a child of exactly one edge, and each word of children has
+    the given flavour.  The words below an edge are the concatenations of
+    one choice per child: the child itself or a word below it.  The
+    result keeps the map itself, which the caller must not change
+    afterwards, and the root in its ``meta``, where :func:`_tree` reads
+    them.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs is
+    counted, not written, and raises :class:`BudgetExceeded`.
     """
-    (top,) = carrier - {c for kids in vertices.values() for c in kids}
+    (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
     order = [x for x in _top_down(vertices, top) if x in vertices]
     size = _relation_size(vertices, reversed(order))
     if size > MAX_RELATION_PAIRS:
@@ -384,13 +379,12 @@ def _tree_poset(
     below: dict[str, list[tuple[str, ...]]] = {}
     for x in reversed(order):
         words: list[tuple[str, ...]] = [()]
-        for c in vertices[x]:
+        for c in vertices[x].letters:
             choices = [(c,), *below.get(c, ())]
             words = [w + v for w in words for v in choices]
         below[x] = words
     relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
-    written = ({x: BroadWord(flavour, kids) for x, kids in vertices.items()}, top)
-    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: written})
+    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: (vertices, top)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,21 +500,18 @@ def outer_clusters(poset: BroadPoset) -> frozenset[Pair]:
 
 def subtree_at(poset: BroadPoset, element: str) -> BroadPoset:
     """The induced broad poset on the descendants of ``element``."""
-    require_dendroidal(poset)
+    _tree(poset)
     _require_edge(poset, element)
     return _cut(_tree_index(poset), SUBTREE, element)
 
 
 def root_corolla(poset: BroadPoset) -> BroadPoset:
     """The root together with its children, as a corolla."""
-    require_dendroidal(poset)
-    the_root = root(poset)
-    cls = classify_all(poset)[the_root]
-    if cls.kind is EdgeKind.LEAF:
-        return BroadPoset.build(poset.flavour, [the_root])
-    children = cls.children
-    carrier = frozenset({the_root, *children.letters})
-    return BroadPoset.build(poset.flavour, carrier, [(children, the_root)])
+    vertices, top = _tree(poset)
+    if top not in vertices:
+        return BroadPoset.build(poset.flavour, [top])
+    children = vertices[top]
+    return BroadPoset.build(poset.flavour, {top, *children.letters}, [(children, top)])
 
 
 def inclusion(sub: BroadPoset, ambient: BroadPoset) -> MonotoneMap:

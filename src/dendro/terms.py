@@ -20,6 +20,7 @@ from typing import Iterator, Mapping
 
 from .core import (
     BroadPoset,
+    BroadWord,
     Flavour,
     _assignments,
     check_isomorphism,
@@ -31,7 +32,7 @@ from .errors import (
     NotALeaf,
     ParseError,
 )
-from .structure import _top_down, _tree_poset, _vertex_map, leaves, require_dendroidal, root
+from .structure import _top_down, _tree, _tree_poset, leaves
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,10 +171,9 @@ def graft(host: BroadPoset, leaf: str, scion: BroadPoset) -> BroadPoset:
         raise GraftUndefined("flavours differ")
     if leaf not in leaves(host):
         raise NotALeaf(f"{leaf!r} is not a leaf of the host")
-    require_dendroidal(host)
-    require_dendroidal(scion)
+    host_vertices, _ = _tree(host)
+    scion_vertices, scion_root = _tree(scion)
 
-    scion_root = root(scion)
     renaming: dict[str, str] = {scion_root: leaf}
     used = set(host.carrier)
     for name in sorted(scion.carrier - {scion_root}):
@@ -183,9 +183,9 @@ def graft(host: BroadPoset, leaf: str, scion: BroadPoset) -> BroadPoset:
         renaming[name] = fresh
         used.add(fresh)
 
-    vertices = _vertex_map(host)
-    for target, letters in _vertex_map(scion).items():
-        vertices[renaming[target]] = tuple(renaming[x] for x in letters)
+    vertices = dict(host_vertices)
+    for target, word in scion_vertices.items():
+        vertices[renaming[target]] = BroadWord(host.flavour, tuple(renaming[x] for x in word.letters))
     meta = {"renamed": {k: v for k, v in renaming.items() if k != v}}
     return _tree_poset(host.flavour, frozenset(used), vertices, meta)
 
@@ -202,10 +202,10 @@ def full_graft(host: BroadPoset, assignment: Mapping[str, BroadPoset]) -> BroadP
 # Codecs between terms and dendroidally ordered sets
 
 
-def _term_vertices(term: TreeTerm) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
+def _term_vertices(term: TreeTerm, flavour: Flavour) -> tuple[frozenset[str], dict[str, BroadWord]]:
     """The edges of a term and its vertex map; a repeated edge raises."""
     carrier: set[str] = set()
-    vertices: dict[str, tuple[str, ...]] = {}
+    vertices: dict[str, BroadWord] = {}
     pending = [term]
     while pending:
         t = pending.pop()
@@ -213,7 +213,7 @@ def _term_vertices(term: TreeTerm) -> tuple[frozenset[str], dict[str, tuple[str,
             raise DuplicateEdge(f"edge {t.edge!r} appears twice")
         carrier.add(t.edge)
         if t.children is not None:
-            vertices[t.edge] = tuple(child.edge for child in t.children)
+            vertices[t.edge] = BroadWord(flavour, tuple(child.edge for child in t.children))
             pending.extend(t.children)
     return frozenset(carrier), vertices
 
@@ -221,18 +221,18 @@ def _term_vertices(term: TreeTerm) -> tuple[frozenset[str], dict[str, tuple[str,
 def to_broad(term: TreeTerm, flavour: Flavour) -> BroadPoset:
     """Interpret a term as the tree built from its vertices: each edge
     with a vertex relates the word of its children to itself."""
-    return _tree_poset(flavour, *_term_vertices(term))
+    return _tree_poset(flavour, *_term_vertices(term, flavour))
 
 
 def to_term(poset: BroadPoset) -> TreeTerm:
     """Recover a term from a dendroidally ordered set; inverse of
     :func:`to_broad` up to isomorphism."""
-    vertices = _vertex_map(poset)
-    order = _top_down(vertices, root(poset))
+    vertices, top = _tree(poset)
+    order = _top_down(vertices, top)
     built: dict[str, TreeTerm] = {}
     for edge in reversed(order):
-        letters = vertices.get(edge)
-        kids = None if letters is None else tuple(built[c] for c in letters)
+        word = vertices.get(edge)
+        kids = None if word is None else tuple(built[c] for c in word.letters)
         built[edge] = TreeTerm(edge, kids)
     return built[order[0]]
 
@@ -241,9 +241,7 @@ def to_term(poset: BroadPoset) -> TreeTerm:
 # Canonical codes and isomorphism
 
 
-def _codes(
-    top: str, vertices: Mapping[str, tuple[str, ...]], flavour: Flavour
-) -> dict[str, str]:
+def _codes(top: str, vertices: Mapping[str, BroadWord], flavour: Flavour) -> dict[str, str]:
     """The code of every edge of a tree, built children first."""
     order = _top_down(vertices, top)
     codes: dict[str, str] = {}
@@ -251,17 +249,16 @@ def _codes(
         if edge not in vertices:
             codes[edge] = "*"
             continue
-        parts = [codes[c] for c in vertices[edge]]
+        parts = [codes[c] for c in vertices[edge].letters]
         if flavour is Flavour.COMMUTATIVE:
             parts.sort()
         codes[edge] = "(" + "".join(parts) + ")"
     return codes
 
 
-def _coded(tree: BroadPoset) -> tuple[str, dict[str, tuple[str, ...]], dict[str, str]]:
+def _coded(tree: BroadPoset) -> tuple[str, dict[str, BroadWord], dict[str, str]]:
     """A tree's root, its vertex map and the code of every edge."""
-    vertices = _vertex_map(tree)
-    top = root(tree)
+    vertices, top = _tree(tree)
     return top, vertices, _codes(top, vertices, tree.flavour)
 
 
@@ -270,7 +267,7 @@ def term_code(term: TreeTerm, flavour: Flavour) -> str:
 
     Commutative codes sort child codes, planar codes keep them in order.
     """
-    return _codes(term.edge, _term_vertices(term)[1], flavour)[term.edge]
+    return _codes(term.edge, _term_vertices(term, flavour)[1], flavour)[term.edge]
 
 
 def canonical_code(tree: TreeTerm | BroadPoset, flavour: Flavour | None = None) -> str:
@@ -303,13 +300,13 @@ def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str
     if lcodes[ltop] != rcodes[rtop]:
         return []
     planar = left.flavour is Flavour.PLANAR
-    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids.letters)}
 
     def candidates(x: str, assignment: Mapping[str, str]) -> list[str]:
         if x == ltop:
             return [rtop]
         parent, i = lparent[x]
-        kids = rv[assignment[parent]]
+        kids = rv[assignment[parent]].letters
         return [y for y in ((kids[i],) if planar else kids) if rcodes[y] == lcodes[x]]
 
     order = _top_down(lv, ltop)
@@ -343,8 +340,8 @@ def are_isomorphic(
     if lcodes[ltop] != rcodes[rtop]:
         return False, None
     planar = left.flavour is Flavour.PLANAR
-    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
-    rparent = {c: x for x, kids in rv.items() for c in kids}
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids.letters)}
+    rparent = {c: x for x, kids in rv.items() for c in kids.letters}
     witness = {ltop: rtop}
     used = {rtop}
     for edge in sorted(left.carrier):
@@ -359,7 +356,7 @@ def are_isomorphic(
             reachable = [
                 c
                 for y in reachable
-                for i, c in enumerate(rv[y])
+                for i, c in enumerate(rv[y].letters)
                 if rcodes[c] == lcodes[x] and c not in used and (i == index or not planar)
             ]
         image = min(reachable)

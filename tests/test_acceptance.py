@@ -359,6 +359,8 @@ def test_elementary_order_properties():
                 assert parent(poset, element) == owners[0]
         for a, b in itertools.combinations(elements, 2):
             j = join(poset, a, b)
+            common = [c for c in elements if (a, c) in descend and (b, c) in descend]
+            assert [c for c in common if all((c, d) in descend for d in common)] == [j]
             assert join(poset, b, a) == j
             assert join(poset, a, a) == a
         if len(elements) <= 5:

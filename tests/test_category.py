@@ -353,8 +353,13 @@ def test_faces_classify(example):
 
 
 def test_constant_map_is_other():
+    """Also out of a non-tree in which the only word below ``a`` is the
+    letter ``b``, sent where ``a`` is: only a tree has degeneracies."""
     s, g2 = star("x"), corolla(2)
     assert classify_map(MonotoneMap.from_dict(s, g2, {"x": "l1"})) is MapKind.OTHER
+    non_tree = BroadPoset.build(C, ["a", "b", "z"], [(("b",), "a")])
+    constant = MonotoneMap.from_dict(non_tree, star("b"), {"a": "b", "b": "b", "z": "b"})
+    assert classify_map(constant) is MapKind.OTHER
 
 
 def test_planar_rigidity():

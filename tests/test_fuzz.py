@@ -1,13 +1,16 @@
-"""The input boundary: random term strings and small JSON blobs either
-succeed or raise a ``DendroError``, never anything else."""
+"""The input boundary: random term strings, small JSON blobs and small
+broad posets either succeed or raise a ``DendroError``, never anything
+else."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dendro.category import all_faces, classify_map, degeneracies, enumerate_subtrees
 from dendro.cli import _parse_assignment
-from dendro.core import BroadPoset, Flavour, MonotoneMap, star
+from dendro.core import BroadPoset, Flavour, MonotoneMap, identity, star
 from dendro.errors import DendroError, ParseError
-from dendro.terms import parse_term, to_broad
+from dendro.structure import join, parent, root, root_corolla, subtree_at
+from dendro.terms import canonical_code, parse_term, to_broad, to_term
 
 IDS = st.sampled_from(["a", "b", "c"])
 KEYS = ["flavour", "carrier", "relation", "source", "target", "domain", "codomain", "assignment"]
@@ -72,3 +75,46 @@ def test_map_literal_parses_or_raises(text):
     except ParseError:
         return
     assert isinstance(assignment, dict)
+
+
+@st.composite
+def small_posets(draw) -> BroadPoset:
+    """Up to 4 identifiers related by up to 4 pairs of words of up to 3
+    letters: trees, near-trees and broad relations that are not posets."""
+    carrier = draw(st.lists(IDS | st.just("d"), min_size=1, max_size=4, unique=True))
+    letters = st.sampled_from(carrier)
+    pairs = draw(st.lists(st.tuples(st.lists(letters, max_size=3), letters), max_size=4))
+    return BroadPoset.build(draw(st.sampled_from(Flavour)), carrier, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_posets())
+@example(  # join used to climb from "a" to "a" forever
+    BroadPoset.build(
+        Flavour.COMMUTATIVE,
+        ["a", "b", "c", "r"],
+        [(("a", "c"), "r"), (("a", "r"), "a"), (("b", "c", "c"), "r")],
+    )
+)
+@example(  # classify_map used to test the non-tree for a degeneracy
+    BroadPoset.build(Flavour.COMMUTATIVE, ["a", "b", "z"], [(("b",), "a")])
+)
+def test_tree_queries_answer_or_raise(poset):
+    edges = sorted(poset.carrier)
+    constant = MonotoneMap.from_dict(poset, star(edges[0], poset.flavour), {x: edges[0] for x in edges})
+    calls = [
+        lambda: root(poset),
+        lambda: root_corolla(poset),
+        lambda: to_term(poset),
+        lambda: canonical_code(poset),
+        lambda: all_faces(poset),
+        lambda: degeneracies(poset),
+        lambda: enumerate_subtrees(poset),
+        lambda: classify_map(constant),
+        lambda: classify_map(identity(poset)),
+    ]
+    for x in edges:
+        calls += [lambda x=x: parent(poset, x), lambda x=x: subtree_at(poset, x)]
+        calls += [lambda x=x, y=y: join(poset, x, y) for y in edges]
+    for call in calls:
+        succeeds_or_raises_dendro_error(call)

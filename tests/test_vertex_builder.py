@@ -16,15 +16,45 @@ from dendro import structure
 from dendro.category import (
     FaceType,
     all_faces,
+    classify_maximal,
     degeneracies,
     degeneracy,
     enumerate_subtrees,
+    factorize,
     is_subtree,
+    maximal_subtrees,
     outer_face,
 )
-from dendro.core import BroadPoset, BroadWord, Flavour, corolla, generate_broad_poset
-from dendro.structure import classify_all, is_dendroidal, leaves, links, subtree_at
-from dendro.terms import TreeTerm, canonical_code, graft, parse_term, to_broad, to_term
+from dendro.core import (
+    BroadPoset,
+    BroadWord,
+    Flavour,
+    corolla,
+    generate_broad_poset,
+    identity,
+)
+from dendro.errors import NotDendroidal
+from dendro.structure import (
+    classify_all,
+    is_dendroidal,
+    join,
+    leaves,
+    links,
+    parent,
+    root_corolla,
+    subtree_at,
+    vertices,
+)
+from dendro.terms import (
+    TreeTerm,
+    are_isomorphic,
+    canonical_code,
+    graft,
+    parse_term,
+    to_broad,
+    to_term,
+    tree_isomorphisms,
+)
 
 from conftest import tree_corpus
 
@@ -267,3 +297,67 @@ def test_guess_far_larger_than_the_poset_is_refused():
     poset = BroadPoset.build(Flavour.COMMUTATIVE, [f"e{i}" for i in range(127)], pairs)
     assert structure._maxima_map(poset)[1] is None
     assert not is_dendroidal(poset).is_dendroidal
+
+
+def tree_entry_points(poset: BroadPoset) -> list:
+    """A call of every entry point that takes only trees, on a tree with
+    the root ``r`` and the unary vertex ``c ≤ b`` or on any broad poset
+    that is not a tree; ``parent`` comes before ``join``."""
+    flavour = poset.flavour
+    leaf = sorted(leaves(poset))[0]
+    return [
+        lambda: graft(poset, leaf, to_broad(parse_term("s(t)"), flavour)),
+        lambda: graft(corolla(1, flavour), "l1", poset),
+        lambda: to_term(poset),
+        lambda: canonical_code(poset),
+        lambda: are_isomorphic(poset, poset),
+        lambda: tree_isomorphisms(poset, poset),
+        lambda: all_faces(poset),
+        lambda: [classify_maximal(poset, sub) for sub in maximal_subtrees(poset)],
+        lambda: enumerate_subtrees(poset),
+        lambda: degeneracies(poset),
+        lambda: degeneracy(poset, ("c", "b")),
+        lambda: factorize(identity(poset)),
+        lambda: [subtree_at(poset, x) for x in sorted(poset.carrier)],
+        lambda: root_corolla(poset),
+        lambda: vertices(poset),
+        lambda: [parent(poset, x) for x in sorted(poset.carrier) if x != "r"],
+        lambda: [join(poset, x, y) for x in sorted(poset.carrier) for y in sorted(poset.carrier)],
+    ]
+
+
+@pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
+def test_tree_entry_points_check_no_tree_against_the_axioms(flavour, monkeypatch):
+    """A tree is read off its vertex map, written or recognised, so its
+    answers come without a report of the tree axioms."""
+
+    def refuse(poset):
+        raise AssertionError("a tree was checked against the axioms")
+
+    tree = to_broad(parse_term("r(a(b(c),d()),e)"), flavour)
+    monkeypatch.setattr(structure, "is_dendroidal", refuse)
+    written = [call() for call in tree_entry_points(tree)]
+    structure._maxima_map.cache_clear()  # the copy is recognised afresh
+    assert [call() for call in tree_entry_points(bare(tree))] == written
+
+
+NON_TREES = [
+    # "a" lies below a word holding itself; join used to climb from it forever
+    BroadPoset.build(
+        Flavour.COMMUTATIVE,
+        ["a", "b", "c", "r"],
+        [(("a", "c"), "r"), (("a", "r"), "a"), (("b", "c", "c"), "r")],
+    ),
+    BroadPoset.build(Flavour.COMMUTATIVE, ["u", "v"]),
+    BroadPoset.build(Flavour.PLANAR, ["r", "a"], [(("a", "a"), "r")]),
+    BroadPoset.build(Flavour.COMMUTATIVE, ["a", "b", "z"], [(("b",), "a")]),
+]
+
+
+@pytest.mark.parametrize("poset", NON_TREES, ids=range(len(NON_TREES)))
+def test_tree_entry_points_refuse_a_non_tree_with_its_violations(poset):
+    message = "; ".join(is_dendroidal(poset).violations)
+    for call in tree_entry_points(poset):
+        with pytest.raises(NotDendroidal) as raised:
+            call()
+        assert str(raised.value) == message
