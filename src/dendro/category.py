@@ -22,6 +22,9 @@ from .core import (
     BroadWord,
     MonotoneMap,
     Pair,
+    _maxima_map,
+    _top_down,
+    _tree_poset,
     check_isomorphism,
     compose,
     identity,
@@ -45,11 +48,8 @@ from .structure import (
     SUBTREE,
     _cut,
     _cut_map,
-    _maxima_map,
-    _top_down,
     _tree,
     _tree_index,
-    _tree_poset,
     _TreeIndex,
     degree,
     inclusion,

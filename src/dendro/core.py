@@ -341,6 +341,153 @@ def _descendant_pairs(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# Trees read off and written from their vertex maps
+
+
+# the key under which a tree written by _tree_poset keeps its vertex map and root
+_WRITTEN_FROM = "_written_from"
+
+# the most pairs a tree's relation is written out with; an n-edge chain has n(n-1)/2
+MAX_RELATION_PAIRS = 10**6
+
+
+def _maximum_word(
+    candidates: dict[str, tuple[tuple[str, ...], ...]],
+    flavour: Flavour,
+    words: list[BroadWord],
+) -> BroadWord | None:
+    """The maximum of a set of words in the induced order, if it exists."""
+    best = words[0]
+    for w in words[1:]:
+        if _word_leq(candidates, flavour, best.letters, w.letters):
+            best = w
+    for w in words:
+        if w != best and not _word_leq(candidates, flavour, w.letters, best.letters):
+            return None
+    return best
+
+
+def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
+    """The vertex map of a tree, each non-leaf edge with the word of its
+    children, together with its root; or None when the poset is not a tree.
+
+    The map is guessed at once: the parent of an edge is its ancestor
+    with one ancestor fewer, and the children of an edge are the word
+    below it made of exactly the edges whose parent it is.  The guess is
+    accepted only when it spans the poset's own relation, so the answer
+    is exact.  Its relation is counted before it is written out, which
+    keeps a non-tree from spanning a tree far larger than itself.  The
+    map lists its edges from the root down, each after its parent, so its
+    order does not follow the hash seed.
+    """
+    ancestors: dict[str, list[str]] = {x: [] for x in poset.carrier}
+    for below, above in _descendant_pairs(poset):
+        ancestors[below].append(above)
+    depth = {x: len(ups) for x, ups in ancestors.items()}
+    tops = [x for x, d in depth.items() if d == 1]
+    if len(tops) != 1:
+        return None  # no unique root
+    children: dict[str, set[str]] = defaultdict(set)
+    for x, ups in ancestors.items():
+        if depth[x] > 1:
+            parents = [a for a in ups if depth[a] == depth[x] - 1]
+            if len(parents) != 1:
+                return None
+            children[parents[0]].add(x)
+    words: dict[str, BroadWord] = {}
+    for target, below in sources_map(poset).items():
+        if below:
+            kids = children.get(target, set())
+            match = next(
+                (w for w in below if len(w) == len(kids) and set(w.letters) == kids), None
+            )
+            if match is None:
+                return None
+            words[target] = match
+    if _relation_size(words, sorted(words, key=depth.get, reverse=True)) != len(poset.relation):
+        return None
+    words = {x: words[x] for x in _top_down(words, tops[0]) if x in words}
+    if _tree_poset(poset.flavour, poset.carrier, words).relation != poset.relation:
+        return None
+    return words, tops[0]
+
+
+@lru_cache(maxsize=16384)
+def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | None]:
+    """For each non-leaf element, the maximum word below it, or None; and
+    the root when the poset is a tree, else None.
+
+    A tree written by :func:`_tree_poset` carries its vertex map, and a
+    tree from elsewhere is recognised by :func:`_tree_words`; a tree's
+    maxima are its vertices.  Any other broad poset gets a full search.
+    """
+    tree = poset.meta.get(_WRITTEN_FROM) or _tree_words(poset)
+    if tree is not None:
+        return tree
+    candidates = _chunk_candidates(poset)
+    flavour = poset.flavour
+    out: dict[str, BroadWord | None] = {}
+    for target, below_set in sources_map(poset).items():
+        if below_set:
+            below = sorted(below_set, key=lambda w: (len(w), w.letters))
+            out[target] = _maximum_word(candidates, flavour, below)
+    return out, None
+
+
+def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
+    """The number of pairs in the relation of the tree with the given
+    vertex map, its edges with a vertex listed children first: an edge has
+    one word below it per choice, for each child, of the child itself or
+    one of the child's words."""
+    count: dict[str, int] = {}
+    for x in bottom_up:
+        words = 1
+        for c in vertices[x].letters:
+            words *= 1 + count.get(c, 0)
+        count[x] = words
+    return sum(count.values())
+
+
+def _top_down(vertices: dict, top: str) -> list[str]:
+    """The edges of the tree with the given vertex map and root, each one
+    after its parent."""
+    order = [top]
+    for x in order:
+        order.extend(vertices.get(x, ()))
+    return order
+
+
+def _tree_poset(
+    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
+) -> BroadPoset:
+    """The tree with the given edges and vertex map, its relation written out.
+
+    The map must span the carrier as one rooted tree: every edge but the
+    root is a child of exactly one edge, and each word of children has
+    the given flavour.  The words below an edge are the concatenations of
+    one choice per child: the child itself or a word below it.  The
+    result keeps the map itself, which the caller must not change
+    afterwards, and the root in its ``meta``, where :func:`_maxima_map`
+    reads them.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs
+    is counted, not written, and raises :class:`BudgetExceeded`.
+    """
+    (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
+    order = [x for x in _top_down(vertices, top) if x in vertices]
+    size = _relation_size(vertices, reversed(order))
+    if size > MAX_RELATION_PAIRS:
+        raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
+    below: dict[str, list[tuple[str, ...]]] = {}
+    for x in reversed(order):
+        words: list[tuple[str, ...]] = [()]
+        for c in vertices[x].letters:
+            choices = [(c,), *below.get(c, ())]
+            words = [w + v for w in words for v in choices]
+        below[x] = words
+    relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
+    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: (vertices, top)})
+
+
+# ---------------------------------------------------------------------------
 # Generation (reflexive-transitive closure plus anti-symmetry quotient)
 
 
@@ -621,14 +768,22 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     )
 
 
+# the most assignments, |codomain| ** |domain|, that enumerate_monotone
+# searches without reading its inputs as trees: below about this many, the
+# search costs less than recognising two trees that carry no vertex map
+SEARCH_AT_MOST = 128
+
+
 def enumerate_monotone(
     domain: BroadPoset, codomain: BroadPoset, budget: int = 10**7
 ) -> list[MonotoneMap]:
     """All monotone maps, in lexicographic order of their assignments.
 
     The worst-case assignment count ``|codomain| ** |domain|`` must stay
-    within ``budget``; the actual search prunes partial assignments as soon
-    as a fully-assigned relation pair fails.
+    within ``budget``, on every path.  Between two trees, above
+    :data:`SEARCH_AT_MOST` assignments, the maps are read off the domain's
+    vertex map by :func:`_tree_maps`.  Otherwise the shared search prunes
+    partial assignments as soon as a fully-assigned relation pair fails.
     """
     if domain.flavour is not codomain.flavour:
         raise FlavourMismatch("flavours differ")
@@ -636,14 +791,68 @@ def enumerate_monotone(
     values = sorted(codomain.carrier)
     if not elements:
         return [MonotoneMap.from_dict(domain, codomain, {})]
-    if values and len(values) ** len(elements) > budget:
+    count = len(values) ** len(elements)
+    if values and count > budget:
         raise BudgetExceeded(
             f"{len(values)}^{len(elements)} assignments exceed budget {budget}"
         )
-    return [
-        MonotoneMap.from_dict(domain, codomain, assignment)
-        for assignment in _assignments(domain, codomain, elements, lambda x, a: values, False)
-    ]
+    tree = _maxima_map(domain) if count > SEARCH_AT_MOST else ({}, None)
+    if tree[1] is not None and _maxima_map(codomain)[1] is not None:
+        assignments = (dict(zip(elements, row)) for row in _tree_maps(tree, codomain, elements))
+    else:
+        assignments = _assignments(domain, codomain, elements, lambda x, a: values, False)
+    return [MonotoneMap.from_dict(domain, codomain, assignment) for assignment in assignments]
+
+
+def _tree_maps(
+    tree: tuple[dict[str, BroadWord], str], codomain: BroadPoset, elements: list[str]
+) -> list[tuple[str, ...]]:
+    """Every monotone map from the tree with the given vertex map and root
+    into the tree ``codomain``, as its values at ``elements``, the
+    domain's sorted edges, in lexicographic order.
+
+    The domain's relation is generated by its vertices, and the
+    codomain's is closed under substitution, so a map is monotone exactly
+    when it sends each vertex's word of children to a word at or below the
+    image of its edge: a word below it, or at a unary vertex the image
+    itself.  Children first, each edge ``e`` gets, for each value ``x``,
+    the maps of the subtree at ``e`` that send ``e`` to ``x``, each as its
+    values with ``e``'s first and then each child's block in turn.  They
+    are put together from the codomain's words at or below ``x`` of ``e``'s
+    arity, whose letters go to the children in order when planar and by
+    every bijection when commutative; a tree's words repeat no letter, so
+    no map comes twice, and no partial map is built that does not extend.
+    """
+    vertices, top = tree
+    planar = codomain.flavour is Flavour.PLANAR
+    words: dict[tuple[str, int], list[tuple[str, ...]]] = defaultdict(list)  # (x, arity) -> words
+    for x in codomain.carrier:
+        words[x, 1].append((x,))  # a unary vertex's edge and child may share their image
+    for w, x in codomain.relation:
+        words[x, len(w)].append(w.letters)
+    leaf = {x: [(x,)] for x in codomain.carrier}
+    maps: dict[str, dict[str, list[tuple[str, ...]]]] = {}  # edge -> value -> blocks
+    block: dict[str, tuple[str, ...]] = {}  # edge -> the edges of its subtree, as its blocks list them
+    for e in reversed(_top_down(vertices, top)):
+        if e not in vertices:
+            maps[e], block[e] = leaf, (e,)
+            continue
+        kids = vertices[e].letters
+        block[e] = (e, *itertools.chain.from_iterable(block[c] for c in kids))
+        below = [maps[c] for c in kids]
+        maps[e] = {}
+        for x in codomain.carrier:
+            found = [
+                (x, *itertools.chain.from_iterable(parts))
+                for w in words.get((x, len(kids)), ())
+                for image in ((w,) if planar else itertools.permutations(w))
+                for parts in itertools.product(*(m.get(y, ()) for m, y in zip(below, image)))
+            ]
+            if found:
+                maps[e][x] = found
+    place = {x: i for i, x in enumerate(block[top])}
+    positions = [place[x] for x in elements]
+    return sorted(tuple(m[i] for i in positions) for found in maps[top].values() for m in found)
 
 
 def _assignments(

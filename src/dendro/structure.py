@@ -16,22 +16,23 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .core import (
+    _WRITTEN_FROM,
     BroadPoset,
     BroadWord,
-    Flavour,
     MonotoneMap,
     Pair,
     _chunk_candidates,
     _descendant_pairs,
+    _maxima_map,
+    _top_down,
     _word_leq,
     pair_str,
     sources_map,
     validate,
 )
-from .errors import BudgetExceeded, IdentifierError, NoParent, NotDendroidal
+from .errors import IdentifierError, NoParent, NotDendroidal
 
 
 class EdgeKind(str, Enum):
@@ -72,13 +73,6 @@ class DendroReport:
         }
 
 
-# the key under which a tree written by _tree_poset keeps its vertex map and root
-_WRITTEN_FROM = "_written_from"
-
-# the most pairs a tree's relation is written out with; an n-edge chain has n(n-1)/2
-MAX_RELATION_PAIRS = 10**6
-
-
 def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
     """The descendant relation as reflexive pairs ``(below, above)``.
 
@@ -90,86 +84,6 @@ def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 
 def descendant_leq(poset: BroadPoset, below: str, above: str) -> bool:
     return below == above or (below, above) in _descendant_pairs(poset)
-
-
-def _maximum_word(
-    candidates: dict[str, tuple[tuple[str, ...], ...]],
-    flavour: Flavour,
-    words: list[BroadWord],
-) -> BroadWord | None:
-    """The maximum of a set of words in the induced order, if it exists."""
-    best = words[0]
-    for w in words[1:]:
-        if _word_leq(candidates, flavour, best.letters, w.letters):
-            best = w
-    for w in words:
-        if w != best and not _word_leq(candidates, flavour, w.letters, best.letters):
-            return None
-    return best
-
-
-def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
-    """The vertex map of a tree, each non-leaf edge with the word of its
-    children, together with its root; or None when the poset is not a tree.
-
-    The map is guessed at once: the parent of an edge is its ancestor
-    with one ancestor fewer, and the children of an edge are the word
-    below it made of exactly the edges whose parent it is.  The guess is
-    accepted only when it spans the poset's own relation, so the answer
-    is exact.  Its relation is counted before it is written out, which
-    keeps a non-tree from spanning a tree far larger than itself.
-    """
-    ancestors: dict[str, list[str]] = {x: [] for x in poset.carrier}
-    for below, above in _descendant_pairs(poset):
-        ancestors[below].append(above)
-    depth = {x: len(ups) for x, ups in ancestors.items()}
-    tops = [x for x, d in depth.items() if d == 1]
-    if len(tops) != 1:
-        return None  # no unique root
-    children: dict[str, set[str]] = defaultdict(set)
-    for x, ups in ancestors.items():
-        if depth[x] > 1:
-            parents = [a for a in ups if depth[a] == depth[x] - 1]
-            if len(parents) != 1:
-                return None
-            children[parents[0]].add(x)
-    words: dict[str, BroadWord] = {}
-    for target, below in sources_map(poset).items():
-        if below:
-            kids = children.get(target, set())
-            match = next(
-                (w for w in below if len(w) == len(kids) and set(w.letters) == kids), None
-            )
-            if match is None:
-                return None
-            words[target] = match
-    if _relation_size(words, sorted(words, key=depth.get, reverse=True)) != len(poset.relation):
-        return None
-    if _tree_poset(poset.flavour, poset.carrier, words).relation != poset.relation:
-        return None
-    return words, tops[0]
-
-
-@lru_cache(maxsize=16384)
-def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | None]:
-    """For each non-leaf element, the maximum word below it, or None; and
-    the root when the poset is a tree, else None.
-
-    A tree written by :func:`_tree_poset` carries its vertex map, and a
-    tree from elsewhere is recognised by :func:`_tree_words`; a tree's
-    maxima are its vertices.  Any other broad poset gets a full search.
-    """
-    tree = poset.meta.get(_WRITTEN_FROM) or _tree_words(poset)
-    if tree is not None:
-        return tree
-    candidates = _chunk_candidates(poset)
-    flavour = poset.flavour
-    out: dict[str, BroadWord | None] = {}
-    for target, below_set in sources_map(poset).items():
-        if below_set:
-            below = sorted(below_set, key=lambda w: (len(w), w.letters))
-            out[target] = _maximum_word(candidates, flavour, below)
-    return out, None
 
 
 def classify_all(poset: BroadPoset) -> dict[str, EdgeClassification]:
@@ -332,59 +246,6 @@ def degree(poset: BroadPoset) -> int:
 def vertices(poset: BroadPoset) -> frozenset[Pair]:
     """Links of a dendroidally ordered set."""
     return frozenset((word, x) for x, word in _tree(poset)[0].items())
-
-
-def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
-    """The number of pairs in the relation of the tree with the given
-    vertex map, its edges with a vertex listed children first: an edge has
-    one word below it per choice, for each child, of the child itself or
-    one of the child's words."""
-    count: dict[str, int] = {}
-    for x in bottom_up:
-        words = 1
-        for c in vertices[x].letters:
-            words *= 1 + count.get(c, 0)
-        count[x] = words
-    return sum(count.values())
-
-
-def _top_down(vertices: dict, top: str) -> list[str]:
-    """The edges of the tree with the given vertex map and root, each one
-    after its parent."""
-    order = [top]
-    for x in order:
-        order.extend(vertices.get(x, ()))
-    return order
-
-
-def _tree_poset(
-    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
-) -> BroadPoset:
-    """The tree with the given edges and vertex map, its relation written out.
-
-    The map must span the carrier as one rooted tree: every edge but the
-    root is a child of exactly one edge, and each word of children has
-    the given flavour.  The words below an edge are the concatenations of
-    one choice per child: the child itself or a word below it.  The
-    result keeps the map itself, which the caller must not change
-    afterwards, and the root in its ``meta``, where :func:`_tree` reads
-    them.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs is
-    counted, not written, and raises :class:`BudgetExceeded`.
-    """
-    (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
-    order = [x for x in _top_down(vertices, top) if x in vertices]
-    size = _relation_size(vertices, reversed(order))
-    if size > MAX_RELATION_PAIRS:
-        raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    below: dict[str, list[tuple[str, ...]]] = {}
-    for x in reversed(order):
-        words: list[tuple[str, ...]] = [()]
-        for c in vertices[x].letters:
-            choices = [(c,), *below.get(c, ())]
-            words = [w + v for w in words for v in choices]
-        below[x] = words
-    relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
-    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: (vertices, top)})
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,8 @@ from .core import (
     BroadWord,
     Flavour,
     _assignments,
+    _top_down,
+    _tree_poset,
     check_isomorphism,
 )
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     NotALeaf,
     ParseError,
 )
-from .structure import _top_down, _tree, _tree_poset, leaves
+from .structure import _tree, leaves
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,19 +1,45 @@
 import sys
+from collections import defaultdict
 from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dendro import Flavour, corolla, embed_poset, enumerate_trees, star, to_broad
 from dendro.core import BroadPoset, FinitePoset
+from dendro.terms import TreeTerm
 
 
 @cache
 def tree_corpus(flavour: Flavour, max_edges: int):
     """Broad posets of every tree up to the given size, one per class."""
     return tuple(to_broad(t, flavour) for t in enumerate_trees(max_edges, flavour))
+
+
+flavours = st.sampled_from([Flavour.COMMUTATIVE, Flavour.PLANAR])
+
+
+@st.composite
+def tree_terms(draw, max_edges: int = 15) -> TreeTerm:
+    """Edge i sits above the vertex of an earlier edge; an edge left
+    without children is a leaf or a stump.  Names are shuffled so that
+    name order and planar order disagree."""
+    n = draw(st.integers(min_value=1, max_value=max_edges))
+    names = draw(st.permutations([f"e{i}" for i in range(n)]))
+    stumps = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    above: dict[int, list[int]] = defaultdict(list)
+    for i in range(1, n):
+        above[draw(st.integers(min_value=0, max_value=i - 1))].append(i)
+    built: dict[int, TreeTerm] = {}
+    for i in reversed(range(n)):
+        if above[i]:
+            built[i] = TreeTerm(names[i], tuple(built[j] for j in above[i]))
+        else:
+            built[i] = TreeTerm(names[i], () if i in stumps else None)
+    return built[0]
 
 
 def stump_poset(name: str = "x", flavour: Flavour = Flavour.COMMUTATIVE) -> BroadPoset:

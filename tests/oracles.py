@@ -106,10 +106,12 @@ def brute_word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> boo
     return any(all(map(below, chunks, targets)) for chunks in splits)
 
 
-def brute_monotone_count(domain: BroadPoset, codomain: BroadPoset) -> int:
-    """Count monotone maps by scanning every total assignment."""
+def brute_monotone_maps(domain: BroadPoset, codomain: BroadPoset) -> list[dict[str, str]]:
+    """Every monotone assignment, keyed by sorted domain element, in
+    lexicographic order of its values, by scanning every total assignment
+    and checking every relation pair."""
     elements = sorted(domain.carrier)
-    count = 0
+    out = []
     for values in itertools.product(sorted(codomain.carrier), repeat=len(elements)):
         assignment = dict(zip(elements, values))
         ok = True
@@ -124,8 +126,8 @@ def brute_monotone_count(domain: BroadPoset, codomain: BroadPoset) -> int:
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
+            out.append(assignment)
+    return out
 
 
 def chain_map_count(m: int, n: int) -> int:

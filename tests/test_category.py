@@ -26,6 +26,7 @@ from dendro.core import (
     FinitePoset,
     Flavour,
     MonotoneMap,
+    _maxima_map,
     compose,
     corolla,
     embed_poset,
@@ -43,7 +44,7 @@ from dendro.errors import (
     NotOuterCluster,
     NotUnaryVertex,
 )
-from dendro.structure import _maxima_map, degree, inclusion, links, root, subtree_at
+from dendro.structure import degree, inclusion, links, root, subtree_at
 from dendro.terms import graft, parse_term, to_broad, tree_isomorphisms
 
 from conftest import linear_tree, stump_poset, tree_corpus

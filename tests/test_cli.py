@@ -409,3 +409,63 @@ def test_reader_closing_the_pipe_early_is_quiet():
     err = child.stderr.read()
     assert child.wait(timeout=120) == 0
     assert err == b""
+
+
+# tree pairs with stumps and unary vertices, each with maps in both flavours
+# but the fifth, which has none when planar
+HOM_PAIRS = [
+    ("r(a,b)", "s(c,d)"),
+    ("r(a(b))", "s(t(u),v)"),
+    ("r(a(),b)", "s(t(),u,v())"),
+    ("r(a(b(c)),d())", "s(t(u(w,x)),v())"),
+    ("r(a,b(c()))", "s(t(u()),v(w))"),
+    ("r(a(b,c),d)", "s(t(u,v),w(x()))"),
+]
+
+# runs each command line of a JSON list read from stdin through the command's
+# entry point in this one process, printing each one's exit code and stdout
+RUN_ALL = """
+import contextlib, io, json, sys
+from dendro.cli import run
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    print(repr((argv, code, out.getvalue())))
+"""
+
+
+def test_hom_and_factor_deterministic_across_processes():
+    import os
+    import subprocess
+    import sys
+
+    from dendro.core import enumerate_monotone
+
+    commands = []
+    for flavour in Flavour:
+        for source, target in HOM_PAIRS:
+            maps = enumerate_monotone(
+                to_broad(parse_term(source), flavour), to_broad(parse_term(target), flavour)
+            )
+            literals = sorted({",".join(f"{k}=>{v}" for k, v in m.pairs) for m in maps[:1] + maps[-1:]})
+            for output in ("text", "json"):
+                flags = [f"--flavour={flavour.value}", f"--output={output}"]
+                commands.append([*flags, "hom", source, target])
+                commands += [[*flags, "factor", source, target, "--map", m] for m in literals]
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_ALL],
+            input=json.dumps(commands),
+            capture_output=True,
+            env=env,
+            check=True,
+            text=True,
+        )
+        return done.stdout.encode()
+
+    first = run_once("0")
+    assert first.count(b"\n") == len(commands)
+    assert first == run_once("5")

@@ -5,14 +5,16 @@ off that map or recognised by rebuilding them from it get the answers of
 the general search, on random trees beyond the exhaustive 7-edge
 corpus."""
 
-from collections import defaultdict
+import os
+import subprocess
+import sys
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dendro import structure
+from dendro import core, structure
 from dendro.category import (
     FaceType,
     all_faces,
@@ -56,29 +58,7 @@ from dendro.terms import (
     tree_isomorphisms,
 )
 
-from conftest import tree_corpus
-
-flavours = st.sampled_from([Flavour.COMMUTATIVE, Flavour.PLANAR])
-
-
-@st.composite
-def tree_terms(draw, max_edges: int = 15) -> TreeTerm:
-    """Edge i sits above the vertex of an earlier edge; an edge left
-    without children is a leaf or a stump.  Names are shuffled so that
-    name order and planar order disagree."""
-    n = draw(st.integers(min_value=1, max_value=max_edges))
-    names = draw(st.permutations([f"e{i}" for i in range(n)]))
-    stumps = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    above: dict[int, list[int]] = defaultdict(list)
-    for i in range(1, n):
-        above[draw(st.integers(min_value=0, max_value=i - 1))].append(i)
-    built: dict[int, TreeTerm] = {}
-    for i in reversed(range(n)):
-        if above[i]:
-            built[i] = TreeTerm(names[i], tuple(built[j] for j in above[i]))
-        else:
-            built[i] = TreeTerm(names[i], () if i in stumps else None)
-    return built[0]
+from conftest import flavours, tree_corpus, tree_terms
 
 
 def term_vertices(term: TreeTerm) -> list[tuple[tuple[str, ...], str]]:
@@ -189,16 +169,16 @@ def bare(poset: BroadPoset) -> BroadPoset:
 
 def by_search(fn, poset):
     """The answer of ``fn`` when no poset is recognised as a tree."""
-    structure._maxima_map.cache_clear()
+    core._maxima_map.cache_clear()
     try:
-        with patch.object(structure, "_tree_words", lambda poset: None):
+        with patch.object(core, "_tree_words", lambda poset: None):
             return fn(bare(poset))
     finally:
-        structure._maxima_map.cache_clear()
+        core._maxima_map.cache_clear()
 
 
 def assert_matches_search(poset):
-    recognised = structure._maxima_map(poset)[1]
+    recognised = core._maxima_map(poset)[1]
     answers = classify_all(poset), links(poset), is_dendroidal(poset)
     searched = by_search(lambda p: (classify_all(p), links(p), is_dendroidal(p)), poset)
     assert answers == searched
@@ -211,10 +191,10 @@ def assert_written_as_recognised(trees: list[BroadPoset]):
     an equal poset without them; equal trees are recognised once."""
     written: dict[BroadPoset, tuple] = {}
     for tree in trees:
-        record = tree.meta[structure._WRITTEN_FROM]
+        record = tree.meta[core._WRITTEN_FROM]
         assert written.setdefault(tree, record) == record
     for tree, record in written.items():
-        assert record == structure._tree_words(bare(tree))
+        assert record == core._tree_words(bare(tree))
 
 
 def written_trees(tree: BroadPoset, host: BroadPoset, leaf: str) -> list[BroadPoset]:
@@ -263,7 +243,7 @@ def test_collapsed_root_and_pruned_stump_keep_their_maps(flavour):
 @given(flavours, tree_terms())
 def test_recognised_trees_match_search(flavour, term):
     tree = to_broad(term, flavour)
-    assert structure._maxima_map(tree)[1] == term.edge
+    assert core._maxima_map(tree)[1] == term.edge
     assert_matches_search(tree)
 
 
@@ -284,6 +264,35 @@ def test_near_trees_match_search(flavour, term, data):
     assert_matches_search(BroadPoset(flavour, tree.carrier, frozenset(relation)))
 
 
+RECORD_ORDER = """
+from dendro import core
+from dendro.core import BroadPoset, Flavour
+from dendro.terms import graft, parse_term, to_broad
+for flavour in Flavour:
+    written = to_broad(parse_term("r(a(b(c,d()),e),f(g,h(i)),j())"), flavour)
+    tree = BroadPoset(flavour, written.carrier, written.relation)
+    host = to_broad(parse_term("s(l,m)"), flavour)
+    print(repr(list(core._tree_words(tree)[0].items())))
+    print(repr(list(graft(host, "l", tree).meta[core._WRITTEN_FROM][0].items())))
+"""
+
+
+def test_recognised_map_order_does_not_follow_the_hash_seed():
+    """A recognised tree's vertex map, and the record of a graft with it
+    as scion, list their edges in the same order under every hash seed."""
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", RECORD_ORDER], capture_output=True, env=env, check=True, text=True
+        )
+        return done.stdout
+
+    first = run_once("0")
+    assert first.count("\n") == 4
+    assert first == run_once("5")
+
+
 def test_guess_far_larger_than_the_poset_is_refused():
     """The descendant order of a binary tree of height 6, whose relation
     would hold about 2·10^11 words, carried by its 63 vertices and one
@@ -295,7 +304,7 @@ def test_guess_far_larger_than_the_poset_is_refused():
             up = parent_of[up]
             pairs.append(((edge,), up))
     poset = BroadPoset.build(Flavour.COMMUTATIVE, [f"e{i}" for i in range(127)], pairs)
-    assert structure._maxima_map(poset)[1] is None
+    assert core._maxima_map(poset)[1] is None
     assert not is_dendroidal(poset).is_dendroidal
 
 
@@ -337,7 +346,7 @@ def test_tree_entry_points_check_no_tree_against_the_axioms(flavour, monkeypatch
     tree = to_broad(parse_term("r(a(b(c),d()),e)"), flavour)
     monkeypatch.setattr(structure, "is_dendroidal", refuse)
     written = [call() for call in tree_entry_points(tree)]
-    structure._maxima_map.cache_clear()  # the copy is recognised afresh
+    core._maxima_map.cache_clear()  # the copy is recognised afresh
     assert [call() for call in tree_entry_points(bare(tree))] == written
 
 
