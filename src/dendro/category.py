@@ -27,7 +27,6 @@ from .core import (
     _tree_poset,
     check_isomorphism,
     compose,
-    identity,
     is_monotone,
     pair_str,
 )
@@ -312,19 +311,19 @@ def _unary(vertices: dict[str, BroadWord]) -> list[tuple[str, str]]:
 
 
 def classify_map(mapping: MonotoneMap) -> MapKind:
-    """Isomorphism, face, degeneracy, or other, by structural tests."""
+    """Isomorphism, face, degeneracy, or other; faces and degeneracies by vertex map."""
     domain, codomain = mapping.domain, mapping.codomain
-    assignment = mapping.mapping
     if len(domain.carrier) == len(codomain.carrier) and check_isomorphism(
-        domain, codomain, assignment
+        domain, codomain, mapping.mapping
     ):
         return MapKind.ISOMORPHISM
+    moved = [(k, v) for k, v in mapping.pairs if k != v]
     vertices, top = _maxima_map(domain)
-    if top is not None:  # only a tree has degeneracies
-        for edge, child in _unary(vertices):
-            if assignment[edge] == child and degeneracy(domain, (child, edge)) == mapping:
-                return MapKind.DEGENERACY
-    if all(k == v for k, v in mapping.pairs) and domain.carrier <= codomain.carrier:
+    # a degeneracy moves one edge of a tree onto its only child
+    if len(moved) == 1 and top is not None and moved[0] in _unary(vertices):
+        if _maxima_map(codomain) == _cut_map(vertices, top, CONTRACT, moved[0][0]):
+            return MapKind.DEGENERACY
+    if not moved and domain.carrier <= codomain.carrier:
         try:
             return MapKind(f"{classify_maximal(codomain, domain).type.value}_face")
         except NotMaximal:
@@ -347,11 +346,8 @@ class Factorization:
     kinds: tuple[FaceKind, ...]
 
     def composite(self) -> MonotoneMap:
-        result = identity(self.iso.domain) if not self.degeneracies else self.degeneracies[0]
-        for step in self.degeneracies[1:]:
-            result = compose(step, result)
-        result = compose(self.iso, result) if self.degeneracies else self.iso
-        for step in self.faces:
+        result, *rest = [*self.degeneracies, self.iso, *self.faces]
+        for step in rest:
             result = compose(step, result)
         return result
 
@@ -364,40 +360,44 @@ class Factorization:
         }
 
 
-def _face_chain(ambient: BroadPoset, target: BroadPoset) -> tuple[list[MonotoneMap], list[FaceKind]]:
-    """A chain of face inclusions from ``target`` up to ``ambient``.
+def _face_chain(ambient: BroadPoset, target: BroadPoset) -> list[Face]:
+    """The faces from the subtree ``target`` up to ``ambient``, in the order applied.
 
-    Greedy: at each step take the face whose domain still contains the
-    target, preferring the least identifying edge.
+    Greedy: at each step take the face that still holds the target,
+    preferring the least identifying edge, and cut out only that one.  A
+    face holds the target when its carrier holds the target's and, if it
+    prunes, it prunes a leaf of the target.  A contraction drops only the
+    pairs that mention or target its edge, and a root face keeps every
+    pair whose target is in its branch.  A prune drops the pairs whose
+    word expands its edge, and a tree in which the edge is a leaf has
+    none.  A prune at an edge outside the target may hold it too, but
+    then so does the inner face at that edge, which comes first.
     """
+    leaf = target.carrier - _tree(target)[0].keys()
     steps: list[Face] = []
     current = ambient
-    while current != target:  # a tree: factorize has checked the codomain
-        tree = _tree_index(current)
-        candidates = []
-        for kind, carrier, how, edge in _faces(current):
-            if target.carrier <= carrier:
-                domain = _cut(tree, how, edge)
-                if target.relation <= domain.relation:
-                    candidates.append((kind, domain))
+    while _tree(current) != _tree(target):  # a tree: factorize has checked the codomain
+        candidates = [
+            (kind, how, edge)
+            for kind, carrier, how, edge in _faces(current)
+            if target.carrier <= carrier and (how != PRUNE or edge in leaf)
+        ]
         if not candidates:
-            raise FactorizationError(
-                f"no face of {current!r} contains the image {target!r}"
-            )
-        kind, domain = min(candidates, key=lambda c: c[0].sort_key())
+            raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
+        kind, how, edge = min(candidates, key=lambda c: c[0].sort_key())
+        domain = _cut(_tree_index(current), how, edge)
         steps.append(Face(kind, domain, inclusion(domain, current)))
         current = domain
-    steps.reverse()
-    return [face.map for face in steps], [face.kind for face in steps]
+    return steps[::-1]
 
 
 def factorize(mapping: MonotoneMap) -> Factorization:
     """Decompose a monotone map between trees.
 
     Unary vertices whose edge and child share an image are collapsed
-    first, least edge first; what remains is injective and lands on a
-    subtree of the codomain, giving the isomorphism; the inclusion of that
-    subtree is expanded into a chain of face maps.
+    first, least edge first; what remains is injective and carries the
+    domain's vertex map onto a subtree of the codomain, the isomorphism's
+    image, whose inclusion is expanded into a chain of face maps.
     """
     vertices, _ = _tree(mapping.domain)
     _tree(mapping.codomain)
@@ -406,27 +406,19 @@ def factorize(mapping: MonotoneMap) -> Factorization:
 
     degs: list[MonotoneMap] = []
     current = mapping.domain
-    values = mapping.mapping
-    while True:
-        collapsible = [(e, c) for e, c in _unary(vertices) if values[e] == values[c]]
-        if not collapsible:
-            break
+    while collapsible := [(e, c) for e, c in _unary(vertices) if mapping(e) == mapping(c)]:
         edge, child = collapsible[0]
         sigma = degeneracy(current, (child, edge))
         degs.append(sigma)
         current = sigma.codomain
         vertices, _ = _tree(current)
-        values.pop(edge)
 
-    flavour = mapping.codomain.flavour
-    image_relation = frozenset(
-        (BroadWord(flavour, tuple(values[x] for x in w.letters)), values[t])
-        for w, t in current.relation
-    )
-    image = BroadPoset(flavour, frozenset(values.values()), image_relation)
+    values = {x: mapping(x) for x in current.carrier}
+    image_vertices = {values[x]: mapping.word(w) for x, w in vertices.items()}
+    image = _tree_poset(mapping.codomain.flavour, frozenset(values.values()), image_vertices)
     iso = MonotoneMap.from_dict(current, image, values)
-    faces, kinds = _face_chain(mapping.codomain, image)
-    return Factorization(tuple(degs), iso, tuple(faces), tuple(kinds))
+    chain = _face_chain(mapping.codomain, image)
+    return Factorization(tuple(degs), iso, tuple(f.map for f in chain), tuple(f.kind for f in chain))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     DomainMismatch,
     FlavourMismatch,
     IdentifierError,
+    InvalidArgument,
     ParseError,
 )
 
@@ -131,7 +132,7 @@ class BroadPoset:
                 if letter not in carrier:
                     raise IdentifierError(f"letter {letter!r} not in carrier")
             if w.letters == (target,):
-                raise ValueError(f"reflexive pair {pair_str((w, target))} must stay implicit")
+                raise InvalidArgument(f"reflexive pair {pair_str((w, target))} must stay implicit")
 
     @classmethod
     def build(
@@ -171,12 +172,12 @@ class BroadPoset:
         """Injectively relabel the carrier; words are rewritten letterwise."""
         values = set(mapping.values())
         if len(values) != len(mapping):
-            raise ValueError("renaming must be injective")
+            raise InvalidArgument("renaming must be injective")
         def r(x: str) -> str:
             return mapping.get(x, x)
         carrier = frozenset(r(x) for x in self.carrier)
         if len(carrier) != len(self.carrier):
-            raise ValueError("renaming must stay injective on the carrier")
+            raise InvalidArgument("renaming must stay injective on the carrier")
         relation = frozenset(
             (BroadWord(self.flavour, tuple(r(x) for x in w.letters)), r(t))
             for w, t in self.relation
@@ -527,7 +528,7 @@ def generate_broad_poset(
     carrier = frozenset(carrier)
     bound = max(1, len(carrier)) if max_word_len is None else max_word_len
     if bound < 1:
-        raise ValueError("max_word_len must be at least 1")
+        raise InvalidArgument("max_word_len must be at least 1")
 
     gens: set[Pair] = set()
     for source, target in generators:
@@ -996,11 +997,11 @@ class FinitePoset:
             if a not in self.elements or b not in self.elements:
                 raise IdentifierError("order pair outside the element set")
             if a == b or (b, a) in self.strict:
-                raise ValueError("strict order must be irreflexive and anti-symmetric")
+                raise InvalidArgument("strict order must be irreflexive and anti-symmetric")
         for a, b in self.strict:
             for c, d in self.strict:
                 if b == c and (a, d) not in self.strict:
-                    raise ValueError("strict order must be transitively closed")
+                    raise InvalidArgument("strict order must be transitively closed")
 
     @classmethod
     def chain(cls, top: int, prefix: str = "c") -> "FinitePoset":

@@ -7,6 +7,10 @@ class DendroError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(DendroError, ValueError):
+    """An argument the function does not accept; also a ValueError."""
+
+
 class IdentifierError(DendroError):
     """An element identifier is missing from the relevant carrier."""
 

@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     DuplicateEdge,
     GraftUndefined,
+    InvalidArgument,
     NotALeaf,
     ParseError,
 )
@@ -277,7 +278,7 @@ def canonical_code(tree: TreeTerm | BroadPoset, flavour: Flavour | None = None) 
         top, _, codes = _coded(tree)
         return codes[top]
     if flavour is None:
-        raise ValueError("a flavour is required to encode a bare term")
+        raise InvalidArgument("a flavour is required to encode a bare term")
     return term_code(tree, flavour)
 
 

@@ -183,6 +183,8 @@ def test_maximal_subtrees_write_only_what_they_return(example, monkeypatch):
 def test_classification_builds_no_index(example, monkeypatch):
     subs = maximal_subtrees(example)
     faces = all_faces(example)
+    # unary vertices below the root, and a unary root
+    sigmas = [s for t in ("r(a(b(c)),d)", "r(a(b))") for s in degeneracies(to_broad(parse_term(t), C))]
 
     def refuse(poset):
         raise AssertionError("an index was built")
@@ -192,6 +194,9 @@ def test_classification_builds_no_index(example, monkeypatch):
     assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in faces), key=FaceKind.sort_key)
     for face in faces:
         assert classify_map(face.map).value == face.kind.type.value + "_face"
+    assert len(sigmas) == 4
+    for sigma in sigmas:
+        assert classify_map(sigma) is MapKind.DEGENERACY
 
 
 def test_face_match_compares_flavour():
@@ -460,6 +465,22 @@ def test_factorize_long_collapse():
     assert len(fac.degeneracies) == 3
     assert fac.faces == ()
     assert fac.composite() == f
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_factorize_cuts_only_the_trees_it_keeps(flavour, monkeypatch):
+    """Each degeneracy cuts out its codomain and each face its domain;
+    no other tree is cut, so the face chain cuts no rejected face."""
+    ambient = to_broad(parse_term("r(a(b(c)),d(),e(f,g))"), flavour)
+    maps = [f for a in tree_corpus(flavour, 3) for f in enumerate_monotone(a, ambient)]
+    cuts = []
+    cut = category._cut
+    monkeypatch.setattr(category, "_cut", lambda *args: cuts.append(args) or cut(*args))
+    for f in maps:
+        cuts.clear()
+        fac = factorize(f)
+        assert len(cuts) == len(fac.degeneracies) + len(fac.faces)
+    assert len(maps) > 40
 
 
 @pytest.mark.parametrize("flavour", [C, P])

@@ -39,8 +39,10 @@ from dendro.errors import (
     DomainMismatch,
     FlavourMismatch,
     IdentifierError,
+    InvalidArgument,
     ParseError,
 )
+from dendro.terms import canonical_code, parse_term
 
 from conftest import stump_poset
 from oracles import (
@@ -671,3 +673,20 @@ def test_generation_idempotent(poset):
 def test_abelianize_forget_round_trip(poset):
     if poset.flavour is C:
         assert abelianize(forget_symmetry(poset)) == poset
+
+
+def test_rejected_arguments_raise_a_dendro_error_that_is_a_value_error():
+    calls = [
+        lambda: BroadPoset(C, frozenset("a"), frozenset({(BroadWord(C, ("a",)), "a")})),
+        lambda: star("a").rename({"a": "x", "b": "x"}),
+        lambda: corolla(1).rename({"l1": "r"}),
+        lambda: generate_broad_poset(["a"], [], C, max_word_len=0),
+        lambda: FinitePoset(frozenset("ab"), frozenset({("a", "b"), ("b", "a")})),
+        lambda: FinitePoset(frozenset("abc"), frozenset({("a", "b"), ("b", "c")})),
+        lambda: underlying_poset(BroadPoset.build(C, "bc", [("b", "c"), ("c", "b"), ((), "c")])),
+        lambda: canonical_code(parse_term("r(a)")),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert isinstance(info.value, ValueError)

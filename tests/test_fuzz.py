@@ -5,9 +5,16 @@ else."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dendro.category import all_faces, classify_map, degeneracies, enumerate_subtrees
+from dendro.category import (
+    all_faces,
+    classify_map,
+    degeneracies,
+    enumerate_subtrees,
+    factorize,
+    maximal_subtrees,
+)
 from dendro.cli import _parse_assignment
-from dendro.core import BroadPoset, Flavour, MonotoneMap, identity, star
+from dendro.core import BroadPoset, Flavour, MonotoneMap, identity, star, underlying_poset
 from dendro.errors import DendroError, ParseError
 from dendro.structure import join, parent, root, root_corolla, subtree_at
 from dendro.terms import canonical_code, parse_term, to_broad, to_term
@@ -99,6 +106,9 @@ def small_posets(draw) -> BroadPoset:
 @example(  # classify_map used to test the non-tree for a degeneracy
     BroadPoset.build(Flavour.COMMUTATIVE, ["a", "b", "z"], [(("b",), "a")])
 )
+@example(  # underlying_poset used to raise a bare ValueError on a cycle
+    BroadPoset.build(Flavour.PLANAR, ["b", "c"], [(("b",), "c"), (("c",), "b"), ((), "c")])
+)
 def test_tree_queries_answer_or_raise(poset):
     edges = sorted(poset.carrier)
     constant = MonotoneMap.from_dict(poset, star(edges[0], poset.flavour), {x: edges[0] for x in edges})
@@ -112,6 +122,10 @@ def test_tree_queries_answer_or_raise(poset):
         lambda: enumerate_subtrees(poset),
         lambda: classify_map(constant),
         lambda: classify_map(identity(poset)),
+        lambda: factorize(constant),
+        lambda: factorize(identity(poset)),
+        lambda: maximal_subtrees(poset),
+        lambda: underlying_poset(poset),
     ]
     for x in edges:
         calls += [lambda x=x: parent(poset, x), lambda x=x: subtree_at(poset, x)]
