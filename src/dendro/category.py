@@ -50,7 +50,6 @@ from .structure import (
     _tree,
     _tree_index,
     _TreeIndex,
-    degree,
     inclusion,
     is_dendroidal,
     leaves,
@@ -175,13 +174,14 @@ def _faces(poset: BroadPoset) -> list[tuple[FaceKind, frozenset[str], str, str]]
 
 def all_faces(poset: BroadPoset) -> list[Face]:
     """Every face of a tree, in a deterministic order."""
+    return [Face(kind, domain, inclusion(domain, poset)) for kind, domain in _face_domains(poset)]
+
+
+def _face_domains(poset: BroadPoset) -> list[tuple[FaceKind, BroadPoset]]:
+    """Every face of a tree with its domain, all cut out of one index."""
     faces = _faces(poset)
     tree = _tree_index(poset)
-    out: list[Face] = []
-    for kind, _, how, edge in faces:
-        domain = _cut(tree, how, edge)
-        out.append(Face(kind, domain, inclusion(domain, poset)))
-    return out
+    return [(kind, _cut(tree, how, edge)) for kind, _, how, edge in faces]
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +199,9 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     ambient tree.  Each one is the tree built from a choice of root vertex
     word together with subtrees below its letters; note that a subtree may keep
     an edge while dropping the vertex above it, so subtrees are not always
-    induced on their carrier.
+    induced on their carrier.  The subtrees rooted at each edge, children
+    first, are held as carrier and vertex map until they are written out.
     """
-    return _subtrees(poset, cap)
-
-
-def _subtrees(poset: BroadPoset, cap: int, vertex_count: int | None = None) -> list[BroadPoset]:
-    """The subtrees with ``vertex_count`` vertices, or all of them.  The
-    subtrees rooted at each edge, its children's first, are held as their
-    carrier and vertex map, and only those kept are written out."""
     vertices, top = _tree(poset)
     if len(poset.carrier) > cap:
         raise BudgetExceeded(f"carrier larger than {cap}")
@@ -219,22 +213,25 @@ def _subtrees(poset: BroadPoset, cap: int, vertex_count: int | None = None) -> l
             for combo in itertools.product(*(rooted[c] for c in w.letters)):
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
                 pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
-    results = [
+    return _subtree_order([
         _tree_poset(poset.flavour, carrier, dict(verts))
         for x in sorted(poset.carrier)
         for carrier, verts in rooted[x]
-        if vertex_count is None or len(verts) == vertex_count
-    ]
-    # the relation breaks ties only among subtrees sharing a carrier
-    shared = Counter(s.carrier for s in results)
-    results.sort(
+    ])
+
+
+def _subtree_order(subtrees: list[BroadPoset]) -> list[BroadPoset]:
+    """Subtrees sorted by carrier size, then by sorted carrier; the
+    relation breaks ties only among subtrees sharing a carrier."""
+    shared = Counter(s.carrier for s in subtrees)
+    return sorted(
+        subtrees,
         key=lambda s: (
             len(s.carrier),
             sorted(s.carrier),
             sorted(map(pair_str, s.relation)) if shared[s.carrier] > 1 else [],
-        )
+        ),
     )
-    return results
 
 
 def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
@@ -248,9 +245,10 @@ def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
 
 
 def maximal_subtrees(poset: BroadPoset) -> list[BroadPoset]:
-    """Subtrees of degree one less than the ambient tree: a tree's degree
-    is its number of vertices."""
-    return _subtrees(poset, MAX_SUBTREE_CARRIER, degree(poset) - 1)
+    """The subtrees with one vertex fewer than the tree: each is the domain
+    of exactly one face, so they are cut out as the faces are, and sorted
+    as :func:`enumerate_subtrees` sorts."""
+    return _subtree_order([domain for _, domain in _face_domains(poset)])
 
 
 def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:

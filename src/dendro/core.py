@@ -120,12 +120,14 @@ class BroadPoset:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.flavour, Flavour):  # words sort by flavour identity
+            raise InvalidArgument(f"flavour must be a Flavour member, not {self.flavour!r}")
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         object.__setattr__(self, "relation", frozenset(self.relation))
         carrier = self.carrier
         for w, target in self.relation:
             if w.flavour is not self.flavour:
-                raise FlavourMismatch(f"word {w} has flavour {w.flavour.value}")
+                raise FlavourMismatch(f"word {w} has flavour {getattr(w.flavour, 'value', w.flavour)}")
             if target not in carrier:
                 raise IdentifierError(f"target {target!r} not in carrier")
             for letter in w.letters:
@@ -143,13 +145,9 @@ class BroadPoset:
         meta: dict | None = None,
     ) -> "BroadPoset":
         """Normalise raw ``(letters, target)`` pairs and drop reflexive ones."""
-        relation = set()
-        for source, target in pairs:
-            w = source if isinstance(source, BroadWord) else BroadWord(flavour, tuple(source))
-            if w.letters == (target,):
-                continue
-            relation.add((w, target))
-        return cls(flavour, frozenset(carrier), frozenset(relation), meta or {})
+        words = ((s if isinstance(s, BroadWord) else BroadWord(flavour, tuple(s)), t) for s, t in pairs)
+        # the constructor checks the flavour before it hashes a word
+        return cls(flavour, carrier, [(w, t) for w, t in words if w.letters != (t,)], meta or {})
 
     def leq(self, source: Sequence[str] | BroadWord, target: str) -> bool:
         """Whether ``source <= target`` holds, counting implicit reflexivity."""
@@ -160,7 +158,10 @@ class BroadPoset:
 
     def sources(self, target: str) -> frozenset[BroadWord]:
         """All stored words strictly below ``target``."""
-        return sources_map(self)[target]
+        try:
+            return sources_map(self)[target]
+        except KeyError:
+            raise IdentifierError(f"{target!r} not in carrier") from None
 
     def unary_pairs(self) -> frozenset[tuple[str, str]]:
         """Stored pairs whose source has length one, as element pairs."""
@@ -701,10 +702,13 @@ class MonotoneMap:
         return dict(self._map)
 
     def __call__(self, element: str) -> str:
-        return self._map[element]
+        try:
+            return self._map[element]
+        except KeyError:
+            raise IdentifierError(f"{element!r} not in domain carrier") from None
 
     def word(self, w: BroadWord) -> BroadWord:
-        return BroadWord(self.codomain.flavour, tuple(self._map[x] for x in w.letters))
+        return BroadWord(self.codomain.flavour, tuple(map(self, w.letters)))
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and all(k == v for k, v in self.pairs)
@@ -1055,6 +1059,8 @@ def corolla(
     leaf_prefix: str = "l",
 ) -> BroadPoset:
     """The corolla: one vertex relating the word of leaves to the root."""
+    if leaf_count < 0:
+        raise InvalidArgument(f"leaf_count must be at least 0, not {leaf_count}")
     leaves = [f"{leaf_prefix}{i}" for i in range(1, leaf_count + 1)]
     return BroadPoset.build(flavour, [root, *leaves], [(tuple(leaves), root)])
 

@@ -107,6 +107,7 @@ def classify_all(poset: BroadPoset) -> dict[str, EdgeClassification]:
 def classify_edge(poset: BroadPoset, element: str) -> EdgeClassification:
     """Classify one element; raises when a non-empty set of words below it
     has no maximum."""
+    _require_edge(poset, element)
     result = classify_all(poset)[element]
     if result.kind is EdgeKind.HAS_CHILDREN and result.children is None:
         raise NotDendroidal(f"words below {element!r} have no maximum")

@@ -8,6 +8,7 @@ late filtering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from dendro.core import BroadPoset, BroadWord, Flavour
@@ -191,6 +192,28 @@ def brute_subtree_posets(poset: BroadPoset) -> set[BroadPoset]:
                     if validate(candidate).ok and is_dendroidal(candidate).is_dendroidal:
                         out.add(candidate)
     return out
+
+
+def subtree_vertex_choices(poset: BroadPoset):
+    """Every subtree of a tree as its carrier and vertex map, writing no
+    relation: a root edge, and then for each chosen edge either no vertex
+    or a word below it, with a subtree rooted at each letter of the word."""
+    below = {x: [] for x in poset.carrier}
+    for w, target in poset.relation:
+        below[target].append(w)
+
+    @functools.cache
+    def rooted(x):
+        out = [(frozenset([x]), ())]
+        for w in below[x]:
+            for combo in itertools.product(*(rooted(c) for c in w.letters)):
+                carrier = frozenset([x]).union(*(c for c, _ in combo))
+                out.append((carrier, ((x, w),) + sum((v for _, v in combo), ())))
+        return out
+
+    for x in sorted(poset.carrier):
+        for carrier, vertices in rooted(x):
+            yield carrier, dict(vertices)
 
 
 def brute_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict]:

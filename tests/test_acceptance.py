@@ -8,6 +8,7 @@ whole suite stays well under two minutes.
 """
 
 import itertools
+from collections import Counter
 
 from dendro.category import (
     FaceType,
@@ -23,6 +24,7 @@ from dendro.core import (
     FinitePoset,
     Flavour,
     MonotoneMap,
+    _maxima_map,
     check_isomorphism,
     corolla,
     embed_poset,
@@ -62,7 +64,7 @@ from dendro.terms import (
 )
 
 from conftest import stump_poset, tree_corpus
-from oracles import chain_map_count
+from oracles import chain_map_count, subtree_vertex_choices
 
 C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
@@ -174,7 +176,9 @@ def test_corolla_subtree_count():
 
 def test_maximal_subtree_classification():
     """Each maximal subtree is exactly one face; root-containing ones are
-    inner or outer, the rest are root faces; the worked example has 4."""
+    inner or outer, the rest are root faces; the worked example has 4.
+    The face domains are checked against every choice of vertices with
+    one vertex fewer than the tree."""
     example = to_broad(parse_term(EXAMPLE_TERM), C)
     assert len(maximal_subtrees(example)) == 4
     checked = 0
@@ -182,6 +186,13 @@ def test_maximal_subtree_classification():
         faces = all_faces(poset)
         domains = [face.domain for face in faces]
         assert len(set(domains)) == len(domains)
+        target = degree(poset) - 1
+        chosen = Counter(
+            (carrier, frozenset(vertices.items()))
+            for carrier, vertices in subtree_vertex_choices(poset)
+            if len(vertices) == target
+        )
+        assert chosen == Counter((d.carrier, frozenset(_maxima_map(d)[0].items())) for d in domains)
         maxs = maximal_subtrees(poset)
         assert set(domains) == set(maxs)
         the_root = root(poset)

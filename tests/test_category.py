@@ -20,6 +20,7 @@ from dendro.category import (
     outer_face,
     root_face,
 )
+from dendro.cli import run
 from dendro.core import (
     BroadPoset,
     BroadWord,
@@ -152,12 +153,13 @@ def test_classify_rejects_non_maximal(example):
 
 @pytest.mark.parametrize("flavour", [C, P])
 def test_classification_exclusive_and_complete(flavour):
-    for poset in tree_corpus(flavour, 4):
+    for poset in tree_corpus(flavour, 6):
         faces = all_faces(poset)
         domains = [face.domain for face in faces]
         assert len(domains) == len(set(domains))  # exclusive
-        maxs = maximal_subtrees(poset)
-        assert set(domains) == set(maxs)  # complete
+        # complete: the face domains are the subtrees with one vertex fewer
+        target = degree(poset) - 1
+        assert maximal_subtrees(poset) == [s for s in enumerate_subtrees(poset) if degree(s) == target]
         the_root = root(poset)
         for face in faces:
             contains_root = the_root in face.domain.carrier
@@ -168,16 +170,36 @@ def test_classification_exclusive_and_complete(flavour):
 
 
 def test_maximal_subtrees_write_only_what_they_return(example, monkeypatch):
-    writes = []
-    write = category._tree_poset
+    calls = {"_cut": 0, "_tree_poset": 0}
+    for name in calls:
 
-    def counted(*args, **kwargs):
-        writes.append(args)
-        return write(*args, **kwargs)
+        def counted(*args, name=name, write=getattr(category, name)):
+            calls[name] += 1
+            return write(*args)
 
-    monkeypatch.setattr(category, "_tree_poset", counted)
+        monkeypatch.setattr(category, name, counted)
     assert len(maximal_subtrees(example)) == 4
-    assert len(writes) == 4
+    assert calls == {"_cut": 4, "_tree_poset": 0}
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_maximal_subtrees_past_the_subtree_cap(flavour, capsys):
+    chain = "(".join(f"e{i}" for i in range(20)) + ")" * 19
+
+    def binary(depth, name):
+        if depth == 0:
+            return name
+        return f"{name}({binary(depth - 1, name + 'a')},{binary(depth - 1, name + 'b')})"
+
+    for term, count in ((chain, 20), (binary(4, "r"), 22)):
+        tree = to_broad(parse_term(term), flavour)
+        assert len(tree.carrier) > category.MAX_SUBTREE_CARRIER
+        maxs = maximal_subtrees(tree)
+        faces = all_faces(tree)
+        assert len(maxs) == len(faces) == count
+        assert {classify_maximal(tree, s) for s in maxs} == {f.kind for f in faces}
+    assert run([f"--flavour={flavour.value}", "subtrees", chain, "--maximal"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 20"
 
 
 def test_classification_builds_no_index(example, monkeypatch):

@@ -690,3 +690,19 @@ def test_rejected_arguments_raise_a_dendro_error_that_is_a_value_error():
         with pytest.raises(InvalidArgument) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+def test_flavour_must_be_a_member():
+    # a plain string would leave the commutative word unsorted, as b·a, and break repr
+    for call in (
+        lambda: BroadPoset.build("commutative", ["a", "b", "c"], [(("b", "a"), "c")]),
+        lambda: BroadPoset("planar", frozenset("a"), frozenset()),
+        lambda: BroadPoset.build(["planar"], ["a"]),  # unhashable
+        lambda: corolla(-1),
+    ):
+        with pytest.raises(InvalidArgument):
+            call()
+    stray = BroadWord("commutative", ("b", "a"))
+    with pytest.raises(FlavourMismatch):
+        BroadPoset(C, frozenset("abc"), frozenset({(stray, "c")}))
+    assert corolla(0) == BroadPoset.build(C, ["r"], [((), "r")])

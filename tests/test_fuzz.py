@@ -14,9 +14,9 @@ from dendro.category import (
     maximal_subtrees,
 )
 from dendro.cli import _parse_assignment
-from dendro.core import BroadPoset, Flavour, MonotoneMap, identity, star, underlying_poset
+from dendro.core import BroadPoset, BroadWord, Flavour, MonotoneMap, identity, star, underlying_poset
 from dendro.errors import DendroError, ParseError
-from dendro.structure import join, parent, root, root_corolla, subtree_at
+from dendro.structure import classify_edge, join, parent, root, root_corolla, subtree_at
 from dendro.terms import canonical_code, parse_term, to_broad, to_term
 
 IDS = st.sampled_from(["a", "b", "c"])
@@ -126,6 +126,11 @@ def test_tree_queries_answer_or_raise(poset):
         lambda: factorize(identity(poset)),
         lambda: maximal_subtrees(poset),
         lambda: underlying_poset(poset),
+        # an identifier outside every carrier
+        lambda: classify_edge(poset, "zz"),
+        lambda: poset.sources("zz"),
+        lambda: constant("zz"),
+        lambda: constant.word(BroadWord(poset.flavour, (edges[0], "zz"))),
     ]
     for x in edges:
         calls += [lambda x=x: parent(poset, x), lambda x=x: subtree_at(poset, x)]
