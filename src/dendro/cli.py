@@ -210,20 +210,26 @@ def cmd_info(args, flavour: Flavour):
 
 def cmd_subtrees(args, flavour: Flavour):
     poset = _parse_tree(args.term, flavour)
-    subs = category.maximal_subtrees(poset) if args.maximal else category.enumerate_subtrees(poset)
-    target = structure.degree(poset) - 1
+    subs = None if args.maximal else category.enumerate_subtrees(poset)  # over its cap, fail first
+    # the maximal subtrees are the face domains, each with the kind of its face
+    kinds = {domain: kind for kind, domain in category._face_domains(poset)}
+    if subs is None:
+        subs = category._subtree_order(list(kinds))
     entries = []
     text = []
     for sub in subs:
-        entry = {"poset": sub.to_json()}
-        line = "{" + ",".join(sorted(sub.carrier)) + "}"
+        kind = kinds.get(sub)
+        if args.output == "json":
+            entry = {"poset": sub.to_json()}
+            if kind is not None:
+                entry["face"] = kind.to_json()
+            entries.append(entry)
+            continue
         rel = sorted(core.pair_str(p) for p in sub.relation)
-        line += " with " + ("; ".join(rel) if rel else "(reflexive only)")
-        if structure.degree(sub) == target:
-            kind = category.classify_maximal(poset, sub)
-            entry["face"] = kind.to_json()
+        line = "{" + ",".join(sorted(sub.carrier)) + "} with "
+        line += "; ".join(rel) if rel else "(reflexive only)"
+        if kind is not None:
             line += f"  [{kind.describe()}]"
-        entries.append(entry)
         text.append(line)
     text.append(f"total: {len(subs)}")
     return {"subtrees": entries, "count": len(subs)}, text, 0

@@ -505,6 +505,57 @@ def _substitution_sites(w: BroadWord) -> Iterator[tuple[int, str]]:
     return ((i, x) for i, x in enumerate(letters) if i == 0 or letters[i - 1] != x)
 
 
+def _product_closure(
+    flavour: Flavour, generators: dict[str, list[BroadWord]], bound: int
+) -> set[Pair] | None:
+    """The closure of generators whose letter-to-target graph is acyclic,
+    written children first by the product rule; None on a cycle or when
+    a word would be longer than ``bound``.
+
+    The words below ``x`` are, over the generators ``(w, x)``, the
+    concatenations, in order, of one choice per letter ``c`` of ``w``:
+    ``c`` itself or a word below ``c``; commutative words are sorted.
+    The longest such word is counted before any is written.  A generator
+    already among the words below its target adds nothing, since the
+    words below each letter are closed; generators come shortest first,
+    so a tree's vertex word spans the longer words before they are met.
+    """
+    users: dict[str, list[str]] = defaultdict(list)
+    waiting: dict[str, int] = {}
+    for target, ws in generators.items():
+        inputs = {c for w in ws for c in w.letters if c in generators}
+        waiting[target] = len(inputs)
+        for c in inputs:
+            users[c].append(target)
+    order = [x for x, n in waiting.items() if not n]
+    for c in order:
+        for x in users.get(c, ()):
+            waiting[x] -= 1
+            if not waiting[x]:
+                order.append(x)
+    if len(order) < len(generators):
+        return None  # a cycle: the closure may collapse or grow without bound
+    longest: dict[str, int] = {}
+    for x in order:
+        longest[x] = max(sum(max(1, longest.get(c, 0)) for c in w.letters) for w in generators[x])
+        if longest[x] > bound:
+            return None
+    commutative = flavour is Flavour.COMMUTATIVE
+    below: dict[str, set[tuple[str, ...]]] = {}
+    for x in order:
+        words: set[tuple[str, ...]] = set()
+        for w in generators[x]:
+            if w.letters in words:
+                continue
+            partial: list[tuple[str, ...]] = [()]
+            for c in w.letters:
+                choices = [(c,), *below.get(c, ())]
+                partial = [p + v for p in partial for v in choices]
+            words.update(map(tuple, map(sorted, partial)) if commutative else partial)
+        below[x] = words
+    return {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
+
+
 def generate_broad_poset(
     carrier: Iterable[str],
     generators: Iterable[tuple[Sequence[str] | BroadWord, str]],
@@ -513,18 +564,26 @@ def generate_broad_poset(
 ) -> BroadPoset:
     """The broad poset generated by a relation.
 
-    Saturates by substituting generators only, one site at a time;
-    substitution is associative, so this reaches every composite.  Pairs
-    leave the queue in a fixed order that starts from the generators sorted
-    by target, length and letters.  Then quotients by mutual comparability
-    of single elements, choosing the least identifier as each class
-    representative.  Any collapse performed by the quotient is
+    When no element is below itself through the generators (their
+    letter-to-target graph is acyclic) and no word of the closure is
+    longer than the bound, the closure is written children first by the
+    product rule: the words below an element are, over its generators,
+    one choice per letter of the letter itself or a word below it.
+    Nothing then collapses.
+
+    Otherwise it saturates by substituting generators only, one site at a
+    time; substitution is associative, so this reaches every composite.
+    Pairs leave the queue in a fixed order that starts from the generators
+    sorted by target, length and letters.  Then quotients by mutual
+    comparability of single elements, choosing the least identifier as
+    each class representative.  Any collapse performed by the quotient is
     recorded in the result's ``meta['collapsed']``.
 
     Raises :class:`ClosureOverflow` when a word longer than
     ``max_word_len`` (default: the carrier size) appears, which signals a
-    possibly infinite relation.  It names the first such pair in that order,
-    so the message does not depend on the hash seed.
+    possibly infinite relation.  The queue names the first such pair in
+    its order, so the message does not depend on the hash seed, and the
+    product rule hands every over-bound generator set to the queue.
     """
     carrier = frozenset(carrier)
     bound = max(1, len(carrier)) if max_word_len is None else max_word_len
@@ -541,12 +600,16 @@ def generate_broad_poset(
                 raise IdentifierError(f"letter {letter!r} not in carrier")
         if w.letters != (target,):
             gens.add((w, target))
-    queue: deque[Pair] = deque(sorted(gens, key=lambda p: (p[1], len(p[0]), p[0].letters)))
+    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0].letters))
     below: dict[str, list[BroadWord]] = defaultdict(list)  # target -> generator words
-    for w, target in queue:
+    for w, target in ordered:
         below[target].append(w)
 
-    relation: set[Pair] = set()
+    relation = _product_closure(flavour, below, bound)
+    if relation is not None:
+        return BroadPoset(flavour, carrier, frozenset(relation))
+    relation = set()
+    queue: deque[Pair] = deque(ordered)
     while queue:
         current = queue.popleft()
         w, target = current

@@ -227,6 +227,43 @@ def test_overflow_message_deterministic_across_processes(tmp_path):
     assert first == run_once("7")
 
 
+@pytest.mark.parametrize("maximal", [[], ["--maximal"]])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_subtrees_list_the_faces_once(monkeypatch, capsys, output, maximal):
+    from dendro import category
+
+    faces, payloads = [], []
+    list_faces, to_json = category._faces, BroadPoset.to_json
+    monkeypatch.setattr(category, "_faces", lambda poset: faces.append(poset) or list_faces(poset))
+    monkeypatch.setattr(BroadPoset, "to_json", lambda poset: payloads.append(poset) or to_json(poset))
+    code, out, _ = invoke(capsys, f"--output={output}", "subtrees", *maximal, "r(b(e,f),c,d(),g())")
+    assert code == 0
+    assert len(faces) == 1
+    count = json.loads(out)["count"] if output == "json" else int(out.splitlines()[-1].split()[-1])
+    assert len(payloads) == (count if output == "json" else 0)
+
+
+@pytest.mark.parametrize("flavour", list(Flavour))
+def test_subtree_kinds_are_the_classified_faces(capsys, flavour):
+    from dendro import category, structure
+    from dendro.terms import enumerate_trees, print_term
+
+    for term in enumerate_trees(4, flavour):
+        tree = to_broad(term, flavour)
+        for maximal in [[], ["--maximal"]]:
+            argv = [f"--flavour={flavour.value}", "subtrees", *maximal, print_term(term)]
+            _, text, _ = invoke(capsys, *argv)
+            code, out, _ = invoke(capsys, "--output=json", *argv)
+            assert code == 0
+            entries = json.loads(out)["subtrees"]
+            for entry in entries:
+                sub = BroadPoset.from_json(entry["poset"])
+                maximal_sub = structure.degree(sub) == structure.degree(tree) - 1
+                kind = category.classify_maximal(tree, sub).to_json() if maximal_sub else None
+                assert entry.get("face") == kind
+            assert sum("[" in line for line in text.splitlines()) == sum("face" in e for e in entries)
+
+
 GAMMA2 = corolla(2).to_json()
 
 

@@ -1,10 +1,12 @@
 import itertools
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dendro import core
 from dendro.core import (
     BroadPoset,
     BroadWord,
@@ -20,6 +22,7 @@ from dendro.core import (
     find_isomorphism,
     forget_symmetry,
     generate_broad_poset,
+    identity,
     internal_hom,
     is_monotone,
     pair_id,
@@ -42,9 +45,9 @@ from dendro.errors import (
     InvalidArgument,
     ParseError,
 )
-from dendro.terms import canonical_code, parse_term
+from dendro.terms import canonical_code, parse_term, to_broad
 
-from conftest import stump_poset
+from conftest import stump_poset, tree_corpus
 from oracles import (
     brute_word_leq,
     brute_descendant_cycles,
@@ -148,9 +151,26 @@ def generator_sets(draw):
     return carrier, generators, draw(st.sampled_from([None, 3, 6, 8]))
 
 
+@st.composite
+def acyclic_generator_sets(draw):
+    """Generators whose letters all come after their target in the order
+    x0, x1, ... of up to six elements, so no element is below itself:
+    stumps, repeated letters such as x2·x2, and, when drawn, the chain
+    x5 ≤ ... ≤ x0 through the whole carrier."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    carrier = [f"x{i}" for i in range(size)]
+    generators = [((f"x{i + 1}",), f"x{i}") for i in range(size - 1)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        target = draw(st.integers(min_value=0, max_value=size - 1))
+        later = carrier[target + 1:]
+        letters = draw(st.lists(st.sampled_from(later), max_size=3)) if later else []
+        generators.append((letters, carrier[target]))
+    return carrier, generators, draw(st.sampled_from([None, 2, 3, 8]))
+
+
 @pytest.mark.parametrize("flavour", [C, P])
-@settings(max_examples=200, deadline=None)
-@given(generator_sets())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(generator_sets(), acyclic_generator_sets()))
 @example((["r", "a", "b"], [(("a", "b"), "r"), ((), "a")], 10))
 @example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c",), "a")], 10))
 @example((["r", "a", "b", "c"], [(("a",), "r"), (("b", "c"), "a")], 10))
@@ -179,6 +199,75 @@ def test_generate_overflow():
     # x <= x·x makes the closure grow without bound
     with pytest.raises(ClosureOverflow):
         generate_broad_poset(["x", "y"], [(("x", "x"), "x")], C, 5)
+
+
+def refuse_product_rule(monkeypatch):
+    monkeypatch.setattr(core, "_product_closure", lambda *args: None)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_tensor_product_rule_matches_queue_on_small_trees(flavour, monkeypatch):
+    trees = tree_corpus(flavour, 4)
+    fast = [tensor(s, t) for s in trees for t in trees]
+    refuse_product_rule(monkeypatch)
+    slow = [tensor(s, t) for s in trees for t in trees]
+    assert len(fast) == len(trees) ** 2
+    for one, other in zip(fast, slow):
+        assert one == other and one.meta == other.meta
+
+
+def test_queue_runs_only_on_cycles_and_overflow(monkeypatch):
+    queues = []
+    monkeypatch.setattr(core, "deque", lambda items: queues.append(items) or deque(items))
+
+    def entered(call) -> bool:
+        queues.clear()
+        try:
+            call()
+        except ClosureOverflow:
+            pass
+        return bool(queues)
+
+    two, chain = to_broad(parse_term("r(a(b,c),d)"), C), to_broad(parse_term("s(t(u))"), C)
+    in_bound = [
+        lambda: tensor(two, chain),
+        lambda: tensor(forget_symmetry(two), forget_symmetry(chain)),
+        lambda: generate_broad_poset("rab", [(("a", "a", "b"), "r"), ((), "a"), (("b",), "a")], C),
+        lambda: generate_broad_poset(["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], P, 4),
+        lambda: pushout(identity(two), identity(two)),
+    ]
+    assert not any(entered(call) for call in in_bound)
+    queued = [
+        lambda: generate_broad_poset(["x", "y"], [(("x",), "y"), (("y",), "x")], C),  # collapses
+        lambda: generate_broad_poset(["x", "y"], [(("x", "x"), "x")], P, 5),  # grows without bound
+        lambda: generate_broad_poset(["x", "y"], [(("x", "y"), "y"), ((), "x")], C),  # y is below y
+        lambda: generate_broad_poset(["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], P, 3),
+        lambda: tensor(two, to_broad(parse_term("s(x,y)"), C), max_word_len=3),
+    ]
+    assert all(entered(call) for call in queued)
+
+
+OVERFLOW = "saturation produced (b,x)·(c,x)·(d,x)·(r,y) ≤ (r,s) with length 4 > 3"
+COLLAPSE = "generation collapsed elements beyond the set pushout: {'a2': 'a1'}"
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+@pytest.mark.parametrize("product_rule", [True, False])
+def test_overflow_and_collapse_messages_are_pinned(flavour, product_rule, monkeypatch):
+    if not product_rule:
+        refuse_product_rule(monkeypatch)
+    left, right = to_broad(parse_term("r(a(b,c),d)"), flavour), to_broad(parse_term("s(x,y)"), flavour)
+    with pytest.raises(ClosureOverflow) as info:
+        tensor(left, right, max_word_len=3)
+    assert str(info.value) == OVERFLOW
+    up = BroadPoset.build(flavour, ["a1", "a2"], [(("a1",), "a2")])
+    down = BroadPoset.build(flavour, ["b1", "b2"], [(("b2",), "b1")])
+    discrete = BroadPoset.build(flavour, ["c1", "c2"])
+    f = MonotoneMap.from_dict(discrete, up, {"c1": "a1", "c2": "a2"})
+    g = MonotoneMap.from_dict(discrete, down, {"c1": "b1", "c2": "b2"})
+    with pytest.raises(CollapseError) as info:
+        pushout(f, g)
+    assert str(info.value) == COLLAPSE
 
 
 def test_generate_rejects_unknown_identifiers():
