@@ -105,7 +105,10 @@ def _parse_tree(text: str, flavour: Flavour) -> BroadPoset:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deep
+            raise ParseError(str(exc)) from None
 
 
 def _require_poset(poset: BroadPoset, where: str) -> BroadPoset:
@@ -373,7 +376,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text, code = _COMMANDS[args.command](args, Flavour(args.flavour))
-    except (ParseError, DuplicateEdge, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, DuplicateEdge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClosureOverflow, BudgetExceeded) as exc:

@@ -96,6 +96,33 @@ def word(flavour: Flavour, letters: Iterable[str]) -> BroadWord:
     return BroadWord(flavour, tuple(letters))
 
 
+_set_flavour = BroadWord.flavour.__set__
+_set_letters = BroadWord.letters.__set__
+
+
+def _canonical_word(flavour: Flavour, letters: tuple[str, ...]) -> BroadWord:
+    """The word with letters already in canonical form, sorted when
+    commutative, built without copying or sorting them again."""
+    w = object.__new__(BroadWord)
+    _set_flavour(w, flavour)
+    _set_letters(w, letters)
+    return w
+
+
+def _canonical(flavour: Flavour, letters: tuple[str, ...]) -> tuple[str, ...]:
+    """The letters of the word of that flavour: sorted when commutative."""
+    return tuple(sorted(letters)) if flavour is Flavour.COMMUTATIVE else letters
+
+
+def _letter_pairs(relation: Iterable[tuple[BroadWord, str]]) -> set[tuple[tuple[str, ...], str]]:
+    """The pairs with each word as its letters, to look up with no word built."""
+    return {(w.letters, t) for w, t in relation}
+
+
+def _flavour_mismatch(w: BroadWord) -> FlavourMismatch:
+    return FlavourMismatch(f"word {w} has flavour {getattr(w.flavour, 'value', w.flavour)}")
+
+
 Pair = tuple[BroadWord, str]
 
 
@@ -127,7 +154,7 @@ class BroadPoset:
         carrier = self.carrier
         for w, target in self.relation:
             if w.flavour is not self.flavour:
-                raise FlavourMismatch(f"word {w} has flavour {getattr(w.flavour, 'value', w.flavour)}")
+                raise _flavour_mismatch(w)
             if target not in carrier:
                 raise IdentifierError(f"target {target!r} not in carrier")
             for letter in w.letters:
@@ -396,7 +423,7 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
             if len(parents) != 1:
                 return None
             children[parents[0]].add(x)
-    words: dict[str, BroadWord] = {}
+    guess: dict[str, BroadWord] = {}
     for target, below in sources_map(poset).items():
         if below:
             kids = children.get(target, set())
@@ -405,11 +432,15 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
             )
             if match is None:
                 return None
-            words[target] = match
-    if _relation_size(words, sorted(words, key=depth.get, reverse=True)) != len(poset.relation):
+            guess[target] = match
+    words = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
+    if _relation_size(words, reversed(words)) != len(poset.relation):
         return None
-    words = {x: words[x] for x in _top_down(words, tops[0]) if x in words}
-    if _tree_poset(poset.flavour, poset.carrier, words).relation != poset.relation:
+    flavour = poset.flavour
+    written = {
+        (_canonical(flavour, w), x) for x, ws in _words_below(words, reversed(words)).items() for w in ws
+    }
+    if written != _letter_pairs(poset.relation):
         return None
     return words, tops[0]
 
@@ -459,6 +490,21 @@ def _top_down(vertices: dict, top: str) -> list[str]:
     return order
 
 
+def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
+    """The letters of the words below each edge of the tree with the given
+    vertex map, its edges with a vertex listed children first: one choice
+    per child, of the child itself or a word below it, concatenated in
+    order and not sorted."""
+    below: dict[str, list[tuple[str, ...]]] = {}
+    for x in bottom_up:
+        words: list[tuple[str, ...]] = [()]
+        for c in vertices[x].letters:
+            choices = [(c,), *below.get(c, ())]
+            words = [w + v for w in words for v in choices]
+        below[x] = words
+    return below
+
+
 def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
 ) -> BroadPoset:
@@ -478,13 +524,7 @@ def _tree_poset(
     size = _relation_size(vertices, reversed(order))
     if size > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    below: dict[str, list[tuple[str, ...]]] = {}
-    for x in reversed(order):
-        words: list[tuple[str, ...]] = [()]
-        for c in vertices[x].letters:
-            choices = [(c,), *below.get(c, ())]
-            words = [w + v for w in words for v in choices]
-        below[x] = words
+    below = _words_below(vertices, reversed(order))
     relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
     return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: (vertices, top)})
 
@@ -506,11 +546,11 @@ def _substitution_sites(w: BroadWord) -> Iterator[tuple[int, str]]:
 
 
 def _product_closure(
-    flavour: Flavour, generators: dict[str, list[BroadWord]], bound: int
-) -> set[Pair] | None:
+    flavour: Flavour, generators: dict[str, list[tuple[str, ...]]], bound: int
+) -> dict[str, set[tuple[str, ...]]] | None:
     """The closure of generators whose letter-to-target graph is acyclic,
-    written children first by the product rule; None on a cycle or when
-    a word would be longer than ``bound``.
+    as the words below each target, written children first by the product
+    rule; None on a cycle or when a word would be longer than ``bound``.
 
     The words below ``x`` are, over the generators ``(w, x)``, the
     concatenations, in order, of one choice per letter ``c`` of ``w``:
@@ -519,11 +559,13 @@ def _product_closure(
     already among the words below its target adds nothing, since the
     words below each letter are closed; generators come shortest first,
     so a tree's vertex word spans the longer words before they are met.
+    Generators and words are given by their letters, canonical for the
+    flavour.
     """
     users: dict[str, list[str]] = defaultdict(list)
     waiting: dict[str, int] = {}
     for target, ws in generators.items():
-        inputs = {c for w in ws for c in w.letters if c in generators}
+        inputs = {c for w in ws for c in w if c in generators}
         waiting[target] = len(inputs)
         for c in inputs:
             users[c].append(target)
@@ -537,7 +579,7 @@ def _product_closure(
         return None  # a cycle: the closure may collapse or grow without bound
     longest: dict[str, int] = {}
     for x in order:
-        longest[x] = max(sum(max(1, longest.get(c, 0)) for c in w.letters) for w in generators[x])
+        longest[x] = max(sum(max(1, longest.get(c, 0)) for c in w) for w in generators[x])
         if longest[x] > bound:
             return None
     commutative = flavour is Flavour.COMMUTATIVE
@@ -545,15 +587,15 @@ def _product_closure(
     for x in order:
         words: set[tuple[str, ...]] = set()
         for w in generators[x]:
-            if w.letters in words:
+            if w in words:
                 continue
             partial: list[tuple[str, ...]] = [()]
-            for c in w.letters:
+            for c in w:
                 choices = [(c,), *below.get(c, ())]
                 partial = [p + v for p in partial for v in choices]
             words.update(map(tuple, map(sorted, partial)) if commutative else partial)
         below[x] = words
-    return {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
+    return below
 
 
 def generate_broad_poset(
@@ -590,26 +632,33 @@ def generate_broad_poset(
     if bound < 1:
         raise InvalidArgument("max_word_len must be at least 1")
 
-    gens: set[Pair] = set()
+    gens: set[tuple[tuple[str, ...], str]] = set()
     for source, target in generators:
-        w = source if isinstance(source, BroadWord) else BroadWord(flavour, tuple(source))
+        if isinstance(source, BroadWord):
+            if source.flavour is not flavour:
+                raise _flavour_mismatch(source)
+            letters = source.letters
+        else:
+            letters = _canonical(flavour, tuple(source))
         if target not in carrier:
             raise IdentifierError(f"target {target!r} not in carrier")
-        for letter in w.letters:
+        for letter in letters:
             if letter not in carrier:
                 raise IdentifierError(f"letter {letter!r} not in carrier")
-        if w.letters != (target,):
-            gens.add((w, target))
-    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0].letters))
-    below: dict[str, list[BroadWord]] = defaultdict(list)  # target -> generator words
-    for w, target in ordered:
-        below[target].append(w)
+        if letters != (target,):
+            gens.add((letters, target))
+    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0]))
+    by_target: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters
+    for letters, target in ordered:
+        by_target[target].append(letters)
 
-    relation = _product_closure(flavour, below, bound)
-    if relation is not None:
+    closed = _product_closure(flavour, by_target, bound)
+    if closed is not None:
+        relation = {(_canonical_word(flavour, w), x) for x, ws in closed.items() for w in ws}
         return BroadPoset(flavour, carrier, frozenset(relation))
+    below = {x: [_canonical_word(flavour, w) for w in ws] for x, ws in by_target.items()}
     relation = set()
-    queue: deque[Pair] = deque(ordered)
+    queue: deque[Pair] = deque((_canonical_word(flavour, w), x) for w, x in ordered)
     while queue:
         current = queue.popleft()
         w, target = current
@@ -683,18 +732,23 @@ def validate(poset: BroadPoset) -> ValidationReport:
     """
     violations: list[str] = []
 
-    relation = poset.relation
-    by_target: dict[str, list[Pair]] = defaultdict(list)
-    for p in relation:
-        by_target[p[1]].append(p)
+    flavour = poset.flavour
+    commutative = flavour is Flavour.COMMUTATIVE
+    relation = _letter_pairs(poset.relation)
+    by_target: dict[str, list[BroadWord]] = defaultdict(list)
+    for w, target in poset.relation:
+        by_target[target].append(w)
     missing: list[str] = []
-    for w, target in relation:
+    for w, target in poset.relation:
+        ls = w.letters
         for position, letter in _substitution_sites(w):
-            for b, _ in by_target.get(letter, ()):
-                derived = w.substitute(position, b)
-                if derived.letters != (target,) and (derived, target) not in relation:
+            for b in by_target.get(letter, ()):
+                derived = ls[:position] + b.letters + ls[position + 1:]
+                if commutative:
+                    derived = tuple(sorted(derived))
+                if derived != (target,) and (derived, target) not in relation:
                     missing.append(
-                        f"missing {pair_str((derived, target))} obtained from "
+                        f"missing {pair_str((BroadWord(flavour, derived), target))} obtained from "
                         f"{pair_str((w, target))} and {pair_str((b, letter))}"
                     )
     transitive = not missing
@@ -813,12 +867,12 @@ def is_monotone(assignment: Mapping[str, str], domain: BroadPoset, codomain: Bro
     for value in assignment.values():
         if value not in codomain.carrier:
             raise IdentifierError(f"value {value!r} not in codomain carrier")
-    relation = codomain.relation
+    relation = _letter_pairs(codomain.relation)
     flavour = codomain.flavour
     for w, target in domain.relation:
-        image = BroadWord(flavour, tuple(assignment[x] for x in w.letters))
+        image = _canonical(flavour, tuple([assignment[x] for x in w.letters]))
         ft = assignment[target]
-        if image.letters != (ft,) and (image, ft) not in relation:
+        if image != (ft,) and (image, ft) not in relation:
             return False
     return True
 
@@ -947,13 +1001,13 @@ def _assignments(
         yield {}
         return
     index = {x: i for i, x in enumerate(order)}
-    checkable: list[list[Pair]] = [[] for _ in order]
+    checkable: list[list[tuple[tuple[str, ...], str]]] = [[] for _ in order]
     for w, target in domain.relation:
         last = max([index[target]] + [index[x] for x in w.letters])
-        checkable[last].append((w, target))
+        checkable[last].append((w.letters, target))
 
-    relation = codomain.relation
-    flavour = codomain.flavour
+    relation = _letter_pairs(codomain.relation)
+    commutative = codomain.flavour is Flavour.COMMUTATIVE
     assignment: dict[str, str] = {}  # entries past the current element may be stale
     used: set[str] = set()  # when injective, the values before the current element
     stack = [iter(candidates(order[0], assignment))]  # one iterator per element up to the current one
@@ -964,10 +1018,12 @@ def _assignments(
             if value in used:
                 continue
             assignment[x] = value
-            for w, target in checkable[k]:
-                image = BroadWord(flavour, tuple(assignment[y] for y in w.letters))
+            for letters, target in checkable[k]:
+                image = tuple([assignment[y] for y in letters])
+                if commutative:
+                    image = tuple(sorted(image))
                 ft = assignment[target]
-                if image.letters != (ft,) and (image, ft) not in relation:
+                if image != (ft,) and (image, ft) not in relation:
                     break  # a pair fails: try the next value
             else:
                 break  # every pair filed under x holds
@@ -997,13 +1053,18 @@ def check_isomorphism(
     if len(set(assignment.values())) != len(assignment):
         return False
     image = {
-        (BroadWord(right.flavour, tuple(assignment[x] for x in w.letters)), assignment[t])
+        (_canonical(right.flavour, tuple([assignment[x] for x in w.letters])), assignment[t])
         for w, t in left.relation
     }
-    return image == set(right.relation)
+    return image == _letter_pairs(right.relation)
 
 
-def _element_profiles(poset: BroadPoset) -> dict[str, tuple]:
+def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int]:
+    """Each element's profile, numbered through ``ids``: its base profile,
+    the lengths of the words below it and of those it occurs in, and one
+    refinement round over the shapes of the pairs that mention it.  Both
+    sides of a search share ``ids``, so equal numbers mean equal
+    profiles."""
     below: dict[str, list[int]] = {x: [] for x in poset.carrier}
     occurs: dict[str, list[int]] = {x: [] for x in poset.carrier}
     for w, target in poset.relation:
@@ -1013,15 +1074,15 @@ def _element_profiles(poset: BroadPoset) -> dict[str, tuple]:
     def counted(lengths: list[int]) -> tuple:  # each length with its count
         return tuple(sorted(Counter(lengths).items()))
 
-    base = {x: (counted(below[x]), counted(occurs[x])) for x in poset.carrier}
+    base = {x: ids.setdefault((counted(below[x]), counted(occurs[x])), len(ids)) for x in poset.carrier}
     # one refinement round over the relation's shape: each pair's shape
     # counts once for every element it mentions
     neighbours: dict[str, list[tuple]] = {x: [] for x in poset.carrier}
     for w, t in poset.relation:
-        shape = (tuple(sorted(base[l] for l in w.letters)), base[t])
+        shape = (tuple(sorted([base[l] for l in w.letters])), base[t])
         for x in {t, *w.letters}:
             neighbours[x].append(shape)
-    return {x: (base[x], tuple(sorted(neighbours[x]))) for x in poset.carrier}
+    return {x: ids.setdefault((base[x], tuple(sorted(neighbours[x]))), len(ids)) for x in poset.carrier}
 
 
 def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | None:
@@ -1035,13 +1096,15 @@ def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | No
         return None
     if sorted(len(w) for w, _ in left.relation) != sorted(len(w) for w, _ in right.relation):
         return None
-    lprof = _element_profiles(left)
-    rprof = _element_profiles(right)
+    ids: dict[tuple, int] = {}
+    lprof = _element_profiles(left, ids)
+    rprof = _element_profiles(right, ids)
     if sorted(lprof.values()) != sorted(rprof.values()):
         return None
-    candidates = {
-        x: sorted(y for y in right.carrier if rprof[y] == lprof[x]) for x in left.carrier
-    }
+    same: dict[int, list[str]] = defaultdict(list)  # profile -> right elements, sorted
+    for y in sorted(right.carrier):
+        same[rprof[y]].append(y)
+    candidates = {x: same[lprof[x]] for x in left.carrier}
     order = sorted(left.carrier, key=lambda x: (len(candidates[x]), x))
     return next(_assignments(left, right, order, lambda x, a: candidates[x], True), None)
 

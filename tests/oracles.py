@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 
-from dendro.core import BroadPoset, BroadWord, Flavour
+from dendro.core import BroadPoset, BroadWord, Flavour, pair_str
 
 
 def naive_closure(
@@ -252,3 +253,56 @@ def brute_descendant_cycles(poset: BroadPoset) -> list[tuple[str, str]]:
                 if reach[a, k] and reach[k, b]:
                     reach[a, b] = True
     return [(a, b) for a in elements for b in elements if a < b and reach[a, b] and reach[b, a]]
+
+
+def word_scan_violations(poset: BroadPoset) -> list[str]:
+    """The violations :func:`dendro.core.validate` reports, in its order:
+    every missing substitution found by building each derived word with
+    ``BroadWord.substitute``, sorted; then each mutual unary pair; then
+    each descendant cycle.  A commutative word is sorted, so only the
+    first of equal letters is substituted: the others give the same word."""
+    relation = poset.relation
+    missing = []
+    for w, target in relation:
+        for position, letter in enumerate(w.letters):
+            if poset.flavour is Flavour.COMMUTATIVE and letter in w.letters[:position]:
+                continue
+            for b, t in relation:
+                if t != letter:
+                    continue
+                derived = w.substitute(position, b)
+                if derived.letters != (target,) and (derived, target) not in relation:
+                    missing.append(
+                        f"missing {pair_str((derived, target))} obtained from "
+                        f"{pair_str((w, target))} and {pair_str((b, letter))}"
+                    )
+    unary = {(w.letters[0], t) for w, t in relation if len(w.letters) == 1}
+    mutual = [
+        f"mutual pair {a} ≤ {b} and {b} ≤ {a}" for a, b in sorted(unary) if a < b and (b, a) in unary
+    ]
+    cycles = [f"descendant cycle between {a} and {b}" for a, b in brute_descendant_cycles(poset)]
+    return sorted(missing) + mutual + cycles
+
+
+def tuple_element_profiles(poset: BroadPoset) -> dict[str, tuple]:
+    """Each element's isomorphism profile as a nested tuple: the lengths
+    of the words below it and of those it occurs in, each with its count,
+    then the sorted shapes of the pairs that mention it, a shape being the
+    sorted base profiles of its letters and the base profile of its target."""
+    below = {x: [] for x in poset.carrier}
+    occurs = {x: [] for x in poset.carrier}
+    for w, target in poset.relation:
+        below[target].append(len(w))
+        for letter in w.letters:
+            occurs[letter].append(len(w))
+
+    def counted(lengths):
+        return tuple(sorted(Counter(lengths).items()))
+
+    base = {x: (counted(below[x]), counted(occurs[x])) for x in poset.carrier}
+    neighbours = {x: [] for x in poset.carrier}
+    for w, t in poset.relation:
+        shape = (tuple(sorted(base[l] for l in w.letters)), base[t])
+        for x in {t, *w.letters}:
+            neighbours[x].append(shape)
+    return {x: (base[x], tuple(sorted(neighbours[x]))) for x in poset.carrier}

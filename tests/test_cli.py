@@ -283,6 +283,23 @@ def test_malformed_poset_json_exit_two(tmp_path, capsys, data, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        (b'{"flavour": "planar", "carrier": [' + b"1" * 5000 + b"]}", "digits"),
+    ],
+    ids=["not utf-8", "nested too deep", "over-long number"],
+)
+def test_undecodable_json_input_exits_two(tmp_path, capsys, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, "tensor", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_product_of_non_poset_exit_one(tmp_path, capsys):
     cycle = {
         "flavour": "commutative",

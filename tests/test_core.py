@@ -1,6 +1,6 @@
 import itertools
 import sys
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +53,8 @@ from oracles import (
     brute_descendant_cycles,
     brute_monotone_maps,
     naive_closure,
+    tuple_element_profiles,
+    word_scan_violations,
 )
 
 C = Flavour.COMMUTATIVE
@@ -275,6 +277,29 @@ def test_generate_rejects_unknown_identifiers():
         generate_broad_poset(["a"], [(("z",), "a")], C)
 
 
+@pytest.mark.parametrize("flavour", [C, P])
+@pytest.mark.parametrize(
+    "carrier, letters, bound",
+    [
+        ("abc", ("c", "b"), None),  # acyclic: the product rule
+        ("ab", ("b", "a"), 3),  # a is below itself: the queue, which would overflow
+    ],
+    ids=["product rule", "queue"],
+)
+def test_generate_rejects_a_word_of_the_other_flavour(flavour, carrier, letters, bound):
+    stray = BroadWord(P if flavour is C else C, letters)
+    with pytest.raises(FlavourMismatch) as generated:
+        generate_broad_poset(carrier, [(stray, "a")], flavour, bound)
+    with pytest.raises(FlavourMismatch) as stored:
+        BroadPoset(flavour, frozenset(carrier), frozenset({(stray, "a")}))
+    assert str(generated.value) == str(stored.value)
+    if bound is None:  # the same letters as a word of the poset's flavour are accepted
+        assert generate_broad_poset(carrier, [(letters, "a")], flavour).leq(letters, "a")
+    else:
+        with pytest.raises(ClosureOverflow):
+            generate_broad_poset(carrier, [(letters, "a")], flavour, bound)
+
+
 def test_closure_idempotent_on_corpus(small_posets):
     for poset in small_posets.values():
         again = generate_broad_poset(
@@ -310,13 +335,14 @@ def test_validate_transitivity():
 
 
 @st.composite
-def random_relations(draw) -> BroadPoset:
-    """Any pairs over up to five elements: cycles and gaps in transitivity
-    are both common."""
+def random_relations(draw, flavour: Flavour | None = None) -> BroadPoset:
+    """Any pairs over up to five elements, of the given flavour or either:
+    cycles, gaps in transitivity, empty words and repeated letters are all
+    common."""
     names = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
     words = st.lists(st.sampled_from(names), max_size=3)
     pairs = draw(st.lists(st.tuples(words, st.sampled_from(names)), max_size=8))
-    return BroadPoset.build(draw(st.sampled_from([C, P])), names, pairs)
+    return BroadPoset.build(flavour or draw(st.sampled_from([C, P])), names, pairs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,6 +355,29 @@ def test_descendant_cycles_match_oracle(poset):
     assert report.stratified == (not cycles)
     assert [v for v in report.violations if v.startswith("descendant cycle")] == cycles
     assert report.violations[len(report.violations) - len(cycles):] == tuple(cycles)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_reports_what_the_word_scan_finds(flavour, data):
+    poset = data.draw(random_relations(flavour))
+    assert list(validate(poset).violations) == word_scan_violations(poset)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_validate_reports_what_the_word_scan_finds_on_fixed_relations(flavour):
+    relations = [
+        [(("a", "a"), "r"), ((), "a"), (("b",), "a")],  # a repeated letter, the empty word
+        [(("a", "b"), "r"), (("b", "a"), "r"), ((), "b"), (("c", "c"), "a")],
+        [(("a",), "b"), (("b",), "c"), (("c",), "a")],  # a cycle
+        [(("a", "c"), "b"), (("b", "c"), "a"), (("a", "a", "a"), "c")],
+        [(("a", "c"), "r"), (("d",), "a"), (("c", "d"), "r"), ((), "b"), (("b", "b"), "c")],  # d·c is c·d
+    ]
+    for pairs in relations:
+        poset = BroadPoset.build(flavour, "abcdr", pairs)
+        report = validate(poset)
+        assert report.violations and list(report.violations) == word_scan_violations(poset)
 
 
 def test_report_violations_empty_iff_ok(small_posets):
@@ -646,6 +695,69 @@ def test_find_isomorphism_distinguishes(small_posets):
     assert find_isomorphism(small_posets["star"], small_posets["stump"]) is None
 
 
+def same_profile_classes(left: BroadPoset, right: BroadPoset) -> bool:
+    """Whether the numbered profiles of both sides, numbered through one
+    dictionary, split their elements into the classes the tuples do."""
+    ids: dict = {}
+    numbered = [core._element_profiles(p, ids) for p in (left, right)]
+    tuples = [tuple_element_profiles(p) for p in (left, right)]
+
+    def classes(sides) -> set[frozenset]:
+        by_profile = defaultdict(set)
+        for side, profiles in enumerate(sides):
+            for x, profile in profiles.items():
+                by_profile[profile].add((side, x))
+        return set(map(frozenset, by_profile.values()))
+
+    return classes(numbered) == classes(tuples)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_numbered_profiles_split_tensors_as_the_tuples_do(flavour):
+    trees = tree_corpus(flavour, 3)
+    for s in trees:
+        for t in trees:
+            assert same_profile_classes(tensor(s, t), tensor(t, s))
+
+
+@pytest.mark.parametrize(
+    "flavour, left, right, witness",
+    [
+        (C, "r(a,b)", "s(x,y)", "v0=(s,a) v1=(s,b) v2=(s,r) v3=(x,a) v4=(x,b) v5=(x,r) v6=(y,a) v7=(y,b) v8=(y,r)"),
+        (P, "r(a,b)", "s(x,y)", "v0=(s,b) v1=(s,a) v2=(s,r) v3=(y,b) v4=(y,a) v5=(y,r) v6=(x,b) v7=(x,a) v8=(x,r)"),
+        (C, "r(a,b,c)", "s(x)", "v0=(x,r) v1=(s,r) v2=(x,a) v3=(s,a) v4=(x,b) v5=(s,b) v6=(x,c) v7=(s,c)"),
+        (P, "r(a,b,c)", "s(x)", "v0=(x,r) v1=(s,r) v2=(x,c) v3=(s,c) v4=(x,b) v5=(s,b) v6=(x,a) v7=(s,a)"),
+        (P, "r(a(b),c)", "s(x)", "v0=(x,r) v1=(s,r) v2=(x,c) v3=(s,c) v4=(x,b) v5=(s,b) v6=(x,a) v7=(s,a)"),
+    ],
+)
+def test_find_isomorphism_witnesses_of_tensors_are_pinned(flavour, left, right, witness):
+    """A renamed ``left ⊗ right`` against ``right ⊗ left``, each with
+    several isomorphisms; the search returns the first it meets."""
+    one, other = (to_broad(parse_term(term), flavour) for term in (left, right))
+    product_ = tensor(one, other)
+    renamed = product_.rename({x: f"v{i}" for i, x in enumerate(sorted(product_.carrier, reverse=True))})
+    found = find_isomorphism(renamed, tensor(other, one))
+    assert found == dict(pair.split("=") for pair in witness.split())
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_relation_loops_build_no_words(flavour, monkeypatch):
+    """Validation, the isomorphism search and recognition compare letter
+    tuples: none of them builds a ``BroadWord`` on a poset that passes."""
+    one, other = to_broad(parse_term("r(a,b(c))"), flavour), to_broad(parse_term("s(x,y)"), flavour)
+    product_ = tensor(one, other)
+    renamed = product_.rename({x: f"n{x}" for x in product_.carrier})
+    tree = to_broad(parse_term("r(a(b,c),d(e()),f)"), flavour)
+    bare = BroadPoset(flavour, tree.carrier, tree.relation)
+    built = []
+    post_init = BroadWord.__post_init__
+    monkeypatch.setattr(BroadWord, "__post_init__", lambda w: built.append(w) or post_init(w))
+    assert validate(product_).ok and not built
+    assert find_isomorphism(product_, renamed) is not None and not built
+    core._maxima_map.cache_clear()
+    assert core._maxima_map(bare) == tree.meta[core._WRITTEN_FROM] and not built
+
+
 def test_map_searches_run_without_recursion():
     """On a 301-edge chain under a recursion limit of 200: its one map to a
     point, a witness against a renamed copy, and its one isomorphism onto
@@ -762,6 +874,12 @@ def test_generation_idempotent(poset):
 def test_abelianize_forget_round_trip(poset):
     if poset.flavour is C:
         assert abelianize(forget_symmetry(poset)) == poset
+
+
+@settings(max_examples=200, deadline=None)
+@given(broad_posets(), broad_posets())
+def test_numbered_profiles_split_broad_posets_as_the_tuples_do(left, right):
+    assert same_profile_classes(left, right)
 
 
 def test_rejected_arguments_raise_a_dendro_error_that_is_a_value_error():
