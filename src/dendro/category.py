@@ -48,8 +48,6 @@ from .structure import (
     _cut,
     _cut_map,
     _tree,
-    _tree_index,
-    _TreeIndex,
     inclusion,
     is_dendroidal,
     leaves,
@@ -144,7 +142,7 @@ def _face_map(poset: BroadPoset, kind: FaceKind, absent: Exception) -> MonotoneM
     """The inclusion of the face of the given kind, or ``absent`` raised."""
     for face_kind, _, how, edge in _faces(poset):
         if face_kind == kind:
-            return inclusion(_cut(_tree_index(poset), how, edge), poset)
+            return inclusion(_cut(poset, how, edge), poset)
     raise absent
 
 
@@ -178,10 +176,8 @@ def all_faces(poset: BroadPoset) -> list[Face]:
 
 
 def _face_domains(poset: BroadPoset) -> list[tuple[FaceKind, BroadPoset]]:
-    """Every face of a tree with its domain, all cut out of one index."""
-    faces = _faces(poset)
-    tree = _tree_index(poset)
-    return [(kind, _cut(tree, how, edge)) for kind, _, how, edge in faces]
+    """Every face of a tree with its domain, each cut out of the tree."""
+    return [(kind, _cut(poset, how, edge)) for kind, _, how, edge in _faces(poset)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +277,17 @@ def degeneracy(poset: BroadPoset, vertex: tuple[str, str]) -> MonotoneMap:
     child, edge = vertex
     if (edge, child) not in _unary(vertices):
         raise NotUnaryVertex(f"({child}, {edge}) is not a unary vertex")
-    return _collapse(_tree_index(poset), child, edge)
+    return _collapse(poset, child, edge)
 
 
-def _collapse(tree: _TreeIndex, child: str, edge: str) -> MonotoneMap:
-    assignment = {x: (child if x == edge else x) for x in tree.poset.carrier}
-    return MonotoneMap.from_dict(tree.poset, _cut(tree, CONTRACT, edge), assignment)
+def _collapse(poset: BroadPoset, child: str, edge: str) -> MonotoneMap:
+    assignment = {x: (child if x == edge else x) for x in poset.carrier}
+    return MonotoneMap.from_dict(poset, _cut(poset, CONTRACT, edge), assignment)
 
 
 def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     """All degeneracy maps out of a tree, ordered by collapsed edge."""
-    unary = _unary(_tree(poset)[0])
-    if not unary:
-        return []
-    tree = _tree_index(poset)
-    return [_collapse(tree, child, edge) for edge, child in unary]
+    return [_collapse(poset, child, edge) for edge, child in _unary(_tree(poset)[0])]
 
 
 def _unary(vertices: dict[str, BroadWord]) -> list[tuple[str, str]]:
@@ -383,7 +375,7 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> list[Face]:
         if not candidates:
             raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
         kind, how, edge = min(candidates, key=lambda c: c[0].sort_key())
-        domain = _cut(_tree_index(current), how, edge)
+        domain = _cut(current, how, edge)
         steps.append(Face(kind, domain, inclusion(domain, current)))
         current = domain
     return steps[::-1]

@@ -344,10 +344,15 @@ def cmd_dot(args, flavour: Flavour):
     lines = ["digraph tree {", "  rankdir=BT;"]
     for edge in sorted(poset.carrier):
         lines.append(f'  "{edge}";')
+    used = set(poset.carrier)  # a stump's point is primed until no edge or point has its name
     for w, target in sorted(structure.links(poset), key=lambda p: p[1]):
         if w.is_empty:
-            lines.append(f'  "stump_{target}" [shape=point];')
-            lines.append(f'  "stump_{target}" -> "{target}";')
+            point = f"stump_{target}"
+            while point in used:
+                point += "'"
+            used.add(point)
+            lines.append(f'  "{point}" [shape=point];')
+            lines.append(f'  "{point}" -> "{target}";')
         else:
             for child in w.letters:
                 lines.append(f'  "{child}" -> "{target}";')

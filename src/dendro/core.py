@@ -24,7 +24,7 @@ import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import wraps
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -145,6 +145,8 @@ class BroadPoset:
     carrier: frozenset[str]
     relation: frozenset[Pair]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
+    # what the memoized lookups have worked out about this object, by name
+    _known: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.flavour, Flavour):  # words sort by flavour identity
@@ -172,16 +174,17 @@ class BroadPoset:
         meta: dict | None = None,
     ) -> "BroadPoset":
         """Normalise raw ``(letters, target)`` pairs and drop reflexive ones."""
-        words = ((s if isinstance(s, BroadWord) else BroadWord(flavour, tuple(s)), t) for s, t in pairs)
-        # the constructor checks the flavour before it hashes a word
+        words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, tuple(s)), t) for s, t in pairs]
+        for w, _ in words:  # before a reflexive pair is dropped, and before a word is hashed
+            if w.flavour is not flavour:
+                raise _flavour_mismatch(w)
         return cls(flavour, carrier, [(w, t) for w, t in words if w.letters != (t,)], meta or {})
 
     def leq(self, source: Sequence[str] | BroadWord, target: str) -> bool:
         """Whether ``source <= target`` holds, counting implicit reflexivity."""
         w = source if isinstance(source, BroadWord) else BroadWord(self.flavour, tuple(source))
-        if w.letters == (target,):
-            return target in self.carrier
-        return (w, target) in self.relation
+        _check_word(self, w, target)
+        return w.letters == (target,) or (w, target) in self.relation
 
     def sources(self, target: str) -> frozenset[BroadWord]:
         """All stored words strictly below ``target``."""
@@ -263,11 +266,40 @@ def _json_ids(values) -> tuple[str, ...]:
 # Derived lookups
 
 
-# Values are immutable, so derived structure is cached per poset; equal
-# posets share entries.  Callers must not mutate the returned mappings.
+def _kept(compute: Callable[[BroadPoset], object]) -> Callable:
+    """Keep ``compute(poset)`` on the poset that asked, under the function's
+    name, so it is worked out once per object and freed with it.
+
+    Values are immutable, so two threads that both compute an entry store
+    equal values, and one dict store wins.  The name, not the function, is
+    the key, so a poset with entries pickles.  Callers must not mutate the
+    returned values.
+    """
+    name = compute.__name__
+
+    @wraps(compute)
+    def kept(poset: BroadPoset):
+        known = poset._known
+        try:
+            return known[name]
+        except KeyError:
+            value = known[name] = compute(poset)
+            return value
+
+    return kept
 
 
-@lru_cache(maxsize=16384)
+def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
+    """Raise unless the word has the poset's flavour and the word and the
+    targets name only elements of its carrier."""
+    if w.flavour is not poset.flavour:
+        raise _flavour_mismatch(w)
+    for x in (*w.letters, *targets):
+        if x not in poset.carrier:
+            raise IdentifierError(f"{x!r} not in carrier")
+
+
+@_kept
 def sources_map(poset: BroadPoset) -> dict[str, frozenset[BroadWord]]:
     """Map each element to the set of stored words below it."""
     by_target: dict[str, set[BroadWord]] = {x: set() for x in poset.carrier}
@@ -276,7 +308,7 @@ def sources_map(poset: BroadPoset) -> dict[str, frozenset[BroadWord]]:
     return {x: frozenset(ws) for x, ws in by_target.items()}
 
 
-@lru_cache(maxsize=16384)
+@_kept
 def _chunk_candidates(poset: BroadPoset) -> dict[str, tuple[tuple[str, ...], ...]]:
     """For each element x, the letter tuples of words w with w <= x."""
     out: dict[str, list[tuple[str, ...]]] = {x: [(x,)] for x in poset.carrier}
@@ -292,6 +324,8 @@ def word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> bool:
     ``c1 ... cn`` with ``ci <= ui`` for each i.  Planar splits are
     consecutive; commutative splits partition the letter multiset.
     """
+    _check_word(poset, lower)
+    _check_word(poset, upper)
     return _word_leq(_chunk_candidates(poset), poset.flavour, lower.letters, upper.letters)
 
 
@@ -359,7 +393,7 @@ def _word_leq(
     return False
 
 
-@lru_cache(maxsize=16384)
+@_kept
 def _descendant_pairs(poset: BroadPoset) -> frozenset[tuple[str, str]]:
     """Reflexive descendant relation: (b, a) when b occurs in a word below a."""
     pairs = {(x, x) for x in poset.carrier}
@@ -372,9 +406,6 @@ def _descendant_pairs(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Trees read off and written from their vertex maps
 
-
-# the key under which a tree written by _tree_poset keeps its vertex map and root
-_WRITTEN_FROM = "_written_from"
 
 # the most pairs a tree's relation is written out with; an n-edge chain has n(n-1)/2
 MAX_RELATION_PAIRS = 10**6
@@ -445,16 +476,17 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     return words, tops[0]
 
 
-@lru_cache(maxsize=16384)
+@_kept
 def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | None]:
     """For each non-leaf element, the maximum word below it, or None; and
     the root when the poset is a tree, else None.
 
-    A tree written by :func:`_tree_poset` carries its vertex map, and a
-    tree from elsewhere is recognised by :func:`_tree_words`; a tree's
-    maxima are its vertices.  Any other broad poset gets a full search.
+    A tree written from its vertex map keeps the map and root as this
+    answer (:func:`_written`), and a tree from elsewhere is recognised by
+    :func:`_tree_words`; a tree's maxima are its vertices.  Any other
+    broad poset gets a full search.
     """
-    tree = poset.meta.get(_WRITTEN_FROM) or _tree_words(poset)
+    tree = _tree_words(poset)
     if tree is not None:
         return tree
     candidates = _chunk_candidates(poset)
@@ -465,6 +497,14 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
             below = sorted(below_set, key=lambda w: (len(w), w.letters))
             out[target] = _maximum_word(candidates, flavour, below)
     return out, None
+
+
+def _written(poset: BroadPoset, vertices: dict[str, BroadWord], top: str) -> BroadPoset:
+    """The tree written from the given vertex map and root, which are kept
+    as its :func:`_maxima_map` answer; the caller must not change the map
+    afterwards."""
+    poset._known[_maxima_map.__name__] = (vertices, top)
+    return poset
 
 
 def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
@@ -514,10 +554,9 @@ def _tree_poset(
     root is a child of exactly one edge, and each word of children has
     the given flavour.  The words below an edge are the concatenations of
     one choice per child: the child itself or a word below it.  The
-    result keeps the map itself, which the caller must not change
-    afterwards, and the root in its ``meta``, where :func:`_maxima_map`
-    reads them.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs
-    is counted, not written, and raises :class:`BudgetExceeded`.
+    result keeps the map and its root, as :func:`_written` does.  A
+    relation of more than :data:`MAX_RELATION_PAIRS` pairs is counted, not
+    written, and raises :class:`BudgetExceeded`.
     """
     (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
     order = [x for x in _top_down(vertices, top) if x in vertices]
@@ -526,7 +565,7 @@ def _tree_poset(
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
     below = _words_below(vertices, reversed(order))
     relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
-    return BroadPoset(flavour, carrier, frozenset(relation), {**(meta or {}), _WRITTEN_FROM: (vertices, top)})
+    return _written(BroadPoset(flavour, carrier, frozenset(relation), meta or {}), vertices, top)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
-    _WRITTEN_FROM,
     BroadPoset,
     BroadWord,
     MonotoneMap,
     Pair,
     _chunk_candidates,
     _descendant_pairs,
+    _kept,
     _maxima_map,
     _top_down,
     _word_leq,
+    _written,
     pair_str,
     sources_map,
     validate,
@@ -251,20 +252,19 @@ def vertices(poset: BroadPoset) -> frozenset[Pair]:
 
 @dataclass(frozen=True, slots=True)
 class _TreeIndex:
-    """A tree's vertex map, root and parents, with its relation split into
-    the pairs below each edge and the pairs whose word mentions each edge."""
+    """A tree's parents, with its relation split into the pairs below each
+    edge and the pairs whose word mentions each edge.  It is kept on its
+    tree, so it holds nothing that refers back to the tree."""
 
-    poset: BroadPoset
-    vertices: dict[str, BroadWord]
-    root: str
     parent: dict[str, str]
     below: dict[str, frozenset[Pair]]
     mentions: dict[str, frozenset[Pair]]
 
 
+@_kept
 def _tree_index(poset: BroadPoset) -> _TreeIndex:
     """The index of a tree, which the caller has checked to be one."""
-    vertices, top = _maxima_map(poset)
+    vertices, _ = _maxima_map(poset)
     below: dict[str, list[Pair]] = defaultdict(list)
     mentions: dict[str, list[Pair]] = defaultdict(list)
     for pair in poset.relation:
@@ -272,16 +272,13 @@ def _tree_index(poset: BroadPoset) -> _TreeIndex:
         for letter in pair[0].letters:
             mentions[letter].append(pair)
     return _TreeIndex(
-        poset,
-        vertices,
-        top,
         {c: x for x, kids in vertices.items() for c in kids.letters},
         {x: frozenset(pairs) for x, pairs in below.items()},
         {x: frozenset(pairs) for x, pairs in mentions.items()},
     )
 
 
-# the three ways _cut takes a smaller tree out of an indexed one
+# the three ways _cut takes a smaller tree out of a tree
 CONTRACT, PRUNE, SUBTREE = "contract", "prune", "subtree"
 
 
@@ -310,24 +307,25 @@ def _cut_map(vertices: dict[str, BroadWord], top: str, how: str, edge: str) -> t
     return vertices, top
 
 
-def _cut(tree: _TreeIndex, how: str, edge: str) -> BroadPoset:
-    """The tree :func:`_cut_map` cuts out of an indexed one, its map kept
-    in ``meta`` as :func:`_tree_poset` does; its relation is the ambient
-    one less the pairs the cut drops, found by set operations."""
-    poset = tree.poset
-    vertices, top = _cut_map(tree.vertices, tree.root, how, edge)
+def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
+    """The tree :func:`_cut_map` cuts out of a tree, its map kept as
+    :func:`_tree_poset` keeps it; its relation is the ambient one less the
+    pairs the cut drops, found by set operations on the tree's index."""
+    ambient, the_root = _maxima_map(poset)
+    tree = _tree_index(poset)
+    vertices, top = _cut_map(ambient, the_root, how, edge)
     if how == CONTRACT:
         carrier = poset.carrier - {edge}
         relation = poset.relation.difference(tree.below[edge], tree.mentions.get(edge, ()))
     elif how == PRUNE:
-        carrier = poset.carrier - set(tree.vertices[edge].letters)
+        carrier = poset.carrier - set(ambient[edge].letters)
         # the words below an ancestor in which the edge is expanded are
         # those mentioning no edge on the path up from it: a stump's
         # expansion to the empty word leaves no letter behind
         dropped = [tree.below[edge]]
         path = tree.mentions.get(edge, frozenset())
         x = edge
-        while x != tree.root:
+        while x != the_root:
             x = tree.parent[x]
             dropped.append(tree.below[x] - path)
             path = path | tree.mentions.get(x, frozenset())
@@ -335,7 +333,7 @@ def _cut(tree: _TreeIndex, how: str, edge: str) -> BroadPoset:
     else:
         relation = frozenset().union(*(tree.below[x] for x in vertices))
         carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
-    return BroadPoset(poset.flavour, carrier, relation, {_WRITTEN_FROM: (vertices, top)})
+    return _written(BroadPoset(poset.flavour, carrier, relation), vertices, top)
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:
@@ -364,7 +362,7 @@ def subtree_at(poset: BroadPoset, element: str) -> BroadPoset:
     """The induced broad poset on the descendants of ``element``."""
     _tree(poset)
     _require_edge(poset, element)
-    return _cut(_tree_index(poset), SUBTREE, element)
+    return _cut(poset, SUBTREE, element)
 
 
 def root_corolla(poset: BroadPoset) -> BroadPoset:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dendro import category
+from dendro import category, structure
 from dendro.category import (
     FaceKind,
     FaceType,
@@ -27,7 +27,6 @@ from dendro.core import (
     FinitePoset,
     Flavour,
     MonotoneMap,
-    _maxima_map,
     compose,
     corolla,
     embed_poset,
@@ -211,7 +210,7 @@ def test_classification_builds_no_index(example, monkeypatch):
     def refuse(poset):
         raise AssertionError("an index was built")
 
-    monkeypatch.setattr(category, "_tree_index", refuse)
+    monkeypatch.setattr(structure, "_tree_index", refuse)
     kinds = [classify_maximal(example, sub) for sub in subs]
     assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in faces), key=FaceKind.sort_key)
     for face in faces:
@@ -236,7 +235,6 @@ def test_unrecorded_subtrees_classify_alike(flavour):
         for poset in tree_corpus(flavour, 4)
         for sub in maximal_subtrees(poset)
     ]
-    _maxima_map.cache_clear()  # equal posets share a cache entry: recognise the copies afresh
     kinds = [classify_maximal(poset, bare) for poset, _, bare in pairs]
     assert kinds == [classify_maximal(poset, sub) for poset, sub, _ in pairs]
 

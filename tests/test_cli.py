@@ -117,6 +117,23 @@ def test_dot_output(capsys):
     assert out.strip().endswith("}")
 
 
+def test_dot_names_a_stump_point_apart_from_every_edge(capsys):
+    code, out, _ = invoke(capsys, "dot", "r(stump_b,b())")
+    assert code == 0
+    assert out.splitlines() == [
+        "digraph tree {",
+        "  rankdir=BT;",
+        '  "b";',
+        '  "r";',
+        '  "stump_b";',
+        '  "stump_b\'" [shape=point];',
+        '  "stump_b\'" -> "b";',
+        '  "b" -> "r";',
+        '  "stump_b" -> "r";',
+        "}",
+    ]
+
+
 def test_tensor_command(tmp_path, capsys):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"

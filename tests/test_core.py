@@ -109,6 +109,38 @@ def test_word_leq_matches_every_split(question):
     assert word_leq(poset, lower, upper) == brute_word_leq(poset, lower, upper)
 
 
+# the poset the word-order queries below are asked about
+BC_BELOW_A = BroadPoset.build(C, ["a", "b", "c"], [(("b", "c"), "a")])
+
+
+def test_leq_refuses_a_word_of_the_other_flavour():
+    poset = BroadPoset.build(C, ["a", "b"], [(("b",), "a")])
+    with pytest.raises(FlavourMismatch):
+        poset.leq(BroadWord(P, ("b",)), "a")
+
+
+def test_build_checks_the_flavour_before_dropping_a_reflexive_pair():
+    with pytest.raises(FlavourMismatch):
+        BroadPoset.build(C, ["a"], [(BroadWord(P, ("a",)), "a")])
+
+
+@pytest.mark.parametrize("source, target", [(["zz"], "a"), (["b", "c"], "zz"), (["zz"], "zz")])
+def test_leq_refuses_an_unknown_element(source, target):
+    with pytest.raises(IdentifierError):
+        BC_BELOW_A.leq(source, target)
+
+
+def test_word_leq_refuses_a_word_of_the_other_flavour():
+    with pytest.raises(FlavourMismatch):
+        word_leq(BC_BELOW_A, word(P, ["c", "b"]), word(C, ["a"]))
+
+
+@pytest.mark.parametrize("lower, upper", [(["b", "c"], ["zz"]), (["q"], ["a"])])
+def test_word_leq_refuses_an_unknown_letter(lower, upper):
+    with pytest.raises(IdentifierError):
+        word_leq(BC_BELOW_A, word(C, lower), word(C, upper))
+
+
 @pytest.mark.parametrize("flavour", [C, P])
 def test_word_leq_does_not_recurse_per_letter(flavour):
     """1,500 letters under the default recursion limit of 1,000."""
@@ -754,8 +786,7 @@ def test_relation_loops_build_no_words(flavour, monkeypatch):
     monkeypatch.setattr(BroadWord, "__post_init__", lambda w: built.append(w) or post_init(w))
     assert validate(product_).ok and not built
     assert find_isomorphism(product_, renamed) is not None and not built
-    core._maxima_map.cache_clear()
-    assert core._maxima_map(bare) == tree.meta[core._WRITTEN_FROM] and not built
+    assert core._maxima_map(bare) == core._maxima_map(tree) and not built
 
 
 def test_map_searches_run_without_recursion():

@@ -169,12 +169,12 @@ def bare(poset: BroadPoset) -> BroadPoset:
 
 def by_search(fn, poset):
     """The answer of ``fn`` when no poset is recognised as a tree."""
-    core._maxima_map.cache_clear()
-    try:
-        with patch.object(core, "_tree_words", lambda poset: None):
-            return fn(bare(poset))
-    finally:
-        core._maxima_map.cache_clear()
+    with patch.object(core, "_tree_words", lambda poset: None):
+        return fn(bare(poset))
+
+
+def refuse_recognition(poset):
+    raise AssertionError("a written tree was recognised")
 
 
 def assert_matches_search(poset):
@@ -190,9 +190,10 @@ def assert_written_as_recognised(trees: list[BroadPoset]):
     """Each tree keeps the vertex map and root that recognition finds on
     an equal poset without them; equal trees are recognised once."""
     written: dict[BroadPoset, tuple] = {}
-    for tree in trees:
-        record = tree.meta[core._WRITTEN_FROM]
-        assert written.setdefault(tree, record) == record
+    with patch.object(core, "_tree_words", refuse_recognition):
+        for tree in trees:
+            record = core._maxima_map(tree)
+            assert written.setdefault(tree, record) == record
     for tree, record in written.items():
         assert record == core._tree_words(bare(tree))
 
@@ -201,13 +202,15 @@ def written_trees(tree: BroadPoset, host: BroadPoset, leaf: str) -> list[BroadPo
     """A tree, its graft onto a leaf of the host, its face domains, its
     subtree at every edge, its degeneracy codomains and, up to 8 edges,
     its subtrees: every tree that is written from a vertex map or cut out
-    of a tree with its map."""
-    out = [tree, graft(host, leaf, tree)]
-    out += [face.domain for face in all_faces(tree)]
-    out += [subtree_at(tree, edge) for edge in sorted(tree.carrier)]
-    out += [sigma.codomain for sigma in degeneracies(tree)]
-    if len(tree.carrier) <= 8:
-        out += enumerate_subtrees(tree)
+    of a tree with its map.  The tree and host are written, so none is
+    recognised on the way."""
+    with patch.object(core, "_tree_words", refuse_recognition):
+        out = [tree, graft(host, leaf, tree)]
+        out += [face.domain for face in all_faces(tree)]
+        out += [subtree_at(tree, edge) for edge in sorted(tree.carrier)]
+        out += [sigma.codomain for sigma in degeneracies(tree)]
+        if len(tree.carrier) <= 8:
+            out += enumerate_subtrees(tree)
     return out
 
 
@@ -273,7 +276,7 @@ for flavour in Flavour:
     tree = BroadPoset(flavour, written.carrier, written.relation)
     host = to_broad(parse_term("s(l,m)"), flavour)
     print(repr(list(core._tree_words(tree)[0].items())))
-    print(repr(list(graft(host, "l", tree).meta[core._WRITTEN_FROM][0].items())))
+    print(repr(list(core._maxima_map(graft(host, "l", tree))[0].items())))
 """
 
 
@@ -346,7 +349,6 @@ def test_tree_entry_points_check_no_tree_against_the_axioms(flavour, monkeypatch
     tree = to_broad(parse_term("r(a(b(c),d()),e)"), flavour)
     monkeypatch.setattr(structure, "is_dendroidal", refuse)
     written = [call() for call in tree_entry_points(tree)]
-    core._maxima_map.cache_clear()  # the copy is recognised afresh
     assert [call() for call in tree_entry_points(bare(tree))] == written
 
 
