@@ -572,14 +572,14 @@ def _tree_poset(
 # Generation (reflexive-transitive closure plus anti-symmetry quotient)
 
 
-def _substitution_sites(w: BroadWord) -> Iterator[tuple[int, str]]:
-    """The positions of ``w`` whose substitutions can give distinct words.
+def _substitution_sites(flavour: Flavour, letters: tuple[str, ...]) -> Iterator[tuple[int, str]]:
+    """The positions of a word of that flavour whose substitutions can give
+    distinct words.
 
     Every position of a planar word; in a commutative word, which is sorted,
     the first occurrence of each distinct letter.
     """
-    letters = w.letters
-    if w.flavour is Flavour.PLANAR:
+    if flavour is Flavour.PLANAR:
         return enumerate(letters)
     return ((i, x) for i, x in enumerate(letters) if i == 0 or letters[i - 1] != x)
 
@@ -616,13 +616,21 @@ def _product_closure(
                 order.append(x)
     if len(order) < len(generators):
         return None  # a cycle: the closure may collapse or grow without bound
-    longest: dict[str, int] = {}
+    longest: dict[str, int] = {}  # the longest word below each target; a letter alone is 1
     for x in order:
-        longest[x] = max(sum(max(1, longest.get(c, 0)) for c in w) for w in generators[x])
-        if longest[x] > bound:
+        most = 0
+        for w in generators[x]:
+            size = 0
+            for c in w:
+                size += longest.get(c) or 1
+            if size > most:
+                most = size
+        if most > bound:
             return None
+        longest[x] = most
     commutative = flavour is Flavour.COMMUTATIVE
     below: dict[str, set[tuple[str, ...]]] = {}
+    choices: dict[str, list[tuple[str, ...]]] = {}  # each target itself, then the words below it
     for x in order:
         words: set[tuple[str, ...]] = set()
         for w in generators[x]:
@@ -630,10 +638,10 @@ def _product_closure(
                 continue
             partial: list[tuple[str, ...]] = [()]
             for c in w:
-                choices = [(c,), *below.get(c, ())]
-                partial = [p + v for p in partial for v in choices]
+                partial = [p + v for p in partial for v in choices.get(c) or [(c,)]]
             words.update(map(tuple, map(sorted, partial)) if commutative else partial)
         below[x] = words
+        choices[x] = [(x,), *words]
     return below
 
 
@@ -665,13 +673,18 @@ def generate_broad_poset(
     possibly infinite relation.  The queue names the first such pair in
     its order, so the message does not depend on the hash seed, and the
     product rule hands every over-bound generator set to the queue.
+    ``max_word_len`` must be an int of at least 1.
     """
     carrier = frozenset(carrier)
-    bound = max(1, len(carrier)) if max_word_len is None else max_word_len
-    if bound < 1:
-        raise InvalidArgument("max_word_len must be at least 1")
+    return _closure(flavour, carrier, _checked_generators(carrier, generators, flavour), max_word_len)
 
-    gens: set[tuple[tuple[str, ...], str]] = set()
+
+def _checked_generators(
+    carrier: frozenset[str], generators: Iterable[tuple[Sequence[str] | BroadWord, str]], flavour: Flavour
+) -> Iterator[tuple[tuple[str, ...], str]]:
+    """Each generator as its canonical letters and target, reflexive ones
+    left out, once its flavour and identifiers are checked; the checks run
+    as :func:`_closure` reads the pairs, after it has checked the bound."""
     for source, target in generators:
         if isinstance(source, BroadWord):
             if source.flavour is not flavour:
@@ -685,19 +698,49 @@ def generate_broad_poset(
             if letter not in carrier:
                 raise IdentifierError(f"letter {letter!r} not in carrier")
         if letters != (target,):
-            gens.add((letters, target))
-    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0]))
-    by_target: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters
-    for letters, target in ordered:
-        by_target[target].append(letters)
+            yield letters, target
 
+
+def _closure(
+    flavour: Flavour,
+    carrier: frozenset[str],
+    pairs: Iterable[tuple[tuple[str, ...], str]],
+    max_word_len: int | None,
+) -> BroadPoset:
+    """The closure :func:`generate_broad_poset` describes, of generators
+    given as ``(letters, target)`` pairs that are canonical for the
+    flavour, over ``carrier``, and not reflexive; repeats are allowed.
+
+    The bound, an int of at least 1 or None for the carrier size, is
+    checked before the first pair is read.  The product rule needs each
+    target's generators only shortest first; the queue, when it runs,
+    takes them all in its fixed order.
+    """
+    if max_word_len is None:
+        bound = max(1, len(carrier))
+    elif isinstance(max_word_len, bool) or not isinstance(max_word_len, int):
+        raise InvalidArgument(f"max_word_len must be an int, not {max_word_len!r}")
+    elif max_word_len < 1:
+        raise InvalidArgument("max_word_len must be at least 1")
+    else:
+        bound = max_word_len
+    by_target: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters
+    for letters, target in pairs:
+        by_target[target].append(letters)
+    for ws in by_target.values():
+        ws.sort(key=len)
     closed = _product_closure(flavour, by_target, bound)
     if closed is not None:
-        relation = {(_canonical_word(flavour, w), x) for x, ws in closed.items() for w in ws}
+        relation = [(_canonical_word(flavour, w), x) for x, ws in closed.items() for w in ws]
         return BroadPoset(flavour, carrier, frozenset(relation))
-    below = {x: [_canonical_word(flavour, w) for w in ws] for x, ws in by_target.items()}
+
+    gens = {(w, x) for x, ws in by_target.items() for w in ws}
+    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0]))
+    below: dict[str, list[BroadWord]] = defaultdict(list)  # target -> generator words, in queue order
+    for w, x in ordered:
+        below[x].append(_canonical_word(flavour, w))
     relation = set()
-    queue: deque[Pair] = deque((_canonical_word(flavour, w), x) for w, x in ordered)
+    queue: deque[Pair] = deque((w, x) for x, ws in below.items() for w in ws)
     while queue:
         current = queue.popleft()
         w, target = current
@@ -708,7 +751,7 @@ def generate_broad_poset(
                 f"saturation produced {pair_str(current)} with length {len(w)} > {bound}"
             )
         relation.add(current)
-        for position, letter in _substitution_sites(w):
+        for position, letter in _substitution_sites(flavour, w.letters):
             for b in below.get(letter, ()):
                 queue.append((w.substitute(position, b), target))
 
@@ -773,23 +816,26 @@ def validate(poset: BroadPoset) -> ValidationReport:
 
     flavour = poset.flavour
     commutative = flavour is Flavour.COMMUTATIVE
-    relation = _letter_pairs(poset.relation)
-    by_target: dict[str, list[BroadWord]] = defaultdict(list)
+    below: dict[str, set[tuple[str, ...]]] = defaultdict(set)  # target -> letters of its words
     for w, target in poset.relation:
-        by_target[target].append(w)
+        below[target].add(w.letters)
     missing: list[str] = []
-    for w, target in poset.relation:
-        ls = w.letters
-        for position, letter in _substitution_sites(w):
-            for b in by_target.get(letter, ()):
-                derived = ls[:position] + b.letters + ls[position + 1:]
-                if commutative:
-                    derived = tuple(sorted(derived))
-                if derived != (target,) and (derived, target) not in relation:
-                    missing.append(
-                        f"missing {pair_str((BroadWord(flavour, derived), target))} obtained from "
-                        f"{pair_str((w, target))} and {pair_str((b, letter))}"
-                    )
+    for target, words in below.items():
+        own = (target,)
+        for ls in words:
+            for position, letter in _substitution_sites(flavour, ls):
+                if letter not in below:
+                    continue
+                head, tail = ls[:position], ls[position + 1:]
+                for b in below[letter]:
+                    derived = head + b + tail
+                    if commutative:
+                        derived = tuple(sorted(derived))
+                    if derived not in words and derived != own:
+                        missing.append(
+                            f"missing {pair_str((word(flavour, derived), target))} obtained from "
+                            f"{pair_str((word(flavour, ls), target))} and {pair_str((word(flavour, b), letter))}"
+                        )
     transitive = not missing
     violations.extend(sorted(missing))  # in an order that no hash seed moves
 
@@ -1100,26 +1146,29 @@ def check_isomorphism(
 
 def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int]:
     """Each element's profile, numbered through ``ids``: its base profile,
-    the lengths of the words below it and of those it occurs in, and one
-    refinement round over the shapes of the pairs that mention it.  Both
-    sides of a search share ``ids``, so equal numbers mean equal
-    profiles."""
+    the sorted lengths of the words below it and of those it occurs in,
+    and one refinement round over the shapes of the pairs that mention it,
+    each shape numbered too.  Both sides of a search share ``ids``, so
+    equal numbers mean equal profiles; base profiles, shapes and profiles
+    are told apart by the kinds of their two entries."""
     below: dict[str, list[int]] = {x: [] for x in poset.carrier}
     occurs: dict[str, list[int]] = {x: [] for x in poset.carrier}
     for w, target in poset.relation:
-        below[target].append(len(w))
-        for letter in w.letters:
-            occurs[letter].append(len(w))
-    def counted(lengths: list[int]) -> tuple:  # each length with its count
-        return tuple(sorted(Counter(lengths).items()))
-
-    base = {x: ids.setdefault((counted(below[x]), counted(occurs[x])), len(ids)) for x in poset.carrier}
+        letters = w.letters
+        size = len(letters)
+        below[target].append(size)
+        for letter in letters:
+            occurs[letter].append(size)
+    base = {
+        x: ids.setdefault((tuple(sorted(below[x])), tuple(sorted(occurs[x]))), len(ids)) for x in poset.carrier
+    }
     # one refinement round over the relation's shape: each pair's shape
     # counts once for every element it mentions
-    neighbours: dict[str, list[tuple]] = {x: [] for x in poset.carrier}
+    neighbours: dict[str, list[int]] = {x: [] for x in poset.carrier}
     for w, t in poset.relation:
-        shape = (tuple(sorted([base[l] for l in w.letters])), base[t])
-        for x in {t, *w.letters}:
+        letters = w.letters
+        shape = ids.setdefault((tuple(sorted([base[l] for l in letters])), base[t]), len(ids))
+        for x in {t, *letters}:
             neighbours[x].append(shape)
     return {x: ids.setdefault((base[x], tuple(sorted(neighbours[x]))), len(ids)) for x in poset.carrier}
 
@@ -1133,7 +1182,8 @@ def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | No
         return None
     if len(left.carrier) != len(right.carrier) or len(left.relation) != len(right.relation):
         return None
-    if sorted(len(w) for w, _ in left.relation) != sorted(len(w) for w, _ in right.relation):
+    lengths = [sorted([len(w.letters) for w, _ in side.relation]) for side in (left, right)]
+    if lengths[0] != lengths[1]:
         return None
     ids: dict[tuple, int] = {}
     lprof = _element_profiles(left, ids)
@@ -1246,33 +1296,25 @@ def product(
         raise FlavourMismatch("flavours differ")
     flavour = left.flavour
     carrier = {pair_id(a, b): (a, b) for a in left.carrier for b in right.carrier}
+    names = {ab: name for name, ab in carrier.items()}
+    left_words, right_words = _chunk_candidates(left), _chunk_candidates(right)
 
-    def side_words(poset: BroadPoset, element: str) -> list[tuple[str, ...]]:
-        ws = [(element,)]
-        ws.extend(w.letters for w in poset.sources(element))
-        return ws
-
-    relation: set[Pair] = set()
+    pairs: set[tuple[tuple[str, ...], str]] = set()
     for name, (a, b) in carrier.items():
-        for wa in side_words(left, a):
-            for wb in side_words(right, b):
+        for wa in left_words[a]:
+            for wb in right_words[b]:
                 if len(wa) != len(wb):
                     continue
                 if wa == (a,) and wb == (b,):
                     continue
                 if flavour is Flavour.PLANAR:
-                    zips = [tuple(zip(wa, wb))]
-                else:
-                    zips = {
-                        tuple(sorted(zip(wa, perm)))
-                        for perm in itertools.permutations(wb)
-                    }
-                for z in zips:
-                    w = BroadWord(flavour, tuple(pair_id(x, y) for x, y in z))
-                    if w.letters != (name,):
-                        relation.add((w, name))
+                    pairs.add((tuple([names[xy] for xy in zip(wa, wb)]), name))
+                    continue
+                for perm in itertools.permutations(wb):
+                    pairs.add((tuple(sorted([names[xy] for xy in zip(wa, perm)])), name))
 
-    poset = BroadPoset(flavour, frozenset(carrier), frozenset(relation))
+    relation = frozenset([(_canonical_word(flavour, w), x) for w, x in pairs if w != (x,)])
+    poset = BroadPoset(flavour, frozenset(carrier), relation)
     proj_left = MonotoneMap.from_dict(poset, left, {n: ab[0] for n, ab in carrier.items()})
     proj_right = MonotoneMap.from_dict(poset, right, {n: ab[1] for n, ab in carrier.items()})
     return poset, proj_left, proj_right
@@ -1285,15 +1327,16 @@ def tensor(
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
     flavour = left.flavour
-    carrier = [pair_id(a, b) for a in left.carrier for b in right.carrier]
-    generators: list[tuple[tuple[str, ...], str]] = []
-    for a in left.carrier:
+    rows = {a: {b: pair_id(a, b) for b in right.carrier} for a in left.carrier}
+    generators: set[tuple[tuple[str, ...], str]] = set()
+    for row in rows.values():
         for w, b in right.relation:
-            generators.append((tuple(pair_id(a, y) for y in w.letters), pair_id(a, b)))
+            generators.add((_canonical(flavour, tuple([row[y] for y in w.letters])), row[b]))
     for b in right.carrier:
         for w, a in left.relation:
-            generators.append((tuple(pair_id(x, b) for x in w.letters), pair_id(a, b)))
-    return generate_broad_poset(carrier, generators, flavour, max_word_len)
+            generators.add((_canonical(flavour, tuple([rows[x][b] for x in w.letters])), rows[a][b]))
+    carrier = frozenset([name for row in rows.values() for name in row.values()])
+    return _closure(flavour, carrier, generators, max_word_len)
 
 
 def map_signature(assignment: Mapping[str, str]) -> str:
@@ -1392,12 +1435,13 @@ def pushout(
         for t in cls:
             names[t] = name
 
-    generators: list[tuple[tuple[str, ...], str]] = []
-    for w, target in left.relation:
-        generators.append((tuple(names[("L", x)] for x in w.letters), names[("L", target)]))
-    for w, target in right.relation:
-        generators.append((tuple(names[("R", x)] for x in w.letters), names[("R", target)]))
-    result = generate_broad_poset(used, generators, flavour, max_word_len)
+    generators: set[tuple[tuple[str, ...], str]] = set()
+    for side, poset in (("L", left), ("R", right)):
+        for w, target in poset.relation:
+            letters = _canonical(flavour, tuple([names[side, x] for x in w.letters]))
+            if letters != (names[side, target],):
+                generators.add((letters, names[side, target]))
+    result = _closure(flavour, frozenset(used), generators, max_word_len)
     if result.meta.get("collapsed"):
         raise CollapseError(
             f"generation collapsed elements beyond the set pushout: {result.meta['collapsed']}"
@@ -1419,9 +1463,9 @@ def abelianize(poset: BroadPoset) -> BroadPoset:
     """
     if poset.flavour is not Flavour.PLANAR:
         raise FlavourMismatch("abelianize expects a planar broad poset")
-    pairs = [(w.letters, t) for w, t in poset.relation]
-    bound = max([1, len(poset.carrier), *(len(w) for w, _ in poset.relation)])
-    return generate_broad_poset(poset.carrier, pairs, Flavour.COMMUTATIVE, bound)
+    pairs = {(tuple(sorted(w.letters)), t) for w, t in poset.relation}
+    bound = max([1, len(poset.carrier), *(len(w) for w, _ in pairs)])
+    return _closure(Flavour.COMMUTATIVE, poset.carrier, pairs, bound)
 
 
 def forget_symmetry(poset: BroadPoset) -> BroadPoset:

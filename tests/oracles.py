@@ -306,3 +306,26 @@ def tuple_element_profiles(poset: BroadPoset) -> dict[str, tuple]:
         for x in {t, *w.letters}:
             neighbours[x].append(shape)
     return {x: (base[x], tuple(sorted(neighbours[x]))) for x in poset.carrier}
+
+
+def counted_element_profiles(poset: BroadPoset, ids: dict) -> dict[str, int]:
+    """The numbered isomorphism profiles as ``find_isomorphism`` first
+    numbered them: base profiles as each word length with its count, and
+    shapes compared as tuples.  Both sides of a search share ``ids``."""
+    below = {x: [] for x in poset.carrier}
+    occurs = {x: [] for x in poset.carrier}
+    for w, target in poset.relation:
+        below[target].append(len(w))
+        for letter in w.letters:
+            occurs[letter].append(len(w))
+
+    def counted(lengths):
+        return tuple(sorted(Counter(lengths).items()))
+
+    base = {x: ids.setdefault((counted(below[x]), counted(occurs[x])), len(ids)) for x in poset.carrier}
+    neighbours = {x: [] for x in poset.carrier}
+    for w, t in poset.relation:
+        shape = (tuple(sorted([base[l] for l in w.letters])), base[t])
+        for x in {t, *w.letters}:
+            neighbours[x].append(shape)
+    return {x: ids.setdefault((base[x], tuple(sorted(neighbours[x]))), len(ids)) for x in poset.carrier}

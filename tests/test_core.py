@@ -1,6 +1,7 @@
 import itertools
+import random
 import sys
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +53,7 @@ from oracles import (
     brute_word_leq,
     brute_descendant_cycles,
     brute_monotone_maps,
+    counted_element_profiles,
     naive_closure,
     tuple_element_profiles,
     word_scan_violations,
@@ -304,6 +306,143 @@ def test_overflow_and_collapse_messages_are_pinned(flavour, product_rule, monkey
     assert str(info.value) == COLLAPSE
 
 
+def closure_corpus(flavour: Flavour) -> list[BroadPoset]:
+    """Every tree up to 3 edges, the chains of 2 to 4 elements and the
+    2×2 and 2×3 grids, as broad posets of the flavour; and a 2-corolla
+    with leaves l1 < l1!, whose pairs with any x sort the other way:
+    (x,l1!) < (x,l1) and (l1!,x) < (l1,x)."""
+    chains = [embed_poset(FinitePoset.chain(n), flavour) for n in (1, 2, 3)]
+    grids = [embed_poset(FinitePoset.chain(1).product(FinitePoset.chain(n)), flavour) for n in (1, 2)]
+    swapped = corolla(2, flavour).rename({"l2": "l1!"})
+    return [*tree_corpus(flavour, 3), *chains, *grids, swapped]
+
+
+def same_closure(call, expected) -> None:
+    """``call()`` returns ``expected()`` with its ``meta``, or both raise
+    the same error with the same message."""
+    try:
+        want = expected()
+    except ClosureOverflow as error:
+        with pytest.raises(ClosureOverflow) as info:
+            call()
+        assert str(info.value) == str(error)
+        return
+    got = call()
+    assert got == want and got.meta == want.meta
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_tensor_matches_the_public_closure(flavour):
+    """The tensor of every pair of the corpus is the closure, through the
+    public checked path, of each side's full relation tensored with points."""
+    corpus = closure_corpus(flavour)
+    for s in corpus:
+        for t in corpus:
+            carrier = [pair_id(a, b) for a in s.carrier for b in t.carrier]
+            generators = [
+                *(([pair_id(a, y) for y in w], pair_id(a, b)) for a in s.carrier for w, b in t.relation),
+                *(([pair_id(x, b) for x in w], pair_id(a, b)) for b in t.carrier for w, a in s.relation),
+            ]
+            for bound in (None, 2):
+                same_closure(
+                    lambda: tensor(s, t, bound),
+                    lambda: generate_broad_poset(carrier, generators, flavour, bound),
+                )
+
+
+def test_abelianize_matches_the_public_closure():
+    """``abelianize`` of the planar tensor of two forgotten posets is the
+    commutative closure of its sorted pairs, under the bound it documents,
+    and is the commutative tensor."""
+    corpus = closure_corpus(C)
+    for s in corpus:
+        for t in corpus:
+            planar = tensor(forget_symmetry(s), forget_symmetry(t))
+            pairs = [(sorted(w.letters), x) for w, x in planar.relation]
+            bound = max([1, len(planar.carrier), *(len(w) for w, _ in pairs)])
+            result = abelianize(planar)
+            expected = generate_broad_poset(planar.carrier, pairs, C, bound)
+            assert result == expected == tensor(s, t)
+            assert result.meta == expected.meta == {}
+
+
+def glued(left_leg: MonotoneMap, right_leg: MonotoneMap) -> str:
+    """Check the pushout of the legs against the closure, through the
+    public checked path, of the images of both relations in the set
+    pushout, whose names the pushout of the same legs into discrete posets
+    gives; say whether it glued, collapsed or overflowed."""
+    def discrete(leg: MonotoneMap) -> MonotoneMap:
+        codomain = BroadPoset.build(leg.codomain.flavour, leg.codomain.carrier)
+        return MonotoneMap.from_dict(leg.domain, codomain, leg.mapping)
+
+    sets, into_left, into_right = pushout(discrete(left_leg), discrete(right_leg))
+    generators = [
+        ([into(x) for x in w], into(target))
+        for into, poset in ((into_left, left_leg.codomain), (into_right, right_leg.codomain))
+        for w, target in poset.relation
+    ]
+    try:
+        expected = generate_broad_poset(sets.carrier, generators, sets.flavour)
+    except ClosureOverflow as error:
+        with pytest.raises(ClosureOverflow) as info:
+            pushout(left_leg, right_leg)
+        assert str(info.value) == str(error)
+        return "overflow"
+    if expected.meta:
+        with pytest.raises(CollapseError) as info:
+            pushout(left_leg, right_leg)
+        assert str(info.value) == f"generation collapsed elements beyond the set pushout: {expected.meta['collapsed']}"
+        return "collapse"
+    poset, inj_left, inj_right = pushout(left_leg, right_leg)
+    assert poset == expected and poset.meta == expected.meta == {}
+    assert (inj_left.mapping, inj_right.mapping) == (into_left.mapping, into_right.mapping)
+    return "glued"
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_pushout_matches_the_public_closure(flavour):
+    """Every pair of the corpus glued at each element of the first and the
+    least or greatest element of the second, and crosswise at two
+    comparable pairs of each, which collapses or overflows."""
+    corpus = closure_corpus(flavour)
+    point = BroadPoset.build(flavour, ["p"])
+    two = BroadPoset.build(flavour, ["p", "q"])
+    outcomes = Counter()
+    for s in corpus:
+        for t in corpus:
+            for a in sorted(s.carrier):
+                for b in {min(t.carrier), max(t.carrier)}:
+                    f = MonotoneMap.from_dict(point, s, {"p": a})
+                    g = MonotoneMap.from_dict(point, t, {"p": b})
+                    assert glued(f, g) == "glued"
+            for (lo, hi), (down, up) in itertools.product(sorted(s.unary_pairs())[:2], sorted(t.unary_pairs())[-2:]):
+                f = MonotoneMap.from_dict(two, s, {"p": lo, "q": hi})
+                g = MonotoneMap.from_dict(two, t, {"p": up, "q": down})
+                outcomes[glued(f, g)] += 1
+    assert outcomes["collapse"] and outcomes["overflow"]
+
+
+@pytest.mark.parametrize("bound", ["2", True, False, 1.5, 0, -1], ids=repr)
+def test_max_word_len_must_be_a_positive_int(bound):
+    """A bound that is not an int, or is a bool, or is below 1 is refused
+    by every caller of the closure before any generator is read."""
+    s, t = to_broad(parse_term("r(a,b)"), C), to_broad(parse_term("s(x)"), C)
+    leg = identity(s)
+    calls = [
+        lambda: generate_broad_poset(["a"], [(("z",), "a")], C, bound),  # an unknown letter, read later
+        lambda: tensor(s, t, bound),
+        lambda: pushout(leg, leg, bound),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        if isinstance(bound, int) and not isinstance(bound, bool):
+            assert str(info.value) == "max_word_len must be at least 1"
+        else:
+            assert str(info.value) == f"max_word_len must be an int, not {bound!r}"
+    assert tensor(s, t, 2) == tensor(s, t, None)
+
+
 def test_generate_rejects_unknown_identifiers():
     with pytest.raises(IdentifierError):
         generate_broad_poset(["a"], [(("z",), "a")], C)
@@ -410,6 +549,55 @@ def test_validate_reports_what_the_word_scan_finds_on_fixed_relations(flavour):
         poset = BroadPoset.build(flavour, "abcdr", pairs)
         report = validate(poset)
         assert report.violations and list(report.violations) == word_scan_violations(poset)
+
+
+@pytest.mark.parametrize(
+    "flavour, pairs, violations",
+    [
+        (C, [(("a", "a"), "r"), ((), "a"), (("b",), "a")], (
+            "missing a ≤ r obtained from a·a ≤ r and ε ≤ a",
+            "missing a·b ≤ r obtained from a·a ≤ r and b ≤ a",
+        )),
+        (P, [(("a", "a"), "r"), ((), "a"), (("b",), "a")], (
+            "missing a ≤ r obtained from a·a ≤ r and ε ≤ a",
+            "missing a ≤ r obtained from a·a ≤ r and ε ≤ a",
+            "missing a·b ≤ r obtained from a·a ≤ r and b ≤ a",
+            "missing b·a ≤ r obtained from a·a ≤ r and b ≤ a",
+        )),
+        (C, [(("a", "a", "b"), "r"), (("c",), "a"), ((), "b")], (
+            "missing a·a ≤ r obtained from a·a·b ≤ r and ε ≤ b",
+            "missing a·b·c ≤ r obtained from a·a·b ≤ r and c ≤ a",
+        )),
+        (P, [(("a", "a", "b"), "r"), (("c",), "a"), ((), "b")], (
+            "missing a·a ≤ r obtained from a·a·b ≤ r and ε ≤ b",
+            "missing a·c·b ≤ r obtained from a·a·b ≤ r and c ≤ a",
+            "missing c·a·b ≤ r obtained from a·a·b ≤ r and c ≤ a",
+        )),
+        (C, [(("b", "a"), "r"), ((), "c"), (("c", "c"), "a"), (("a",), "b")], (
+            "missing a·a ≤ r obtained from a·b ≤ r and a ≤ b",
+            "missing b·c·c ≤ r obtained from a·b ≤ r and c·c ≤ a",
+            "missing c ≤ a obtained from c·c ≤ a and ε ≤ c",
+            "missing c·c ≤ b obtained from a ≤ b and c·c ≤ a",
+        )),
+        (P, [(("b", "a"), "r"), ((), "c"), (("c", "c"), "a"), (("a",), "b")], (
+            "missing a·a ≤ r obtained from b·a ≤ r and a ≤ b",
+            "missing b·c·c ≤ r obtained from b·a ≤ r and c·c ≤ a",
+            "missing c ≤ a obtained from c·c ≤ a and ε ≤ c",
+            "missing c ≤ a obtained from c·c ≤ a and ε ≤ c",
+            "missing c·c ≤ b obtained from a ≤ b and c·c ≤ a",
+        )),
+        (C, [(("a",), "b"), (("b",), "a"), ((), "b")], (
+            "missing ε ≤ a obtained from b ≤ a and ε ≤ b",
+            "mutual pair a ≤ b and b ≤ a",
+            "descendant cycle between a and b",
+        )),
+    ],
+)
+def test_validate_violations_are_pinned(flavour, pairs, violations):
+    """A commutative word substitutes at the first of equal letters only,
+    a planar word at every position, so a·a ≤ r with ε ≤ a is reported
+    once or twice."""
+    assert validate(BroadPoset.build(flavour, "abcr", pairs)).violations == violations
 
 
 def test_report_violations_empty_iff_ok(small_posets):
@@ -770,6 +958,30 @@ def test_find_isomorphism_witnesses_of_tensors_are_pinned(flavour, left, right, 
     renamed = product_.rename({x: f"v{i}" for i, x in enumerate(sorted(product_.carrier, reverse=True))})
     found = find_isomorphism(renamed, tensor(other, one))
     assert found == dict(pair.split("=") for pair in witness.split())
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_witnesses_are_those_the_counted_profiles_give(flavour, monkeypatch):
+    """The tensor of every pair of trees up to 3 edges against a renamed
+    and shuffled copy, and every two such tensors of equal carrier and
+    relation sizes: the search finds the same witness, or None, with the
+    profiles counted as ``find_isomorphism`` first counted them."""
+    trees = tree_corpus(flavour, 3)
+    tensors = [tensor(s, t) for s in trees for t in trees]
+    rng = random.Random(7)
+    questions = []
+    for product_ in tensors:
+        numbers = list(range(len(product_.carrier)))
+        rng.shuffle(numbers)
+        questions.append((product_, product_.rename({x: f"v{i}" for x, i in zip(sorted(product_.carrier), numbers)})))
+    same_sizes = defaultdict(list)
+    for product_ in tensors:
+        same_sizes[len(product_.carrier), len(product_.relation)].append(product_)
+    questions += [pair for group in same_sizes.values() for pair in itertools.combinations(group, 2)]
+    found = [find_isomorphism(left, right) for left, right in questions]
+    monkeypatch.setattr(core, "_element_profiles", counted_element_profiles)
+    assert found == [find_isomorphism(left, right) for left, right in questions]
+    assert None not in found[: len(tensors)] and None in found
 
 
 @pytest.mark.parametrize("flavour", [C, P])
