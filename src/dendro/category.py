@@ -361,20 +361,43 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> list[Face]:
     pair whose target is in its branch.  A prune drops the pairs whose
     word expands its edge, and a tree in which the edge is a leaf has
     none.  A prune at an edge outside the target may hold it too, but
-    then so does the inner face at that edge, which comes first.
+    then so does the inner face at that edge, which comes first.  The
+    faces that hold the target are read off the current vertex map, and
+    only the one cut out is made a :class:`FaceKind`.
     """
-    leaf = target.carrier - _tree(target)[0].keys()
+    inside = target.carrier
+    leaf = inside - _tree(target)[0].keys()
     steps: list[Face] = []
     current = ambient
-    while _tree(current) != _tree(target):  # a tree: factorize has checked the codomain
-        candidates = [
-            (kind, how, edge)
-            for kind, carrier, how, edge in _faces(current)
-            if target.carrier <= carrier and (how != PRUNE or edge in leaf)
-        ]
-        if not candidates:
+    # a tree: factorize has checked the codomain
+    while (tree := _tree(current)) != _tree(target):
+        vertices, top = tree
+        # each face as its identifying edge and its type, ordered as by FaceKind.sort_key
+        holding = []
+        for edge, kids in vertices.items():
+            if edge != top and edge not in inside:
+                holding.append((edge, FaceType.INNER))
+            if (
+                edge in leaf
+                and vertices.keys().isdisjoint(kids.letters)
+                and inside.isdisjoint(kids.letters)
+            ):
+                holding.append((edge, FaceType.OUTER))
+        if top in vertices and top not in inside:
+            kids = vertices[top].letters
+            for branch in kids:
+                others = [x for x in kids if x != branch]
+                if vertices.keys().isdisjoint(others) and inside.isdisjoint(others):
+                    holding.append((branch, FaceType.ROOT))
+        if not holding:
             raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
-        kind, how, edge = min(candidates, key=lambda c: c[0].sort_key())
+        edge, kind_type = min(holding)
+        if kind_type is FaceType.INNER:
+            kind, how = FaceKind(kind_type, edge=edge), CONTRACT
+        elif kind_type is FaceType.OUTER:
+            kind, how = FaceKind(kind_type, cluster=(vertices[edge], edge)), PRUNE
+        else:
+            kind, how = FaceKind(kind_type, branch=edge), SUBTREE
         domain = _cut(current, how, edge)
         steps.append(Face(kind, domain, inclusion(domain, current)))
         current = domain

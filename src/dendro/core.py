@@ -52,6 +52,22 @@ def pair_id(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
+def _pair_names(left: Iterable[str], right: Iterable[str]) -> dict[tuple[str, str], str]:
+    """The :func:`pair_id` of each pair of a left and a right element.
+
+    Identifiers may hold commas, so two distinct pairs can get one name;
+    that raises :class:`IdentifierError` naming the least such two.
+    """
+    names = {(a, b): pair_id(a, b) for a in left for b in right}
+    if len(set(names.values())) < len(names):
+        first: dict[str, tuple[str, str]] = {}
+        for ab in sorted(names):
+            clash = first.setdefault(names[ab], ab)
+            if clash != ab:
+                raise IdentifierError(f"pairs {clash} and {ab} are both named {names[ab]!r}")
+    return names
+
+
 @dataclass(frozen=True, slots=True)
 class BroadWord:
     """A finite word over element identifiers.
@@ -431,49 +447,59 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     """The vertex map of a tree, each non-leaf edge with the word of its
     children, together with its root; or None when the poset is not a tree.
 
-    The map is guessed at once: the parent of an edge is its ancestor
-    with one ancestor fewer, and the children of an edge are the word
-    below it made of exactly the edges whose parent it is.  The guess is
-    accepted only when it spans the poset's own relation, so the answer
-    is exact.  Its relation is counted before it is written out, which
-    keeps a non-tree from spanning a tree far larger than itself.  The
-    map lists its edges from the root down, each after its parent, so its
-    order does not follow the hash seed.
+    The map is guessed in one pass over the relation, which collects each
+    element's strict ancestors and the words below each target: the
+    parent of an edge is its ancestor with one ancestor fewer, and the
+    children of an edge are the word below it made of exactly the edges
+    whose parent it is.  The guess is accepted only when it spans the
+    poset's own relation, so the answer is exact.  Its relation is
+    counted before it is written out, which keeps a non-tree from
+    spanning a tree far larger than itself.  The map lists its edges from
+    the root down, each after its parent, so its order does not follow
+    the hash seed.  Nothing is kept on the poset.
     """
-    ancestors: dict[str, list[str]] = {x: [] for x in poset.carrier}
-    for below, above in _descendant_pairs(poset):
-        ancestors[below].append(above)
+    ancestors: dict[str, set[str]] = {x: set() for x in poset.carrier}
+    below: dict[str, list[BroadWord]] = defaultdict(list)
+    for w, target in poset.relation:
+        below[target].append(w)
+        for letter in w.letters:
+            ancestors[letter].add(target)
+    for x, ups in ancestors.items():
+        ups.discard(x)
     depth = {x: len(ups) for x, ups in ancestors.items()}
-    tops = [x for x, d in depth.items() if d == 1]
+    tops = [x for x, d in depth.items() if not d]
     if len(tops) != 1:
         return None  # no unique root
     children: dict[str, set[str]] = defaultdict(set)
     for x, ups in ancestors.items():
-        if depth[x] > 1:
+        if ups:
             parents = [a for a in ups if depth[a] == depth[x] - 1]
             if len(parents) != 1:
                 return None
             children[parents[0]].add(x)
     guess: dict[str, BroadWord] = {}
-    for target, below in sources_map(poset).items():
-        if below:
-            kids = children.get(target, set())
-            match = next(
-                (w for w in below if len(w) == len(kids) and set(w.letters) == kids), None
-            )
-            if match is None:
-                return None
-            guess[target] = match
-    words = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
-    if _relation_size(words, reversed(words)) != len(poset.relation):
+    for target, words in below.items():
+        kids = children.get(target, frozenset())
+        n = len(kids)
+        for w in words:
+            letters = w.letters
+            if len(letters) == n and kids.issuperset(letters) and len(set(letters)) == n:
+                guess[target] = w
+                break
+        else:
+            return None
+    vertices = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
+    if _relation_size(vertices, reversed(vertices)) != len(poset.relation):
         return None
     flavour = poset.flavour
     written = {
-        (_canonical(flavour, w), x) for x, ws in _words_below(words, reversed(words)).items() for w in ws
+        (_canonical(flavour, w), x)
+        for x, words in _words_below(vertices, reversed(vertices)).items()
+        for w in words
     }
     if written != _letter_pairs(poset.relation):
         return None
-    return words, tops[0]
+    return vertices, tops[0]
 
 
 @_kept
@@ -526,7 +552,9 @@ def _top_down(vertices: dict, top: str) -> list[str]:
     after its parent."""
     order = [top]
     for x in order:
-        order.extend(vertices.get(x, ()))
+        w = vertices.get(x)
+        if w is not None:
+            order.extend(w.letters)
     return order
 
 
@@ -564,8 +592,10 @@ def _tree_poset(
     if size > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
     below = _words_below(vertices, reversed(order))
-    relation = {(BroadWord(flavour, w), x) for x, ws in below.items() for w in ws}
-    return _written(BroadPoset(flavour, carrier, frozenset(relation), meta or {}), vertices, top)
+    relation = frozenset(
+        [(_canonical_word(flavour, _canonical(flavour, w)), x) for x, ws in below.items() for w in ws]
+    )
+    return _written(BroadPoset(flavour, carrier, relation, meta or {}), vertices, top)
 
 
 # ---------------------------------------------------------------------------
@@ -1233,18 +1263,16 @@ class FinitePoset:
         return a == b or (a, b) in self.strict
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
-        elements = {
-            pair_id(a, b): (a, b) for a in self.elements for b in other.elements
-        }
+        names = _pair_names(self.elements, other.elements)
         strict = {
-            (pair_id(a1, b1), pair_id(a2, b2))
+            (names[a1, b1], names[a2, b2])
             for a1 in self.elements
             for b1 in other.elements
             for a2 in self.elements
             for b2 in other.elements
             if self.leq(a1, a2) and other.leq(b1, b2) and (a1, b1) != (a2, b2)
         }
-        return FinitePoset(frozenset(elements), frozenset(strict))
+        return FinitePoset(frozenset(names.values()), frozenset(strict))
 
 
 def embed_poset(poset: FinitePoset, flavour: Flavour = Flavour.COMMUTATIVE) -> BroadPoset:
@@ -1295,8 +1323,8 @@ def product(
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
     flavour = left.flavour
-    carrier = {pair_id(a, b): (a, b) for a in left.carrier for b in right.carrier}
-    names = {ab: name for name, ab in carrier.items()}
+    names = _pair_names(left.carrier, right.carrier)
+    carrier = {name: ab for ab, name in names.items()}
     left_words, right_words = _chunk_candidates(left), _chunk_candidates(right)
 
     pairs: set[tuple[tuple[str, ...], str]] = set()
@@ -1327,7 +1355,8 @@ def tensor(
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
     flavour = left.flavour
-    rows = {a: {b: pair_id(a, b) for b in right.carrier} for a in left.carrier}
+    names = _pair_names(left.carrier, right.carrier)
+    rows = {a: {b: names[a, b] for b in right.carrier} for a in left.carrier}
     generators: set[tuple[tuple[str, ...], str]] = set()
     for row in rows.values():
         for w, b in right.relation:

@@ -116,8 +116,8 @@ def classify_edge(poset: BroadPoset, element: str) -> EdgeClassification:
 
 
 def leaves(poset: BroadPoset) -> frozenset[str]:
-    srcs = sources_map(poset)
-    return frozenset(x for x in poset.carrier if not srcs[x])
+    """The elements with no word below them: the carrier less the targets."""
+    return poset.carrier.difference([target for _, target in poset.relation])
 
 
 def stumps(poset: BroadPoset) -> frozenset[str]:

@@ -3,16 +3,30 @@
 Each oracle follows the defining rule as literally as possible and avoids
 the library's strategies: closure is recomputed from scratch in rounds
 with simultaneous substitution, enumerations are exhaustive scans with
-late filtering.
+late filtering.  Two are the library's own earlier, slower ways, kept as
+the reference for the faster ones: tree recognition from the descendant
+pairs, and the face chain that lists every face.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
-from dendro.core import BroadPoset, BroadWord, Flavour, pair_str
+from dendro.category import Face, _faces
+from dendro.core import (
+    BroadPoset,
+    BroadWord,
+    Flavour,
+    _canonical,
+    _relation_size,
+    _top_down,
+    _words_below,
+    pair_str,
+)
+from dendro.errors import FactorizationError
+from dendro.structure import PRUNE, _cut, _tree, inclusion
 
 
 def naive_closure(
@@ -329,3 +343,72 @@ def counted_element_profiles(poset: BroadPoset, ids: dict) -> dict[str, int]:
         for x in {t, *w.letters}:
             neighbours[x].append(shape)
     return {x: ids.setdefault((base[x], tuple(sorted(neighbours[x]))), len(ids)) for x in poset.carrier}
+
+
+def descendant_scan_tree_words(poset: BroadPoset):
+    """A tree's vertex map and root as recognition first found them, or
+    None: ancestors read off the reflexive descendant pairs, each target's
+    words off the sources of every element, the guess written out and
+    compared with the relation as a whole set.  The descendant pairs and
+    sources are built here, so nothing is kept on the poset."""
+    descendant = {(x, x) for x in poset.carrier}
+    sources = {x: set() for x in poset.carrier}
+    for w, target in poset.relation:
+        sources[target].add(w)
+        for letter in w.letters:
+            descendant.add((letter, target))
+    ancestors = {x: [] for x in poset.carrier}
+    for below, above in descendant:
+        ancestors[below].append(above)
+    depth = {x: len(ups) for x, ups in ancestors.items()}
+    tops = [x for x, d in depth.items() if d == 1]
+    if len(tops) != 1:
+        return None
+    children = defaultdict(set)
+    for x, ups in ancestors.items():
+        if depth[x] > 1:
+            parents = [a for a in ups if depth[a] == depth[x] - 1]
+            if len(parents) != 1:
+                return None
+            children[parents[0]].add(x)
+    guess = {}
+    for target, below in sources.items():
+        if below:
+            kids = children.get(target, set())
+            match = next((w for w in below if len(w) == len(kids) and set(w.letters) == kids), None)
+            if match is None:
+                return None
+            guess[target] = match
+    words = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
+    if _relation_size(words, reversed(words)) != len(poset.relation):
+        return None
+    written = {
+        (_canonical(poset.flavour, w), x)
+        for x, ws in _words_below(words, reversed(words)).items()
+        for w in ws
+    }
+    if written != {(w.letters, t) for w, t in poset.relation}:
+        return None
+    return words, tops[0]
+
+
+def listed_face_chain(ambient: BroadPoset, target: BroadPoset) -> list:
+    """The faces from the subtree ``target`` up to ``ambient`` as the chain
+    first found them: at each step every face of the tree is listed, those
+    holding the target kept, and the least by ``FaceKind.sort_key`` cut."""
+    leaf = target.carrier - _tree(target)[0].keys()
+    steps = []
+    current = ambient
+    while _tree(current) != _tree(target):
+        candidates = [
+            (kind, how, edge)
+            for kind, carrier, how, edge in _faces(current)
+            if target.carrier <= carrier and (how != PRUNE or edge in leaf)
+        ]
+        if not candidates:
+            raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
+        kind, how, edge = min(candidates, key=lambda c: c[0].sort_key())
+        domain = _cut(current, how, edge)
+        steps.append(Face(kind, domain, inclusion(domain, current)))
+        current = domain
+    return steps[::-1]

@@ -9,7 +9,9 @@ whole suite stays well under two minutes.
 
 import itertools
 from collections import Counter
+from unittest.mock import patch
 
+from dendro import category
 from dendro.category import (
     FaceType,
     MapKind,
@@ -64,7 +66,7 @@ from dendro.terms import (
 )
 
 from conftest import stump_poset, tree_corpus
-from oracles import chain_map_count, subtree_vertex_choices
+from oracles import chain_map_count, listed_face_chain, subtree_vertex_choices
 
 C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
@@ -206,11 +208,9 @@ def test_maximal_subtree_classification():
     print(f"[PASS] maximal subtree classification: {checked} subtrees, exclusive")
 
 
-def test_factorization():
-    """Every monotone map between corpus trees with combined degree <= 6
-    factors as degeneracies, an isomorphism, then faces, with each
-    component classified; planar middle maps are rigid."""
-    checked = 0
+def factorization_corpus():
+    """Every monotone map between corpus trees with combined degree <= 6,
+    with its flavour."""
     for flavour in (C, P):
         corpus = tree_corpus(flavour, FACTOR_CORPUS_EDGES)
         degs = [degree(poset) for poset in corpus]
@@ -218,23 +218,52 @@ def test_factorization():
             if degs[i] + degs[j] > FACTOR_DEGREE_SUM:
                 continue
             for mapping in enumerate_monotone(a, b):
-                fac = factorize(mapping)
-                assert fac.composite() == mapping
-                for sigma in fac.degeneracies:
-                    assert classify_map(sigma) is MapKind.DEGENERACY
-                assert classify_map(fac.iso) is MapKind.ISOMORPHISM
-                for face, kind in zip(fac.faces, fac.kinds):
-                    assert classify_map(face).value == kind.type.value + "_face"
-                if flavour is P:
-                    # planar trees are rigid: the only isomorphism between
-                    # the middle endpoints is the one returned, and equal
-                    # endpoints force the identity
-                    isos = tree_isomorphisms(fac.iso.domain, fac.iso.codomain)
-                    assert isos == [fac.iso.mapping]
-                    if fac.iso.domain == fac.iso.codomain:
-                        assert fac.iso.is_identity()
-                checked += 1
+                yield flavour, mapping
+
+
+def test_factorization():
+    """Every monotone map between corpus trees with combined degree <= 6
+    factors as degeneracies, an isomorphism, then faces, with each
+    component classified; planar middle maps are rigid."""
+    checked = 0
+    for flavour, mapping in factorization_corpus():
+        fac = factorize(mapping)
+        assert fac.composite() == mapping
+        for sigma in fac.degeneracies:
+            assert classify_map(sigma) is MapKind.DEGENERACY
+        assert classify_map(fac.iso) is MapKind.ISOMORPHISM
+        for face, kind in zip(fac.faces, fac.kinds):
+            assert classify_map(face).value == kind.type.value + "_face"
+        if flavour is P:
+            # planar trees are rigid: the only isomorphism between
+            # the middle endpoints is the one returned, and equal
+            # endpoints force the identity
+            isos = tree_isomorphisms(fac.iso.domain, fac.iso.codomain)
+            assert isos == [fac.iso.mapping]
+            if fac.iso.domain == fac.iso.codomain:
+                assert fac.iso.is_identity()
+        checked += 1
     print(f"[PASS] factorization: {checked} maps factored and verified")
+
+
+def test_face_chains_are_those_the_listed_faces_give():
+    """On every map of the factorization sweep, the face chain is the one
+    found by listing every face of each tree and cutting the least that
+    holds the image: the same kinds, face maps and face domains, each
+    with the same vertex map."""
+    def kept_maps(faces):
+        return [(list(_maxima_map(f.domain)[0].items()), _maxima_map(f.domain)[1]) for f in faces]
+
+    checked = 0
+    for _, mapping in factorization_corpus():
+        fac = factorize(mapping)
+        with patch.object(category, "_face_chain", listed_face_chain):
+            listed = factorize(mapping)
+        assert fac.kinds == listed.kinds
+        assert fac.faces == listed.faces
+        assert kept_maps(fac.faces) == kept_maps(listed.faces)
+        checked += len(fac.faces)
+    print(f"[PASS] face chains: {checked} faces as the listed faces give")
 
 
 def test_product_does_not_preserve_pushout():

@@ -463,6 +463,22 @@ def test_factorize_constant_collapse():
     assert fac.composite() == f
 
 
+@pytest.mark.parametrize("flavour", [C, P])
+def test_factorize_lists_no_faces(monkeypatch, flavour):
+    """A face chain reads its faces off the vertex maps, so factorizing
+    every map from a small tree into one of up to 4 edges lists none."""
+    small, codomains = tree_corpus(flavour, 3), tree_corpus(flavour, 4)
+    maps = [m for a in small for b in codomains for m in enumerate_monotone(a, b)]
+    expected = [factorize(m) for m in maps]
+
+    def refuse(poset):
+        raise AssertionError("the faces of a tree were listed")
+
+    monkeypatch.setattr(category, "_faces", refuse)
+    assert [factorize(m) for m in maps] == expected
+    assert sum(len(fac.faces) for fac in expected) > len(maps)
+
+
 def test_factorize_rejects_non_monotone():
     g1, g2 = corolla(1), corolla(2)
     with pytest.raises(NotMonotone):

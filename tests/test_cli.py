@@ -158,6 +158,17 @@ def test_product_command(tmp_path, capsys):
     assert len(payload["projection_left"]) == 12
 
 
+@pytest.mark.parametrize("command", ["tensor", "product"])
+def test_colliding_pair_names_exit_one(tmp_path, capsys, command):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(BroadPoset.build(Flavour.COMMUTATIVE, ["x", "x,y"]).to_json()))
+    right.write_text(json.dumps(BroadPoset.build(Flavour.COMMUTATIVE, ["y,z", "z"]).to_json()))
+    code, out, err = invoke(capsys, command, str(left), str(right))
+    assert (code, out) == (1, "")
+    assert err == "error: pairs ('x', 'y,z') and ('x,y', 'z') are both named '(x,y,z)'\n"
+
+
 def test_pushout_command(tmp_path, capsys):
     s, g2 = star("x"), corolla(2)
     other = corolla(2, root="m", leaf_prefix="k")

@@ -690,6 +690,32 @@ def test_product_of_chains_is_square(small_posets):
     assert prod == embed_poset(chain.product(chain))
 
 
+COMMA_LEFT = BroadPoset.build(Flavour.COMMUTATIVE, ["x", "x,y"], [(("x",), "x,y")])
+COMMA_RIGHT = BroadPoset.build(Flavour.COMMUTATIVE, ["y,z", "z"])
+COMMA_CLASH = "pairs ('x', 'y,z') and ('x,y', 'z') are both named '(x,y,z)'"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tensor(COMMA_LEFT, COMMA_RIGHT),
+        lambda: product(COMMA_LEFT, COMMA_RIGHT),
+        lambda: underlying_poset(COMMA_LEFT).product(underlying_poset(COMMA_RIGHT)),
+    ],
+    ids=["tensor", "product", "finite_poset_product"],
+)
+def test_pair_names_that_collide_are_refused(build):
+    with pytest.raises(IdentifierError) as raised:
+        build()
+    assert str(raised.value) == COMMA_CLASH
+
+
+def test_pair_names_with_commas_that_do_not_collide_are_kept():
+    left = BroadPoset.build(Flavour.COMMUTATIVE, ["x,y"])
+    assert tensor(left, COMMA_RIGHT).carrier == {"(x,y,y,z)", "(x,y,z)"}
+    assert product(left, COMMA_RIGHT)[0].carrier == {"(x,y,y,z)", "(x,y,z)"}
+
+
 def test_product_universal_property(small_posets):
     a, b = small_posets["gamma1"], small_posets["chain2"]
     prod, p1, p2 = product(a, b)

@@ -196,6 +196,21 @@ def test_point_has_no_links():
     assert leaves(s) == {"x"}
 
 
+NON_TREE_RELATIONS = [
+    BroadPoset.build(C, ["u", "v"]),
+    BroadPoset.build(C, ["a", "b", "r"], [(("a", "a"), "r"), (("b",), "a"), (("a",), "b")]),
+    BroadPoset.build(Flavour.PLANAR, ["a", "b", "r"], [((), "r"), (("a", "r"), "r"), (("b", "a"), "r")]),
+]
+
+
+def test_leaves_are_the_elements_with_no_word_below():
+    posets = [*tree_corpus(C, 5), *tree_corpus(Flavour.PLANAR, 5), *NON_TREE_RELATIONS]
+    for poset in posets:
+        found = leaves(poset)
+        assert type(found) is frozenset
+        assert found == {x for x in poset.carrier if not poset.sources(x)}
+
+
 def test_example_links(example):
     found = links(example)
     assert len(found) == 3

@@ -59,6 +59,7 @@ from dendro.terms import (
 )
 
 from conftest import flavours, tree_corpus, tree_terms
+from oracles import descendant_scan_tree_words
 
 
 def term_vertices(term: TreeTerm) -> list[tuple[tuple[str, ...], str]]:
@@ -309,6 +310,77 @@ def test_guess_far_larger_than_the_poset_is_refused():
     poset = BroadPoset.build(Flavour.COMMUTATIVE, [f"e{i}" for i in range(127)], pairs)
     assert core._maxima_map(poset)[1] is None
     assert not is_dendroidal(poset).is_dendroidal
+
+
+def assert_recognised_as_by_descendant_scan(poset: BroadPoset) -> bool:
+    """Recognition gives the reference's answer, with the map's keys in
+    the same order, and keeps nothing on the poset; whether it found a
+    tree."""
+    found = core._tree_words(poset)
+    assert poset._known == {}
+    expected = descendant_scan_tree_words(poset)
+    if expected is None:
+        assert found is None
+    else:
+        assert found is not None
+        assert list(found[0].items()) == list(expected[0].items())
+        assert found[1] == expected[1]
+    return found is not None
+
+
+def recognition_cases(tree: BroadPoset, i: int) -> list[BroadPoset]:
+    """A bare copy of a tree, and the copy with its ``i``-th pair dropped,
+    a repeated-letter word added, a unary pair added, an isolated element
+    added, and, when planar, every word reversed."""
+    flavour, carrier, relation = tree.flavour, tree.carrier, tree.relation
+    first, last = sorted(carrier)[0], sorted(carrier)[-1]
+    cases = [bare(tree), BroadPoset(flavour, carrier | {"isolated"}, relation)]
+    if relation:
+        dropped = sorted(relation, key=lambda p: (p[1], p[0].letters))[i % len(relation)]
+        cases.append(BroadPoset(flavour, carrier, relation - {dropped}))
+    repeated = (BroadWord(flavour, (last, last)), first)
+    cases.append(BroadPoset(flavour, carrier, relation | {repeated}))
+    if first != last:
+        cases.append(BroadPoset(flavour, carrier, relation | {(BroadWord(flavour, (first,)), last)}))
+    if flavour is Flavour.PLANAR:
+        reversed_words = [(BroadWord(flavour, w.letters[::-1]), t) for w, t in relation]
+        cases.append(BroadPoset(flavour, carrier, reversed_words))
+    return cases
+
+
+@pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
+def test_recognition_matches_the_descendant_scan_on_the_corpus(flavour):
+    corpus = tree_corpus(flavour, 7)
+    recognised = sum(
+        assert_recognised_as_by_descendant_scan(poset)
+        for i, tree in enumerate(corpus)
+        for poset in recognition_cases(tree, i)
+    )
+    assert recognised > len(corpus)
+
+
+@st.composite
+def small_relations(draw) -> BroadPoset:
+    """Any relation on up to 5 elements: cycles, stumps and words that
+    repeat a letter are all allowed."""
+    flavour = draw(flavours)
+    names = [f"e{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    element = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(st.lists(element, max_size=3), element), max_size=10))
+    return BroadPoset.build(flavour, names, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_relations())
+@example(BroadPoset.build(Flavour.PLANAR, ["a", "b", "r"], [(("a", "b"), "r"), (("b", "a"), "r")]))
+@example(BroadPoset.build(Flavour.COMMUTATIVE, ["a", "r"], [(("a", "a"), "r"), (("a",), "r")]))
+@example(BroadPoset.build(Flavour.COMMUTATIVE, ["a", "b"], [(("a",), "b"), (("b",), "a")]))
+@example(BroadPoset.build(Flavour.PLANAR, ["a", "r"], [((), "a"), (("a",), "r"), ((), "r")]))
+# as many pairs as the tree r(a(x,y),b) has, one of them not its own
+@example(BroadPoset.build(Flavour.PLANAR, [*"abrxy"], [("ab", "r"), ("xy", "a"), ("yxb", "r")]))
+@example(BroadPoset.build(Flavour.COMMUTATIVE, [*"abrxy"], [("ab", "r"), ("xy", "a"), ("xy", "r")]))
+def test_recognition_matches_the_descendant_scan_on_small_relations(poset):
+    assert_recognised_as_by_descendant_scan(poset)
 
 
 def tree_entry_points(poset: BroadPoset) -> list:
