@@ -22,6 +22,7 @@ from .core import (
     BroadWord,
     MonotoneMap,
     Pair,
+    _int_argument,
     _maxima_map,
     _top_down,
     _tree_poset,
@@ -34,6 +35,7 @@ from .errors import (
     BudgetExceeded,
     FactorizationError,
     GraftUndefined,
+    InvalidArgument,
     NoRootFace,
     NotInnerEdge,
     NotMaximal,
@@ -127,6 +129,8 @@ def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
     """Inclusion of the subtree obtained by pruning an outer cluster: the
     tree without the cluster's vertex and its children, so that the
     vertex's edge becomes a leaf."""
+    if not (isinstance(cluster, tuple) and len(cluster) == 2 and isinstance(cluster[0], BroadWord)):
+        raise InvalidArgument(f"cluster must be a (word, edge) pair, not {cluster!r}")
     kind = FaceKind(FaceType.OUTER, cluster=cluster)
     return _face_map(poset, kind, NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster"))
 
@@ -198,6 +202,7 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     induced on their carrier.  The subtrees rooted at each edge, children
     first, are held as carrier and vertex map until they are written out.
     """
+    _int_argument("cap", cap)
     vertices, top = _tree(poset)
     if len(poset.carrier) > cap:
         raise BudgetExceeded(f"carrier larger than {cap}")

@@ -154,7 +154,10 @@ class BroadPoset:
     reflexive pair is stored; it does not verify transitivity or
     anti-symmetry.  Use :func:`validate` to check those, or
     :func:`generate_broad_poset` to build a closed relation from
-    generators.
+    generators.  A tree cut out of a tree (a face domain, a subtree at an
+    edge, a degeneracy codomain) is checked instead against that tree, by
+    set operations that imply these checks, and any cut that fails goes
+    through the constructor.
     """
 
     flavour: Flavour
@@ -303,6 +306,13 @@ def _kept(compute: Callable[[BroadPoset], object]) -> Callable:
             return value
 
     return kept
+
+
+def _int_argument(name: str, value) -> int:
+    """The value of an int argument; anything else, a bool included, raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an int, not {value!r}")
+    return value
 
 
 def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
@@ -748,9 +758,7 @@ def _closure(
     """
     if max_word_len is None:
         bound = max(1, len(carrier))
-    elif isinstance(max_word_len, bool) or not isinstance(max_word_len, int):
-        raise InvalidArgument(f"max_word_len must be an int, not {max_word_len!r}")
-    elif max_word_len < 1:
+    elif _int_argument("max_word_len", max_word_len) < 1:
         raise InvalidArgument("max_word_len must be at least 1")
     else:
         bound = max_word_len
@@ -1017,11 +1025,12 @@ def enumerate_monotone(
     """All monotone maps, in lexicographic order of their assignments.
 
     The worst-case assignment count ``|codomain| ** |domain|`` must stay
-    within ``budget``, on every path.  Between two trees, above
+    within ``budget``, an int, on every path.  Between two trees, above
     :data:`SEARCH_AT_MOST` assignments, the maps are read off the domain's
     vertex map by :func:`_tree_maps`.  Otherwise the shared search prunes
     partial assignments as soon as a fully-assigned relation pair fails.
     """
+    _int_argument("budget", budget)
     if domain.flavour is not codomain.flavour:
         raise FlavourMismatch("flavours differ")
     elements = sorted(domain.carrier)

@@ -84,6 +84,9 @@ def descendant_order(poset: BroadPoset) -> frozenset[tuple[str, str]]:
 
 
 def descendant_leq(poset: BroadPoset, below: str, above: str) -> bool:
+    for x in (below, above):
+        if x not in poset.carrier:
+            raise IdentifierError(f"{x!r} not in carrier")
     return below == above or (below, above) in _descendant_pairs(poset)
 
 
@@ -333,7 +336,42 @@ def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
     else:
         relation = frozenset().union(*(tree.below[x] for x in vertices))
         carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
-    return _written(BroadPoset(poset.flavour, carrier, relation), vertices, top)
+    return _written(_cut_poset(poset, tree, carrier, relation), vertices, top)
+
+
+def _cut_poset(
+    poset: BroadPoset, tree: _TreeIndex, carrier: frozenset[str], relation: frozenset[Pair]
+) -> BroadPoset:
+    """The broad poset on ``carrier`` and ``relation`` cut out of the tree
+    ``poset`` with index ``tree``, checked against the tree by set
+    operations instead of pair by pair.
+
+    The tree passed the constructor's checks, so when the carrier and
+    relation lie inside the tree's and no pair lies below or mentions an
+    edge the cut removes, every pair has the tree's flavour, none is
+    reflexive and each names only kept edges: what the constructor checks.
+    Anything else goes to the constructor, which raises as it always does.
+    """
+    if (
+        carrier <= poset.carrier
+        and relation <= poset.relation
+        and (
+            not relation
+            or all(
+                relation.isdisjoint(tree.below.get(x, ()))
+                and relation.isdisjoint(tree.mentions.get(x, ()))
+                for x in poset.carrier - carrier
+            )
+        )
+    ):
+        cut = object.__new__(BroadPoset)
+        fields = {
+            "flavour": poset.flavour, "carrier": carrier, "relation": relation, "meta": {}, "_known": {}
+        }
+        for name in BroadPoset.__slots__:
+            object.__setattr__(cut, name, fields[name])
+        return cut
+    return BroadPoset(poset.flavour, carrier, relation)
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:

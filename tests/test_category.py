@@ -36,6 +36,7 @@ from dendro.core import (
 )
 from dendro.errors import (
     GraftUndefined,
+    InvalidArgument,
     NoRootFace,
     NotDendroidal,
     NotInnerEdge,
@@ -181,6 +182,24 @@ def test_maximal_subtrees_write_only_what_they_return(example, monkeypatch):
     assert calls == {"_cut": 4, "_tree_poset": 0}
 
 
+def test_faces_of_a_chain_are_checked_against_it_not_pair_by_pair(monkeypatch):
+    """The forty faces of a written 40-edge chain are cut out with no run
+    of the constructor's per-pair check."""
+    chain = to_broad(parse_term("(".join(f"e{i}" for i in range(40)) + ")" * 39), C)
+    checks = []
+    check = BroadPoset.__post_init__
+    monkeypatch.setattr(BroadPoset, "__post_init__", lambda poset: checks.append(poset) or check(poset))
+    assert len(all_faces(chain)) == 40
+    assert checks == []
+
+
+@pytest.mark.parametrize("cap", ["16", True, None], ids=repr)
+def test_subtree_cap_must_be_an_int(example, cap):
+    with pytest.raises(InvalidArgument) as info:
+        enumerate_subtrees(example, cap)
+    assert str(info.value) == f"cap must be an int, not {cap!r}"
+
+
 @pytest.mark.parametrize("flavour", [C, P])
 def test_maximal_subtrees_past_the_subtree_cap(flavour, capsys):
     chain = "(".join(f"e{i}" for i in range(20)) + ")" * 19
@@ -260,6 +279,13 @@ def test_outer_face_to_point():
 def test_outer_face_requires_cluster(grafted):
     with pytest.raises(NotOuterCluster):
         outer_face(grafted, (BroadWord(C, ("l1", "l2")), "r"))
+
+
+@pytest.mark.parametrize("cluster", ["a", ("a",), ("l1", "r"), (BroadWord(C, ("l1",)), "r", "x")], ids=repr)
+def test_outer_face_requires_a_word_edge_pair(cluster):
+    with pytest.raises(InvalidArgument) as info:
+        outer_face(corolla(2), cluster)
+    assert str(info.value) == f"cluster must be a (word, edge) pair, not {cluster!r}"
 
 
 def test_inner_face_requires_inner_edge():

@@ -652,6 +652,19 @@ def test_enumerate_monotone_budget(small_posets):
         enumerate_monotone(small_posets["gamma3"], small_posets["gamma3"], budget=10)
 
 
+@pytest.mark.parametrize("budget", ["5", True, False, 1.5, None], ids=repr)
+def test_budget_must_be_an_int(budget):
+    """A budget that is not an int, or is a bool, is refused before any map
+    is counted; an int below the count still raises BudgetExceeded."""
+    tree = to_broad(parse_term("r(a,b)"), C)
+    for call in (enumerate_monotone, internal_hom):
+        with pytest.raises(InvalidArgument) as info:
+            call(tree, tree, budget)
+        assert str(info.value) == f"budget must be an int, not {budget!r}"
+        with pytest.raises(BudgetExceeded):
+            call(tree, tree, 1)
+
+
 def test_flavour_mismatch_rejected(small_posets):
     planar = forget_symmetry(small_posets["gamma2"])
     with pytest.raises(FlavourMismatch):

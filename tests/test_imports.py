@@ -1,5 +1,6 @@
-"""Every imported name is used, and every private name of the package is
-mentioned: scans of the source with ``ast`` and text search.
+"""Every imported name is used, every private name of the package is
+mentioned, and a broad poset skips its constructor in one place only:
+scans of the source with ``ast`` and text search.
 
 Package ``__init__`` modules re-export what they import, and ``from
 __future__`` imports are directives, so both are exempt.  The benchmark's
@@ -97,3 +98,36 @@ def test_the_scan_finds_an_unmentioned_private_name():
 def test_every_private_name_is_mentioned():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unmentioned_private_names(sources) == []
+
+
+def bare_constructions(sources: dict[str, str], cls: str) -> list[str]:
+    """Where ``cls`` is built by a ``__new__`` call, which runs none of its
+    checks: each as its file and the module-level name around the call."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__new__"
+                    and call.args
+                    and ast.unparse(call.args[0]) == cls
+                ):
+                    found.append(f"{name}: {getattr(node, 'name', node.lineno)}")
+    return found
+
+
+def test_the_scan_finds_a_bare_construction():
+    sources = {
+        "a.py": "def _make():\n    return object.__new__(Thing)\n",
+        "b.py": "x = Thing.__new__(Thing)\ny = object.__new__(Other)\nz = Thing(1)\n",
+    }
+    assert bare_constructions(sources, "Thing") == ["a.py: _make", "b.py: 1"]
+
+
+def test_only_a_cut_tree_skips_the_per_pair_check():
+    """A broad poset is built past its constructor in one place, the check
+    of a tree cut out of a tree, so no data from outside can take it."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert bare_constructions(sources, "BroadPoset") == ["structure.py: _cut_poset"]

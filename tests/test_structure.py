@@ -1,12 +1,17 @@
+import copy
 import itertools
+import pickle
 import sys
 
 import pytest
 
-from dendro.core import BroadPoset, BroadWord, Flavour, corolla, star
-from dendro.errors import IdentifierError, NoParent, NotDendroidal
+from dendro.category import all_faces, degeneracies
+from dendro.core import BroadPoset, BroadWord, Flavour, _maxima_map, corolla, star
+from dendro.errors import FlavourMismatch, IdentifierError, InvalidArgument, NoParent, NotDendroidal
 from dendro.structure import (
     EdgeKind,
+    _cut_poset,
+    _tree_index,
     classify_all,
     classify_edge,
     degree,
@@ -115,6 +120,14 @@ def test_unknown_edge_has_no_parent():
 def test_unknown_edge_has_no_join():
     with pytest.raises(IdentifierError):
         join(to_broad(parse_term("r(a(b))"), C), "a", "zzz")
+
+
+def test_unknown_edge_is_no_descendant():
+    tree = to_broad(parse_term("r(a(b))"), C)
+    for below, above in (("zz", "r"), ("b", "zz"), ("zz", "zz")):
+        with pytest.raises(IdentifierError) as info:
+            descendant_leq(tree, below, above)
+        assert str(info.value) == "'zz' not in carrier"
 
 
 def test_join_in_corolla():
@@ -373,3 +386,70 @@ def test_stump_counterexamples_to_bottom_leaf_claim():
     assert not [
         x for x in lopsided.carrier if all((x, y) in descend for y in lopsided.carrier)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Trees cut out of a tree
+
+
+CUT_CORPUS_EDGES = 7
+
+
+def cut_trees(poset: BroadPoset):
+    """Every tree cut out of a tree: its face domains, its subtrees at
+    each edge and its degeneracy codomains."""
+    yield from (face.domain for face in all_faces(poset))
+    yield from (subtree_at(poset, x) for x in sorted(poset.carrier))
+    yield from (sigma.codomain for sigma in degeneracies(poset))
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_cut_trees_are_the_trees_the_constructor_builds(flavour):
+    """Each cut tree equals the broad poset the checked constructor builds
+    on its carrier and relation, slot by slot once both know their vertex
+    map, and so do its pickled and deep-copied twins.  The cuts of one tree
+    share its words, so they are pickled and copied together."""
+    checked = 0
+    for poset in tree_corpus(flavour, CUT_CORPUS_EDGES):
+        cuts = list(cut_trees(poset))
+        for cut, *twins in zip(cuts, pickle.loads(pickle.dumps(cuts)), copy.deepcopy(cuts)):
+            assert list(cut._known) == [_maxima_map.__name__]
+            built = BroadPoset(flavour, cut.carrier, cut.relation)
+            assert _maxima_map(built) == _maxima_map(cut)
+            for twin in (cut, *twins):
+                for name in BroadPoset.__slots__:
+                    assert getattr(twin, name) == getattr(built, name), name
+            checked += 1
+    print(f"[PASS] cut trees: {checked} {flavour.value} cuts as the constructor builds them")
+
+
+def cut_of(term: str, flavour: Flavour, carrier, relation) -> BroadPoset:
+    tree = to_broad(parse_term(term), flavour)
+    return _cut_poset(tree, _tree_index(tree), frozenset(carrier), frozenset(relation))
+
+
+def test_a_cut_that_keeps_a_removed_edge_is_refused():
+    relation = [(BroadWord(C, ("a", "b")), "r")]
+    with pytest.raises(IdentifierError) as info:
+        cut_of("r(a,b)", C, {"r", "b"}, relation)
+    assert str(info.value) == "letter 'a' not in carrier"
+    with pytest.raises(IdentifierError) as info:
+        cut_of("r(a(c))", C, {"r", "c"}, [(BroadWord(C, ("c",)), "a")])
+    assert str(info.value) == "target 'a' not in carrier"
+
+
+def test_a_cut_with_a_pair_the_tree_lacks_is_refused():
+    with pytest.raises(FlavourMismatch) as info:
+        cut_of("r(a,b)", C, {"r", "a", "b"}, [(BroadWord(P, ("a", "b")), "r")])
+    assert str(info.value) == "word a·b has flavour planar"
+    with pytest.raises(InvalidArgument) as info:
+        cut_of("r(a,b)", C, {"r", "a", "b"}, [(BroadWord(C, ("a",)), "a")])
+    assert str(info.value) == "reflexive pair a ≤ a must stay implicit"
+
+
+def test_a_cut_outside_its_tree_is_built_by_the_constructor():
+    """A pair the tree lacks, or an edge it lacks, is checked pair by pair."""
+    pairs = [(BroadWord(C, ("b", "a")), "r"), (BroadWord(C, ("a",)), "z")]
+    cut = cut_of("r(a,b)", C, {"r", "a", "b", "z"}, pairs)
+    assert cut == BroadPoset(C, {"r", "a", "b", "z"}, pairs)
+    assert cut._known == {}
