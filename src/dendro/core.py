@@ -20,7 +20,6 @@ flavour, carrier and relation); isomorphism is a separate search.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -1025,10 +1024,10 @@ def enumerate_monotone(
     """All monotone maps, in lexicographic order of their assignments.
 
     The worst-case assignment count ``|codomain| ** |domain|`` must stay
-    within ``budget``, an int, on every path.  Between two trees, above
-    :data:`SEARCH_AT_MOST` assignments, the maps are read off the domain's
-    vertex map by :func:`_tree_maps`.  Otherwise the shared search prunes
-    partial assignments as soon as a fully-assigned relation pair fails.
+    within ``budget``, an int, on every path.  Out of a tree into any
+    codomain, above :data:`SEARCH_AT_MOST` assignments, the maps are read
+    off the domain's vertex map by :func:`_tree_maps`.  Otherwise the shared
+    search prunes partial assignments once a fully-assigned pair fails.
     """
     _int_argument("budget", budget)
     if domain.flavour is not codomain.flavour:
@@ -1043,7 +1042,7 @@ def enumerate_monotone(
             f"{len(values)}^{len(elements)} assignments exceed budget {budget}"
         )
     tree = _maxima_map(domain) if count > SEARCH_AT_MOST else ({}, None)
-    if tree[1] is not None and _maxima_map(codomain)[1] is not None:
+    if tree[1] is not None:
         assignments = (dict(zip(elements, row)) for row in _tree_maps(tree, codomain, elements))
     else:
         assignments = _assignments(domain, codomain, elements, lambda x, a: values, False)
@@ -1054,7 +1053,7 @@ def _tree_maps(
     tree: tuple[dict[str, BroadWord], str], codomain: BroadPoset, elements: list[str]
 ) -> list[tuple[str, ...]]:
     """Every monotone map from the tree with the given vertex map and root
-    into the tree ``codomain``, as its values at ``elements``, the
+    into ``codomain``, any broad poset, as its values at ``elements``, the
     domain's sorted edges, in lexicographic order.
 
     The domain's relation is generated by its vertices, and the
@@ -1066,16 +1065,20 @@ def _tree_maps(
     values with ``e``'s first and then each child's block in turn.  They
     are put together from the codomain's words at or below ``x`` of ``e``'s
     arity, whose letters go to the children in order when planar and by
-    every bijection when commutative; a tree's words repeat no letter, so
-    no map comes twice, and no partial map is built that does not extend.
+    every distinct arrangement when commutative: a word may repeat a
+    letter, as in ``x·x <= y``, so its arrangements are deduplicated once,
+    as the index of the words of the domain's arities is built.  No map
+    comes twice, and no partial map is built that does not extend.
     """
     vertices, top = tree
     planar = codomain.flavour is Flavour.PLANAR
-    words: dict[tuple[str, int], list[tuple[str, ...]]] = defaultdict(list)  # (x, arity) -> words
+    words: dict[tuple[str, int], list[tuple[str, ...]]] = defaultdict(list)  # (x, arity) -> arrangements
     for x in codomain.carrier:
         words[x, 1].append((x,))  # a unary vertex's edge and child may share their image
+    arities = {len(v) for v in vertices.values()}  # the only lengths looked up
     for w, x in codomain.relation:
-        words[x, len(w)].append(w.letters)
+        if len(w) in arities:
+            words[x, len(w)].extend([w.letters] if planar else set(itertools.permutations(w.letters)))
     leaf = {x: [(x,)] for x in codomain.carrier}
     maps: dict[str, dict[str, list[tuple[str, ...]]]] = {}  # edge -> value -> blocks
     block: dict[str, tuple[str, ...]] = {}  # edge -> the edges of its subtree, as its blocks list them
@@ -1090,8 +1093,7 @@ def _tree_maps(
         for x in codomain.carrier:
             found = [
                 (x, *itertools.chain.from_iterable(parts))
-                for w in words.get((x, len(kids)), ())
-                for image in ((w,) if planar else itertools.permutations(w))
+                for image in words.get((x, len(kids)), ())
                 for parts in itertools.product(*(m.get(y, ()) for m, y in zip(below, image)))
             ]
             if found:
@@ -1386,44 +1388,46 @@ def internal_hom(
 ) -> BroadPoset:
     """The broad poset of monotone maps, ordered pointwise.
 
-    Carrier elements are named by their assignments.  A word of maps is
-    below a map when, at every domain element, the word of images is below
-    the image in the codomain.  Word lengths never exceed the longest
-    source in the codomain's relation.
+    Maps are named by their assignments; two with one name raise
+    :class:`IdentifierError`.  ``f1 ... fn <= g`` exactly when ``f1(a) ...
+    fn(a) <= g(a)`` at every domain element ``a``, so the words at or
+    below ``g(a0)``, at the least element ``a0``, spell the candidates,
+    kept when they hold at the other elements.  An empty domain raises
+    :class:`InvalidArgument`: every word of its one map is below it.
     """
     maps = enumerate_monotone(domain, codomain, budget)
-    named = {map_signature(f.mapping): f for f in maps}
-    names = sorted(named)
+    if not domain.carrier:
+        raise InvalidArgument("the internal hom out of an empty broad poset has words of every length")
+    named: dict[str, dict[str, str]] = {}
+    for f in maps:
+        name = map_signature(f.mapping)
+        if name in named:
+            raise IdentifierError(f"maps {named[name]} and {f.mapping} are both named {name!r}")
+        named[name] = f.mapping
     flavour = domain.flavour
-    max_len = max((len(w) for w, _ in codomain.relation), default=0)
-    points = sorted(domain.carrier)
+    first, *rest = sorted(domain.carrier)
+    relation = _letter_pairs(codomain.relation)
+    spelling: dict[str, list[str]] = defaultdict(list)  # a value -> the maps taking it at first, sorted
+    for name in sorted(named):
+        spelling[named[name][first]].append(name)
 
-    def below(word_names: tuple[str, ...], target_name: str) -> bool:
-        target = named[target_name]
-        for a in points:
-            image = BroadWord(flavour, tuple(named[n](a) for n in word_names))
-            if not codomain.leq(image, target(a)):
+    def below(fs: tuple[str, ...], g: dict[str, str]) -> bool:
+        for a in rest:
+            image = _canonical(flavour, tuple([named[f][a] for f in fs]))
+            if image != (g[a],) and (image, g[a]) not in relation:
                 return False
         return True
 
-    relation: set[Pair] = set()
-    for n in range(0, max(max_len, 1) + 1):
-        if flavour is Flavour.PLANAR:
-            combos: Iterable[tuple[str, ...]] = itertools.product(names, repeat=n)
-            count = len(names) ** n if names else 0
-        else:
-            combos = itertools.combinations_with_replacement(names, n)
-            count = math.comb(len(names) + n - 1, n) if names else 0
-        if count > budget:
-            raise BudgetExceeded(f"{count} candidate words exceed budget {budget}")
-        for combo in combos:
-            for target_name in names:
-                if combo == (target_name,):
-                    continue
-                if below(combo, target_name):
-                    relation.add((BroadWord(flavour, combo), target_name))
-
-    return BroadPoset(flavour, frozenset(names), frozenset(relation))
+    pairs: set[Pair] = set()
+    for target, g in named.items():
+        for u in _chunk_candidates(codomain)[g[first]]:
+            if flavour is Flavour.PLANAR:
+                words = itertools.product(*(spelling[y] for y in u))
+            else:
+                groups = [itertools.combinations_with_replacement(spelling[y], k) for y, k in Counter(u).items()]
+                words = (tuple(sorted(itertools.chain(*parts))) for parts in itertools.product(*groups))
+            pairs.update((_canonical_word(flavour, fs), target) for fs in words if fs != (target,) and below(fs, g))
+    return BroadPoset(flavour, frozenset(named), frozenset(pairs))
 
 
 def pushout(

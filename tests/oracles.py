@@ -3,15 +3,17 @@
 Each oracle follows the defining rule as literally as possible and avoids
 the library's strategies: closure is recomputed from scratch in rounds
 with simultaneous substitution, enumerations are exhaustive scans with
-late filtering.  Two are the library's own earlier, slower ways, kept as
-the reference for the faster ones: tree recognition from the descendant
-pairs, and the face chain that lists every face.
+late filtering.  Three are the library's own earlier, slower ways, kept
+as the reference for the faster ones: tree recognition from the
+descendant pairs, the face chain that lists every face, and the internal
+hom that tests every word of maps up to the codomain's longest word.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter, defaultdict
 
 from dendro.category import Face, _faces
@@ -23,9 +25,11 @@ from dendro.core import (
     _relation_size,
     _top_down,
     _words_below,
+    enumerate_monotone,
+    map_signature,
     pair_str,
 )
-from dendro.errors import FactorizationError
+from dendro.errors import BudgetExceeded, FactorizationError
 from dendro.structure import PRUNE, _cut, _tree, inclusion
 
 
@@ -412,3 +416,44 @@ def listed_face_chain(ambient: BroadPoset, target: BroadPoset) -> list:
         steps.append(Face(kind, domain, inclusion(domain, current)))
         current = domain
     return steps[::-1]
+
+
+def enumerated_internal_hom(domain: BroadPoset, codomain: BroadPoset, budget: int = 10**7) -> BroadPoset:
+    """The internal hom by testing every word of maps, up to the longest
+    word in the codomain's relation, against every map with
+    ``codomain.leq`` at every domain element; over ``budget`` candidate
+    words of one length raises :class:`BudgetExceeded`.  Out of an empty
+    domain it truncates the infinite relation at that length."""
+    maps = enumerate_monotone(domain, codomain, budget)
+    named = {map_signature(f.mapping): f for f in maps}
+    names = sorted(named)
+    flavour = domain.flavour
+    max_len = max((len(w) for w, _ in codomain.relation), default=0)
+    points = sorted(domain.carrier)
+
+    def below(word_names: tuple[str, ...], target_name: str) -> bool:
+        target = named[target_name]
+        for a in points:
+            image = BroadWord(flavour, tuple(named[n](a) for n in word_names))
+            if not codomain.leq(image, target(a)):
+                return False
+        return True
+
+    relation = set()
+    for n in range(0, max(max_len, 1) + 1):
+        if flavour is Flavour.PLANAR:
+            combos = itertools.product(names, repeat=n)
+            count = len(names) ** n if names else 0
+        else:
+            combos = itertools.combinations_with_replacement(names, n)
+            count = math.comb(len(names) + n - 1, n) if names else 0
+        if count > budget:
+            raise BudgetExceeded(f"{count} candidate words exceed budget {budget}")
+        for combo in combos:
+            for target_name in names:
+                if combo == (target_name,):
+                    continue
+                if below(combo, target_name):
+                    relation.add((BroadWord(flavour, combo), target_name))
+
+    return BroadPoset(flavour, frozenset(names), frozenset(relation))

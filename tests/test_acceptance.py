@@ -23,6 +23,7 @@ from dendro.category import (
     maximal_subtrees,
 )
 from dendro.core import (
+    BroadPoset,
     FinitePoset,
     Flavour,
     MonotoneMap,
@@ -35,6 +36,7 @@ from dendro.core import (
     forget_symmetry,
     abelianize,
     internal_hom,
+    map_signature,
     pair_id,
     product,
     pushout,
@@ -338,6 +340,34 @@ def test_monoidal_laws():
         assert lhs == rhs
         triples += 1
     print(f"[PASS] monoidal laws: unit, symmetry, embedding, adjunction on {triples} triples")
+
+
+def test_adjunction_is_a_natural_bijection():
+    """Currying sends the maps A ⊗ B -> C one to one onto the maps
+    A -> [B, C]: a maps to the map b -> f(a, b), named by its assignment.
+    Both flavours, on the adjunction corpus of the monoidal laws, two
+    discrete points, and u·u <= v, which repeats a letter."""
+    triples = 0
+    for flavour in (C, P):
+        adj_corpus = [
+            star("x", flavour),
+            stump_poset(flavour=flavour),
+            corolla(1, flavour),
+            corolla(2, flavour),
+            embed_poset(FinitePoset.chain(2), flavour),
+            BroadPoset.build(flavour, ["u", "v"]),
+            BroadPoset.build(flavour, ["u", "v"], [(("u", "u"), "v")]),
+        ]
+        for A, B, Cc in itertools.product(adj_corpus, repeat=3):
+            curried = {
+                tuple(sorted((a, map_signature({b: f(pair_id(a, b)) for b in B.carrier})) for a in A.carrier))
+                for f in enumerate_monotone(tensor(A, B), Cc, budget=10**10)
+            }
+            transposes = enumerate_monotone(A, internal_hom(B, Cc), budget=10**10)
+            assert len(curried) == len(transposes)
+            assert curried == {g.pairs for g in transposes}
+            triples += 1
+    print(f"[PASS] adjunction: currying is a bijection on {triples} triples")
 
 
 def test_symmetrization_formula():
