@@ -167,11 +167,13 @@ class BroadPoset:
     _known: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.flavour, Flavour):  # words sort by flavour identity
-            raise InvalidArgument(f"flavour must be a Flavour member, not {self.flavour!r}")
+        _check_flavour(self.flavour)
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         object.__setattr__(self, "relation", frozenset(self.relation))
         carrier = self.carrier
+        for x in carrier:  # letters and targets must lie in it, so they are strings too
+            if not isinstance(x, str):
+                raise InvalidArgument(f"identifiers must be strings, not {x!r}")
         for w, target in self.relation:
             if w.flavour is not self.flavour:
                 raise _flavour_mismatch(w)
@@ -314,6 +316,12 @@ def _int_argument(name: str, value) -> int:
     return value
 
 
+def _check_flavour(flavour) -> None:
+    """Raise unless the flavour is a Flavour member, not a flavour's name."""
+    if not isinstance(flavour, Flavour):  # words sort by flavour identity
+        raise InvalidArgument(f"flavour must be a Flavour member, not {flavour!r}")
+
+
 def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
     """Raise unless the word has the poset's flavour and the word and the
     targets name only elements of its carrier."""
@@ -347,7 +355,13 @@ def word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> bool:
 
     Holds when ``upper = u1 ... un`` splits ``lower`` into words
     ``c1 ... cn`` with ``ci <= ui`` for each i.  Planar splits are
-    consecutive; commutative splits partition the letter multiset.
+    consecutive; commutative splits partition the letter multiset.  Each
+    letter of ``upper`` takes one pass, which takes a chunk below the
+    letter from each state of ``lower`` the earlier letters left and keeps
+    each new state once.  So the work is at most ``len(upper)`` times the
+    distinct states times the chunks below one letter, with at most
+    ``len(lower) + 1`` states when planar and one per sub-multiset of
+    ``lower`` when commutative.
     """
     _check_word(poset, lower)
     _check_word(poset, upper)
@@ -362,60 +376,30 @@ def _word_leq(
 ) -> bool:
     if lower == upper:
         return True
-    if not upper:
-        return not lower
-    # one frame per letter of ``upper`` matched so far, each holding the
-    # iterator over that letter's chunks, so no match recurses
-    n, m = len(upper), len(lower)
-    stack = [iter(candidates[upper[0]])]
-    if flavour is Flavour.PLANAR:
-        starts = [0]  # where each frame's chunk begins in ``lower``
-        failed: set[tuple[int, int]] = set()  # (frame, start) with no match
-        while stack:
-            i, pos = len(stack) - 1, starts[-1]
-            for chunk in stack[-1]:
-                end = pos + len(chunk)
-                if lower[pos:end] != chunk or (i + 1, end) in failed:
-                    continue
-                if i + 1 == n:
-                    if end == m:
-                        return True
-                    continue
-                stack.append(iter(candidates[upper[i + 1]]))
-                starts.append(end)
-                break
-            else:
-                failed.add((i, pos))
-                stack.pop()
-                starts.pop()
-        return False
+    if flavour is Flavour.PLANAR:  # a state is where the rest of ``lower`` begins
+        starts = {0}
+        for u in upper:
+            starts = {s + len(c) for s in starts for c in candidates[u] if lower[s:s + len(c)] == c}
+            if not starts:
+                return False
+        return len(lower) in starts
+    rests = {lower}  # a state is the sorted letters of ``lower`` still left
+    for u in upper:
+        rests = {left for rest in rests for c in candidates[u] if (left := _take(rest, c)) is not None}
+        if not rests:
+            return False
+    return () in rests
 
-    remaining = Counter(lower)
-    left = m  # letters of ``lower`` not yet in a chunk
-    taken: list[tuple[str, ...]] = []  # the chunk each frame below the top took
-    while stack:
-        i = len(stack) - 1
-        for chunk in stack[-1]:
-            if len(chunk) > left:
-                continue
-            need = Counter(chunk)
-            if all(remaining[x] >= k for x, k in need.items()):
-                if i + 1 == n:
-                    if len(chunk) == left:
-                        return True
-                    continue
-                remaining.subtract(need)
-                left -= len(chunk)
-                taken.append(chunk)
-                stack.append(iter(candidates[upper[i + 1]]))
-                break
-        else:
-            stack.pop()
-            if taken:
-                chunk = taken.pop()
-                remaining.update(chunk)
-                left += len(chunk)
-    return False
+
+def _take(rest: tuple[str, ...], chunk: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The sorted letters ``rest`` less those of ``chunk``, or None when it lacks one."""
+    left = list(rest)
+    for x in chunk:
+        try:
+            left.remove(x)
+        except ValueError:
+            return None
+    return tuple(left)
 
 
 @_kept
@@ -1266,6 +1250,7 @@ class FinitePoset:
     @classmethod
     def chain(cls, top: int, prefix: str = "c") -> "FinitePoset":
         """The linear order with elements ``prefix0 .. prefix<top>``."""
+        top = _int_argument("top", top)
         names = [f"{prefix}{i}" for i in range(top + 1)]
         strict = {(names[i], names[j]) for i in range(top + 1) for j in range(i + 1, top + 1)}
         return cls(frozenset(names), frozenset(strict))
@@ -1313,7 +1298,7 @@ def corolla(
     leaf_prefix: str = "l",
 ) -> BroadPoset:
     """The corolla: one vertex relating the word of leaves to the root."""
-    if leaf_count < 0:
+    if _int_argument("leaf_count", leaf_count) < 0:
         raise InvalidArgument(f"leaf_count must be at least 0, not {leaf_count}")
     leaves = [f"{leaf_prefix}{i}" for i in range(1, leaf_count + 1)]
     return BroadPoset.build(flavour, [root, *leaves], [(tuple(leaves), root)])

@@ -23,6 +23,8 @@ from .core import (
     BroadWord,
     Flavour,
     _assignments,
+    _check_flavour,
+    _int_argument,
     _top_down,
     _tree_poset,
     check_isomorphism,
@@ -270,6 +272,7 @@ def term_code(term: TreeTerm, flavour: Flavour) -> str:
 
     Commutative codes sort child codes, planar codes keep them in order.
     """
+    _check_flavour(flavour)
     return _codes(term.edge, _term_vertices(term, flavour)[1], flavour)[term.edge]
 
 
@@ -439,7 +442,8 @@ def _name_shape(shape: _Shape, counter: itertools.count) -> TreeTerm:
 def enumerate_trees(max_edges: int, flavour: Flavour) -> list[TreeTerm]:
     """One named representative per isomorphism class, ordered by edge
     count and then canonical code."""
-    if max_edges > MAX_ENUMERATION_EDGES:
+    _check_flavour(flavour)
+    if _int_argument("max_edges", max_edges) > MAX_ENUMERATION_EDGES:
         raise BudgetExceeded(
             f"enumeration capped at {MAX_ENUMERATION_EDGES} edges, requested {max_edges}"
         )

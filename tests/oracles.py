@@ -3,10 +3,11 @@
 Each oracle follows the defining rule as literally as possible and avoids
 the library's strategies: closure is recomputed from scratch in rounds
 with simultaneous substitution, enumerations are exhaustive scans with
-late filtering.  Three are the library's own earlier, slower ways, kept
+late filtering.  Four are the library's own earlier, slower ways, kept
 as the reference for the faster ones: tree recognition from the
-descendant pairs, the face chain that lists every face, and the internal
-hom that tests every word of maps up to the codomain's longest word.
+descendant pairs, the face chain that lists every face, the internal
+hom that tests every word of maps up to the codomain's longest word, and
+the word order searched with a stack of chunk iterators.
 """
 
 from __future__ import annotations
@@ -124,6 +125,75 @@ def brute_word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> boo
             for parts in itertools.product(range(len(targets)), repeat=len(letters))
         ]
     return any(all(map(below, chunks, targets)) for chunks in splits)
+
+
+def stacked_word_leq(
+    candidates: dict[str, tuple[tuple[str, ...], ...]],
+    flavour: Flavour,
+    lower: tuple[str, ...],
+    upper: tuple[str, ...],
+) -> bool:
+    """The library's earlier decision of the induced order on words, by
+    depth-first search over one chunk per letter of ``upper`` with an
+    explicit stack of chunk iterators.  It keeps no memo of commutative
+    leftovers, so it can visit one leftover multiset once per order of
+    reaching it; it is the reference for the pass over distinct states."""
+    if lower == upper:
+        return True
+    if not upper:
+        return not lower
+    # one frame per letter of ``upper`` matched so far, each holding the
+    # iterator over that letter's chunks, so no match recurses
+    n, m = len(upper), len(lower)
+    stack = [iter(candidates[upper[0]])]
+    if flavour is Flavour.PLANAR:
+        starts = [0]  # where each frame's chunk begins in ``lower``
+        failed: set[tuple[int, int]] = set()  # (frame, start) with no match
+        while stack:
+            i, pos = len(stack) - 1, starts[-1]
+            for chunk in stack[-1]:
+                end = pos + len(chunk)
+                if lower[pos:end] != chunk or (i + 1, end) in failed:
+                    continue
+                if i + 1 == n:
+                    if end == m:
+                        return True
+                    continue
+                stack.append(iter(candidates[upper[i + 1]]))
+                starts.append(end)
+                break
+            else:
+                failed.add((i, pos))
+                stack.pop()
+                starts.pop()
+        return False
+
+    remaining = Counter(lower)
+    left = m  # letters of ``lower`` not yet in a chunk
+    taken: list[tuple[str, ...]] = []  # the chunk each frame below the top took
+    while stack:
+        i = len(stack) - 1
+        for chunk in stack[-1]:
+            if len(chunk) > left:
+                continue
+            need = Counter(chunk)
+            if all(remaining[x] >= k for x, k in need.items()):
+                if i + 1 == n:
+                    if len(chunk) == left:
+                        return True
+                    continue
+                remaining.subtract(need)
+                left -= len(chunk)
+                taken.append(chunk)
+                stack.append(iter(candidates[upper[i + 1]]))
+                break
+        else:
+            stack.pop()
+            if taken:
+                chunk = taken.pop()
+                remaining.update(chunk)
+                left += len(chunk)
+    return False
 
 
 def brute_monotone_maps(domain: BroadPoset, codomain: BroadPoset) -> list[dict[str, str]]:

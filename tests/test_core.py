@@ -46,7 +46,7 @@ from dendro.errors import (
     InvalidArgument,
     ParseError,
 )
-from dendro.terms import canonical_code, parse_term, to_broad
+from dendro.terms import canonical_code, enumerate_trees, parse_term, term_code, to_broad
 
 from conftest import stump_poset, tree_corpus
 from oracles import (
@@ -55,6 +55,7 @@ from oracles import (
     brute_monotone_maps,
     counted_element_profiles,
     naive_closure,
+    stacked_word_leq,
     tuple_element_profiles,
     word_scan_violations,
 )
@@ -151,6 +152,76 @@ def test_word_leq_does_not_recurse_per_letter(flavour):
     assert not word_leq(poset, word(flavour, xs[:-1] + ["x0000"]), word(flavour, xs))
     grown = BroadPoset.build(flavour, ["s", *xs], [((), "s")])
     assert word_leq(grown, word(flavour, xs), word(flavour, [*xs, "s"]))
+
+
+@st.composite
+def longer_word_questions(draw):
+    """A relation of up to eight pairs over up to five letters, not closed,
+    an upper word of up to five letters and a lower one of up to eight,
+    too long to try every split; the lower word is often made of chunks
+    below the upper word's letters, at times with one letter changed."""
+    flavour = draw(st.sampled_from([C, P]))
+    carrier = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    letter = st.sampled_from(carrier)
+    pairs = draw(st.lists(st.tuples(st.lists(letter, max_size=3), letter), max_size=8))
+    upper = draw(st.lists(letter, max_size=5))
+    if draw(st.booleans()):
+        lower = draw(st.lists(letter, max_size=8))
+    else:
+        lower = []
+        for i, t in enumerate(upper):
+            chunk = draw(st.sampled_from([[t], *(w for w, target in pairs if target == t)]))
+            if len(lower) + len(chunk) > 8:
+                upper = upper[:i]
+                break
+            lower += chunk
+        if lower and draw(st.booleans()):
+            lower[draw(st.integers(0, len(lower) - 1))] = draw(letter)
+    poset = BroadPoset.build(flavour, carrier, pairs)
+    return poset, word(flavour, lower), word(flavour, upper)
+
+
+@settings(max_examples=250, deadline=None)
+@given(longer_word_questions())
+def test_word_leq_matches_the_stacked_search(question):
+    poset, lower, upper = question
+    expected = stacked_word_leq(core._chunk_candidates(poset), poset.flavour, lower.letters, upper.letters)
+    assert word_leq(poset, lower, upper) == expected
+
+
+class _CountedChunks(dict):
+    """Chunk candidates that count their lookups, one per state and letter
+    of the upper word, and fail once the count passes a bound."""
+
+    def __init__(self, candidates, bound):
+        super().__init__(candidates)
+        self.bound, self.steps = bound, 0
+
+    def __getitem__(self, letter):
+        self.steps += 1
+        if self.steps > self.bound:
+            raise AssertionError(f"more than {self.bound} state steps")
+        return super().__getitem__(letter)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+@pytest.mark.parametrize("copies, expected", [(6, True), (4, False), (12, True)])
+def test_word_leq_steps_are_bounded_by_distinct_states(flavour, copies, expected, monkeypatch):
+    """Below u lie the empty word, every letter a0 .. a9 and every 2-letter
+    word over them, so ``a0 ... a9 <= u^k`` holds when 2k >= 10.  Searched
+    split by split, the commutative leftovers repeat once per order of
+    reaching them; kept once, they are at most the 2^10 subsets of the
+    letters, or the 11 positions when planar, per letter of the upper word."""
+    letters = [f"a{i}" for i in range(10)]
+    pairs = [((), "u"), *(((x,), "u") for x in letters), *(((x, y), "u") for x in letters for y in letters)]
+    poset = BroadPoset.build(flavour, ["u", *letters], pairs)
+    assert validate(poset).ok
+    lower, upper = word(flavour, letters), word(flavour, ["u"] * copies)
+    states = 2 ** len(letters) if flavour is C else len(letters) + 1
+    counted = _CountedChunks(core._chunk_candidates(poset), copies * states)
+    monkeypatch.setattr(core, "_chunk_candidates", lambda _: counted)
+    assert word_leq(poset, lower, upper) is expected
+    assert counted.steps
 
 
 # ---------------------------------------------------------------------------
@@ -1195,3 +1266,54 @@ def test_flavour_must_be_a_member():
     with pytest.raises(FlavourMismatch):
         BroadPoset(C, frozenset("abc"), frozenset({(stray, "c")}))
     assert corolla(0) == BroadPoset.build(C, ["r"], [((), "r")])
+
+
+def test_a_flavour_name_is_not_a_flavour():
+    """A plain string used to pass for planar: 10 shapes of up to 3 edges
+    where there are 9 commutative ones, and the planar code ``(*())``."""
+    term = parse_term("r(b,a())")
+    for call in (
+        lambda: enumerate_trees(3, "commutative"),
+        lambda: canonical_code(term, "commutative"),
+        lambda: term_code(term, "commutative"),
+        lambda: BroadPoset.build("commutative", ["a"]),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "flavour must be a Flavour member, not 'commutative'"
+    assert len(enumerate_trees(3, C)) == 9
+    assert canonical_code(term, C) == "(()*)"
+
+
+@pytest.mark.parametrize("value", ["3", 2.5, True, False, None], ids=repr)
+def test_size_arguments_must_be_ints(value):
+    """Not an int, or a bool, is refused by name before it is used."""
+    for call, name in (
+        (lambda: corolla(value), "leaf_count"),
+        (lambda: enumerate_trees(value, C), "max_edges"),
+        (lambda: FinitePoset.chain(value), "top"),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == f"{name} must be an int, not {value!r}"
+
+
+def test_size_arguments_keep_their_int_answers():
+    with pytest.raises(InvalidArgument) as info:
+        corolla(-2)
+    assert str(info.value) == "leaf_count must be at least 0, not -2"
+    assert [len(enumerate_trees(n, C)) for n in (-1, 0, 1, 2)] == [0, 0, 2, 4]
+    assert FinitePoset.chain(-1) == FinitePoset(frozenset(), frozenset())
+
+
+@pytest.mark.parametrize(
+    "carrier, pairs, bad",
+    [([1, 2], [((1,), 2)], 1), (["a", 3], [], 3), (["a", ("b",)], [(("a",), "a")], ("b",))],
+    ids=["ints", "an int", "a tuple"],
+)
+def test_identifiers_must_be_strings(carrier, pairs, bad):
+    """Such a poset used to be built, then broke repr, to_json and pair_str."""
+    for flavour in (C, P):
+        with pytest.raises(InvalidArgument) as info:
+            BroadPoset.build(flavour, carrier, pairs)
+        assert str(info.value) == f"identifiers must be strings, not {bad!r}"

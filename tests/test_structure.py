@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from dendro import core, structure
 from dendro.category import all_faces, degeneracies
-from dendro.core import BroadPoset, BroadWord, Flavour, _maxima_map, corolla, star
+from dendro.core import BroadPoset, BroadWord, Flavour, _maxima_map, corolla, star, tensor
 from dendro.errors import FlavourMismatch, IdentifierError, InvalidArgument, NoParent, NotDendroidal
 from dendro.structure import (
     EdgeKind,
@@ -32,6 +33,7 @@ from dendro.structure import (
 from dendro.terms import graft, parse_term, to_broad
 
 from conftest import linear_tree, stump_poset, tree_corpus
+from oracles import stacked_word_leq
 
 C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
@@ -453,3 +455,35 @@ def test_a_cut_outside_its_tree_is_built_by_the_constructor():
     cut = cut_of("r(a,b)", C, {"r", "a", "b", "z"}, pairs)
     assert cut == BroadPoset(C, {"r", "a", "b", "z"}, pairs)
     assert cut._known == {}
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_structure_of_tensors_matches_the_stacked_word_order(flavour, monkeypatch):
+    """Most tensors of trees are not trees, so their maxima and links are
+    found in the word order.  Each is asked of a bare copy, which keeps nothing,
+    once as the library decides the order and once with the earlier
+    stacked search; tensors of trees up to 4 edges with at most 9
+    elements."""
+    trees = tree_corpus(flavour, 4)
+    tensors = [
+        tensor(a, b)
+        for a, b in itertools.combinations_with_replacement(trees, 2)
+        if len(a.carrier) * len(b.carrier) <= 9
+    ]
+
+    def answers():
+        out = []
+        for t in tensors:
+            bare = BroadPoset(t.flavour, t.carrier, t.relation)
+            out.append((classify_all(bare), links(bare), is_dendroidal(bare).violations))
+        return out
+
+    def stacked(*question):
+        asked.append(question)
+        return stacked_word_leq(*question)
+
+    ours, asked = answers(), []
+    monkeypatch.setattr(core, "_word_leq", stacked)
+    monkeypatch.setattr(structure, "_word_leq", stacked)
+    assert ours == answers()
+    assert asked and any(violations for _, _, violations in ours)
