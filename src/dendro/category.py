@@ -23,10 +23,11 @@ from .core import (
     MonotoneMap,
     Pair,
     _int_argument,
+    _is_isomorphism,
+    _lazy_tree,
     _maxima_map,
     _top_down,
     _tree_poset,
-    check_isomorphism,
     compose,
     is_monotone,
     pair_str,
@@ -121,8 +122,10 @@ class MapKind(str, Enum):
 
 def inner_face(poset: BroadPoset, edge: str) -> MonotoneMap:
     """Inclusion of the subtree obtained by contracting an inner edge."""
-    kind = FaceKind(FaceType.INNER, edge=edge)
-    return _face_map(poset, kind, NotInnerEdge(f"{edge!r} is not an inner edge"))
+    vertices, top = _tree(poset)
+    if not (isinstance(edge, str) and edge in vertices and edge != top):
+        raise NotInnerEdge(f"{edge!r} is not an inner edge")
+    return inclusion(_cut(poset, CONTRACT, edge), poset)
 
 
 def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
@@ -131,46 +134,34 @@ def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
     vertex's edge becomes a leaf."""
     if not (isinstance(cluster, tuple) and len(cluster) == 2 and isinstance(cluster[0], BroadWord)):
         raise InvalidArgument(f"cluster must be a (word, edge) pair, not {cluster!r}")
-    kind = FaceKind(FaceType.OUTER, cluster=cluster)
-    return _face_map(poset, kind, NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster"))
+    vertices, _ = _tree(poset)
+    kids, edge = cluster
+    if not (isinstance(edge, str) and vertices.get(edge) == kids and vertices.keys().isdisjoint(kids.letters)):
+        raise NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster")
+    return inclusion(_cut(poset, PRUNE, edge), poset)
 
 
 def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
     """Inclusion of the branch left after removing the root vertex."""
-    kind = FaceKind(FaceType.ROOT, branch=branch)
-    message = f"{branch!r} is not a child of the root whose other children are all leaves"
-    return _face_map(poset, kind, NoRootFace(message))
-
-
-def _face_map(poset: BroadPoset, kind: FaceKind, absent: Exception) -> MonotoneMap:
-    """The inclusion of the face of the given kind, or ``absent`` raised."""
-    for face_kind, _, how, edge in _faces(poset):
-        if face_kind == kind:
-            return inclusion(_cut(poset, how, edge), poset)
-    raise absent
-
-
-def _faces(poset: BroadPoset) -> list[tuple[FaceKind, frozenset[str], str, str]]:
-    """Every face of a tree in order: its kind, the carrier of its domain,
-    and how and where :func:`_cut` cuts it out."""
     vertices, top = _tree(poset)
-    carrier = poset.carrier
-    leaf = carrier - vertices.keys()
-    out = [
-        (FaceKind(FaceType.INNER, edge=edge), carrier - {edge}, CONTRACT, edge)
-        for edge in sorted(vertices.keys() - {top})
-    ]
+    kids = vertices[top].letters if top in vertices else ()
+    if not (isinstance(branch, str) and branch in kids and vertices.keys().isdisjoint(set(kids) - {branch})):
+        raise NoRootFace(f"{branch!r} is not a child of the root whose other children are all leaves")
+    return inclusion(_cut(poset, SUBTREE, branch), poset)
+
+
+def _faces(poset: BroadPoset) -> list[tuple[FaceKind, str, str]]:
+    """Every face of a tree in order: its kind, and how and where
+    :func:`_cut` cuts it out."""
+    vertices, top = _tree(poset)
+    out = [(FaceKind(FaceType.INNER, edge=edge), CONTRACT, edge) for edge in sorted(vertices.keys() - {top})]
     for vertex, kids in sorted(vertices.items()):
-        if leaf.issuperset(kids.letters):
-            kind = FaceKind(FaceType.OUTER, cluster=(kids, vertex))
-            out.append((kind, carrier - set(kids.letters), PRUNE, vertex))
-    if top in vertices:
-        kids = vertices[top].letters
-        for branch in sorted(kids):
-            others = {x for x in kids if x != branch}
-            if leaf.issuperset(others):
-                kind = FaceKind(FaceType.ROOT, branch=branch)
-                out.append((kind, carrier - others - {top}, SUBTREE, branch))
+        if vertices.keys().isdisjoint(kids.letters):
+            out.append((FaceKind(FaceType.OUTER, cluster=(kids, vertex)), PRUNE, vertex))
+    kids = vertices[top].letters if top in vertices else ()
+    for branch in sorted(kids):
+        if vertices.keys().isdisjoint(set(kids) - {branch}):
+            out.append((FaceKind(FaceType.ROOT, branch=branch), SUBTREE, branch))
     return out
 
 
@@ -181,7 +172,7 @@ def all_faces(poset: BroadPoset) -> list[Face]:
 
 def _face_domains(poset: BroadPoset) -> list[tuple[FaceKind, BroadPoset]]:
     """Every face of a tree with its domain, each cut out of the tree."""
-    return [(kind, _cut(poset, how, edge)) for kind, _, how, edge in _faces(poset)]
+    return [(kind, _cut(poset, how, edge)) for kind, how, edge in _faces(poset)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +191,9 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     word together with subtrees below its letters; note that a subtree may keep
     an edge while dropping the vertex above it, so subtrees are not always
     induced on their carrier.  The subtrees rooted at each edge, children
-    first, are held as carrier and vertex map until they are written out.
+    first, are held as carrier and vertex map, and each subtree holds its
+    map: its relation is part of the tree's, so it is within the budget
+    and is written only when it is read.
     """
     _int_argument("cap", cap)
     vertices, top = _tree(poset)
@@ -215,7 +208,7 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
                 pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
     return _subtree_order([
-        _tree_poset(poset.flavour, carrier, dict(verts))
+        _lazy_tree(poset.flavour, carrier, dict(verts), x)
         for x in sorted(poset.carrier)
         for carrier, verts in rooted[x]
     ])
@@ -258,13 +251,10 @@ def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     faces are matched by map; a non-tree has no root and matches none."""
     faces = _faces(poset)
     vertices, top = _tree(poset)
-    for kind, carrier, how, edge in faces:
-        if (
-            carrier == sub.carrier
-            and sub.flavour is poset.flavour
-            and _cut_map(vertices, top, how, edge) == _maxima_map(sub)
-        ):
-            return kind
+    if sub.flavour is poset.flavour and sub.carrier <= poset.carrier:
+        for kind, how, edge in faces:  # equal maps and roots mean equal carriers
+            if _cut_map(vertices, top, how, edge) == _maxima_map(sub):
+                return kind
     raise NotMaximal("the subtree is not the domain of any face")
 
 
@@ -308,9 +298,7 @@ def _unary(vertices: dict[str, BroadWord]) -> list[tuple[str, str]]:
 def classify_map(mapping: MonotoneMap) -> MapKind:
     """Isomorphism, face, degeneracy, or other; faces and degeneracies by vertex map."""
     domain, codomain = mapping.domain, mapping.codomain
-    if len(domain.carrier) == len(codomain.carrier) and check_isomorphism(
-        domain, codomain, mapping.mapping
-    ):
+    if len(domain.carrier) == len(codomain.carrier) and _is_isomorphism(domain, codomain, mapping.mapping):
         return MapKind.ISOMORPHISM
     moved = [(k, v) for k, v in mapping.pairs if k != v]
     vertices, top = _maxima_map(domain)

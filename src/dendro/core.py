@@ -20,6 +20,7 @@ flavour, carrier and relation); isomorphism is a separate search.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,6 +85,9 @@ class BroadWord:
         if self.flavour is Flavour.COMMUTATIVE:
             letters = tuple(sorted(letters))
         object.__setattr__(self, "letters", letters)
+
+    def __deepcopy__(self, memo) -> "BroadWord":  # immutable, so its own copy
+        return self
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -153,10 +157,12 @@ class BroadPoset:
     reflexive pair is stored; it does not verify transitivity or
     anti-symmetry.  Use :func:`validate` to check those, or
     :func:`generate_broad_poset` to build a closed relation from
-    generators.  A tree cut out of a tree (a face domain, a subtree at an
-    edge, a degeneracy codomain) is checked instead against that tree, by
-    set operations that imply these checks, and any cut that fails goes
-    through the constructor.
+    generators.  A tree written from its vertex map (:func:`_tree_poset`)
+    or cut out of a tree holds its map and root, and its relation is
+    written from them the first time it is read (:func:`_tree_relation`;
+    two threads may both write it, and store equal values); its map is
+    checked vertex by vertex, which implies the constructor's checks of
+    every pair.
     """
 
     flavour: Flavour
@@ -166,24 +172,18 @@ class BroadPoset:
     # what the memoized lookups have worked out about this object, by name
     _known: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __getattr__(self, name: str):  # only for an unset slot: a tree's relation not yet read
+        if name != "relation":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        relation = _tree_relation(self)
+        object.__setattr__(self, "relation", relation)
+        return relation
+
     def __post_init__(self):
         _check_flavour(self.flavour)
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         object.__setattr__(self, "relation", frozenset(self.relation))
-        carrier = self.carrier
-        for x in carrier:  # letters and targets must lie in it, so they are strings too
-            if not isinstance(x, str):
-                raise InvalidArgument(f"identifiers must be strings, not {x!r}")
-        for w, target in self.relation:
-            if w.flavour is not self.flavour:
-                raise _flavour_mismatch(w)
-            if target not in carrier:
-                raise IdentifierError(f"target {target!r} not in carrier")
-            for letter in w.letters:
-                if letter not in carrier:
-                    raise IdentifierError(f"letter {letter!r} not in carrier")
-            if w.letters == (target,):
-                raise InvalidArgument(f"reflexive pair {pair_str((w, target))} must stay implicit")
+        _check_pairs(self.flavour, self.carrier, self.relation)
 
     @classmethod
     def build(
@@ -194,7 +194,10 @@ class BroadPoset:
         meta: dict | None = None,
     ) -> "BroadPoset":
         """Normalise raw ``(letters, target)`` pairs and drop reflexive ones."""
-        words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, tuple(s)), t) for s, t in pairs]
+        carrier = frozenset(carrier)
+        raw = [(s if isinstance(s, BroadWord) else tuple(s), t) for s, t in pairs]
+        _check_identifiers(carrier.union(*(s for s, _ in raw if type(s) is tuple)))  # before letters sort
+        words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, s), t) for s, t in raw]
         for w, _ in words:  # before a reflexive pair is dropped, and before a word is hashed
             if w.flavour is not flavour:
                 raise _flavour_mismatch(w)
@@ -316,6 +319,28 @@ def _int_argument(name: str, value) -> int:
     return value
 
 
+def _check_identifiers(identifiers: Iterable) -> None:
+    for x in identifiers:
+        if not isinstance(x, str):
+            raise InvalidArgument(f"identifiers must be strings, not {x!r}")
+
+
+def _check_pairs(flavour: Flavour, carrier: frozenset, pairs: Iterable[Pair]) -> None:
+    """Raise unless the identifiers are strings and each pair has the
+    flavour, names only elements of the carrier and is not reflexive."""
+    _check_identifiers(carrier)  # letters and targets must lie in it, so they are strings too
+    for w, target in pairs:
+        if w.flavour is not flavour:
+            raise _flavour_mismatch(w)
+        if target not in carrier:
+            raise IdentifierError(f"target {target!r} not in carrier")
+        for letter in w.letters:
+            if letter not in carrier:
+                raise IdentifierError(f"letter {letter!r} not in carrier")
+        if w.letters == (target,):
+            raise InvalidArgument(f"reflexive pair {pair_str((w, target))} must stay implicit")
+
+
 def _check_flavour(flavour) -> None:
     """Raise unless the flavour is a Flavour member, not a flavour's name."""
     if not isinstance(flavour, Flavour):  # words sort by flavour identity
@@ -327,8 +352,9 @@ def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
     targets name only elements of its carrier."""
     if w.flavour is not poset.flavour:
         raise _flavour_mismatch(w)
+    carrier = poset.carrier
     for x in (*w.letters, *targets):
-        if x not in poset.carrier:
+        if x not in carrier:
             raise IdentifierError(f"{x!r} not in carrier")
 
 
@@ -392,13 +418,15 @@ def _word_leq(
 
 
 def _take(rest: tuple[str, ...], chunk: tuple[str, ...]) -> tuple[str, ...] | None:
-    """The sorted letters ``rest`` less those of ``chunk``, or None when it lacks one."""
+    """The sorted letters ``rest`` less those of the sorted ``chunk``, each
+    found by bisection after the last, or None when it lacks one."""
     left = list(rest)
+    i = 0
     for x in chunk:
-        try:
-            left.remove(x)
-        except ValueError:
+        i = bisect_left(left, x, i)
+        if i == len(left) or left[i] != x:
             return None
+        del left[i]
     return tuple(left)
 
 
@@ -500,10 +528,10 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
     """For each non-leaf element, the maximum word below it, or None; and
     the root when the poset is a tree, else None.
 
-    A tree written from its vertex map keeps the map and root as this
-    answer (:func:`_written`), and a tree from elsewhere is recognised by
-    :func:`_tree_words`; a tree's maxima are its vertices.  Any other
-    broad poset gets a full search.
+    A tree written from its vertex map or cut out of a tree holds the map
+    and root as this answer (:func:`_lazy_tree`), and a tree from
+    elsewhere is recognised by :func:`_tree_words`; a tree's maxima are
+    its vertices.  Any other broad poset gets a full search.
     """
     tree = _tree_words(poset)
     if tree is not None:
@@ -518,12 +546,55 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
     return out, None
 
 
-def _written(poset: BroadPoset, vertices: dict[str, BroadWord], top: str) -> BroadPoset:
-    """The tree written from the given vertex map and root, which are kept
-    as its :func:`_maxima_map` answer; the caller must not change the map
-    afterwards."""
-    poset._known[_maxima_map.__name__] = (vertices, top)
-    return poset
+# the key a tree's vertex map and root are kept under, as its _maxima_map answer
+_TREE = _maxima_map.__name__
+
+
+def _lazy_tree(
+    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], top: str, meta=None
+) -> BroadPoset:
+    """The tree with the given carrier, vertex map and root, held as its
+    :func:`_maxima_map` answer; its relation is written when first read.
+    Nothing is checked, and the caller must not change the map afterwards."""
+    tree = object.__new__(BroadPoset)
+    for name, value in (
+        ("flavour", flavour), ("carrier", carrier), ("meta", meta or {}), ("_known", {_TREE: (vertices, top)})
+    ):
+        object.__setattr__(tree, name, value)
+    return tree
+
+
+def _tree_relation(tree: BroadPoset) -> frozenset[Pair]:
+    """The relation of a tree that holds its vertex map: the words below an
+    edge are the concatenations of one choice per child, the child itself
+    or a word below it, sorted when commutative."""
+    vertices, top = tree._known[_TREE]
+    flavour = tree.flavour
+    order = [x for x in _top_down(vertices, top) if x in vertices]
+    below = _words_below(vertices, reversed(order))
+    return frozenset(
+        [(_canonical_word(flavour, _canonical(flavour, w)), x) for x, ws in below.items() for w in ws]
+    )
+
+
+def _tree_leq(vertices: dict[str, BroadWord], flavour: Flavour, letters: tuple[str, ...], target: str) -> bool:
+    """Whether the word with the given canonical letters is at or below
+    ``target`` in the tree with the given vertex map: it is the target, or
+    the word got by expanding, from the target down, every other edge."""
+    if letters == (target,):
+        return True
+    keep = set(letters)
+    found = []
+    pending = [target]
+    while pending:
+        x = pending.pop()
+        if x in keep and x != target:
+            found.append(x)
+        elif x in vertices:
+            pending.extend(reversed(vertices[x].letters))
+        else:
+            return False  # a leaf the word does not hold, or a target with no vertex
+    return tuple(found if flavour is Flavour.PLANAR else sorted(found)) == letters
 
 
 def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
@@ -569,26 +640,22 @@ def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> di
 def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
 ) -> BroadPoset:
-    """The tree with the given edges and vertex map, its relation written out.
+    """The tree with the given edges and vertex map, its relation written
+    when it is first read (:func:`_lazy_tree`).
 
     The map must span the carrier as one rooted tree: every edge but the
-    root is a child of exactly one edge, and each word of children has
-    the given flavour.  The words below an edge are the concatenations of
-    one choice per child: the child itself or a word below it.  The
-    result keeps the map and its root, as :func:`_written` does.  A
-    relation of more than :data:`MAX_RELATION_PAIRS` pairs is counted, not
-    written, and raises :class:`BudgetExceeded`.
+    root is a child of exactly one edge.  The constructor checks each pair
+    of the relation; here each vertex is checked as a pair, which implies
+    it.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs is
+    counted, not written, and raises :class:`BudgetExceeded`.
     """
+    _check_flavour(flavour)
+    _check_pairs(flavour, carrier, ((w, x) for x, w in vertices.items()))
     (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
     order = [x for x in _top_down(vertices, top) if x in vertices]
-    size = _relation_size(vertices, reversed(order))
-    if size > MAX_RELATION_PAIRS:
+    if _relation_size(vertices, reversed(order)) > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    below = _words_below(vertices, reversed(order))
-    relation = frozenset(
-        [(_canonical_word(flavour, _canonical(flavour, w)), x) for x, ws in below.items() for w in ws]
-    )
-    return _written(BroadPoset(flavour, carrier, relation, meta or {}), vertices, top)
+    return _lazy_tree(flavour, carrier, vertices, top, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -908,11 +975,11 @@ class MonotoneMap:
         mapping = dict(self.pairs)
         object.__setattr__(self, "pairs", tuple(sorted(mapping.items())))
         object.__setattr__(self, "_map", mapping)
-        if set(mapping) != set(self.domain.carrier):
+        if mapping.keys() != self.domain.carrier:
             raise IdentifierError("assignment is not total on the domain carrier")
-        for value in mapping.values():
-            if value not in self.codomain.carrier:
-                raise IdentifierError(f"value {value!r} not in codomain carrier")
+        if not self.codomain.carrier.issuperset(mapping.values()):
+            value = next(v for v in mapping.values() if v not in self.codomain.carrier)
+            raise IdentifierError(f"value {value!r} not in codomain carrier")
 
     @classmethod
     def from_dict(
@@ -965,7 +1032,8 @@ class MonotoneMap:
 
 
 def is_monotone(assignment: Mapping[str, str], domain: BroadPoset, codomain: BroadPoset) -> bool:
-    """Whether every relation pair maps into a stored or reflexive pair."""
+    """Whether every relation pair maps into a stored or reflexive pair;
+    between trees that hold their vertex maps, whether every vertex does."""
     if domain.flavour is not codomain.flavour:
         raise FlavourMismatch("flavours differ")
     if set(assignment) != set(domain.carrier):
@@ -973,8 +1041,14 @@ def is_monotone(assignment: Mapping[str, str], domain: BroadPoset, codomain: Bro
     for value in assignment.values():
         if value not in codomain.carrier:
             raise IdentifierError(f"value {value!r} not in codomain carrier")
-    relation = _letter_pairs(codomain.relation)
     flavour = codomain.flavour
+    (vertices, top), (image, image_top) = [p._known.get(_TREE, ({}, None)) for p in (domain, codomain)]
+    if top is not None and image_top is not None:
+        return all(
+            _tree_leq(image, flavour, _canonical(flavour, tuple([assignment[x] for x in w.letters])), assignment[e])
+            for e, w in vertices.items()
+        )
+    relation = _letter_pairs(codomain.relation)
     for w, target in domain.relation:
         image = _canonical(flavour, tuple([assignment[x] for x in w.letters]))
         ft = assignment[target]
@@ -1167,6 +1241,22 @@ def check_isomorphism(
         for w, t in left.relation
     }
     return image == _letter_pairs(right.relation)
+
+
+def _is_isomorphism(left: BroadPoset, right: BroadPoset, assignment: Mapping[str, str]) -> bool:
+    """:func:`check_isomorphism`, read off the vertex maps when both sides
+    are trees that hold theirs: a bijection that sends root to root and each
+    vertex word onto the image's.  A tree's vertices generate its relation."""
+    (lv, ltop), (rv, rtop) = [p._known.get(_TREE, ({}, None)) for p in (left, right)]
+    if ltop is None or rtop is None:
+        return check_isomorphism(left, right, assignment)
+    if set(assignment) != left.carrier or set(assignment.values()) != right.carrier:
+        return False
+    if len(left.carrier) != len(right.carrier) or assignment[ltop] != rtop:
+        return False
+    flavour = right.flavour
+    image = {assignment[x]: _canonical(flavour, tuple([assignment[c] for c in w.letters])) for x, w in lv.items()}
+    return image == {x: w.letters for x, w in rv.items()}
 
 
 def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int]:

@@ -13,7 +13,6 @@ stump, the shape of a constant.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,11 +23,10 @@ from .core import (
     Pair,
     _chunk_candidates,
     _descendant_pairs,
-    _kept,
+    _lazy_tree,
     _maxima_map,
     _top_down,
     _word_leq,
-    _written,
     pair_str,
     sources_map,
     validate,
@@ -253,34 +251,6 @@ def vertices(poset: BroadPoset) -> frozenset[Pair]:
     return frozenset((word, x) for x, word in _tree(poset)[0].items())
 
 
-@dataclass(frozen=True, slots=True)
-class _TreeIndex:
-    """A tree's parents, with its relation split into the pairs below each
-    edge and the pairs whose word mentions each edge.  It is kept on its
-    tree, so it holds nothing that refers back to the tree."""
-
-    parent: dict[str, str]
-    below: dict[str, frozenset[Pair]]
-    mentions: dict[str, frozenset[Pair]]
-
-
-@_kept
-def _tree_index(poset: BroadPoset) -> _TreeIndex:
-    """The index of a tree, which the caller has checked to be one."""
-    vertices, _ = _maxima_map(poset)
-    below: dict[str, list[Pair]] = defaultdict(list)
-    mentions: dict[str, list[Pair]] = defaultdict(list)
-    for pair in poset.relation:
-        below[pair[1]].append(pair)
-        for letter in pair[0].letters:
-            mentions[letter].append(pair)
-    return _TreeIndex(
-        {c: x for x, kids in vertices.items() for c in kids.letters},
-        {x: frozenset(pairs) for x, pairs in below.items()},
-        {x: frozenset(pairs) for x, pairs in mentions.items()},
-    )
-
-
 # the three ways _cut takes a smaller tree out of a tree
 CONTRACT, PRUNE, SUBTREE = "contract", "prune", "subtree"
 
@@ -311,67 +281,12 @@ def _cut_map(vertices: dict[str, BroadWord], top: str, how: str, edge: str) -> t
 
 
 def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
-    """The tree :func:`_cut_map` cuts out of a tree, its map kept as
-    :func:`_tree_poset` keeps it; its relation is the ambient one less the
-    pairs the cut drops, found by set operations on the tree's index."""
-    ambient, the_root = _maxima_map(poset)
-    tree = _tree_index(poset)
-    vertices, top = _cut_map(ambient, the_root, how, edge)
-    if how == CONTRACT:
-        carrier = poset.carrier - {edge}
-        relation = poset.relation.difference(tree.below[edge], tree.mentions.get(edge, ()))
-    elif how == PRUNE:
-        carrier = poset.carrier - set(ambient[edge].letters)
-        # the words below an ancestor in which the edge is expanded are
-        # those mentioning no edge on the path up from it: a stump's
-        # expansion to the empty word leaves no letter behind
-        dropped = [tree.below[edge]]
-        path = tree.mentions.get(edge, frozenset())
-        x = edge
-        while x != the_root:
-            x = tree.parent[x]
-            dropped.append(tree.below[x] - path)
-            path = path | tree.mentions.get(x, frozenset())
-        relation = poset.relation.difference(*dropped)
-    else:
-        relation = frozenset().union(*(tree.below[x] for x in vertices))
-        carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
-    return _written(_cut_poset(poset, tree, carrier, relation), vertices, top)
-
-
-def _cut_poset(
-    poset: BroadPoset, tree: _TreeIndex, carrier: frozenset[str], relation: frozenset[Pair]
-) -> BroadPoset:
-    """The broad poset on ``carrier`` and ``relation`` cut out of the tree
-    ``poset`` with index ``tree``, checked against the tree by set
-    operations instead of pair by pair.
-
-    The tree passed the constructor's checks, so when the carrier and
-    relation lie inside the tree's and no pair lies below or mentions an
-    edge the cut removes, every pair has the tree's flavour, none is
-    reflexive and each names only kept edges: what the constructor checks.
-    Anything else goes to the constructor, which raises as it always does.
-    """
-    if (
-        carrier <= poset.carrier
-        and relation <= poset.relation
-        and (
-            not relation
-            or all(
-                relation.isdisjoint(tree.below.get(x, ()))
-                and relation.isdisjoint(tree.mentions.get(x, ()))
-                for x in poset.carrier - carrier
-            )
-        )
-    ):
-        cut = object.__new__(BroadPoset)
-        fields = {
-            "flavour": poset.flavour, "carrier": carrier, "relation": relation, "meta": {}, "_known": {}
-        }
-        for name in BroadPoset.__slots__:
-            object.__setattr__(cut, name, fields[name])
-        return cut
-    return BroadPoset(poset.flavour, carrier, relation)
+    """The tree :func:`_cut_map` cuts out of a tree, on the edges its map
+    keeps; the map of a tree edited this way needs no check, and its
+    relation is written only when it is read."""
+    vertices, top = _cut_map(*_maxima_map(poset), how, edge)
+    carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
+    return _lazy_tree(poset.flavour, carrier, vertices, top)
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:
@@ -414,4 +329,4 @@ def root_corolla(poset: BroadPoset) -> BroadPoset:
 
 def inclusion(sub: BroadPoset, ambient: BroadPoset) -> MonotoneMap:
     """The identity-assignment map of a sub broad poset into its ambient."""
-    return MonotoneMap.from_dict(sub, ambient, {x: x for x in sub.carrier})
+    return MonotoneMap(sub, ambient, tuple([(x, x) for x in sorted(sub.carrier)]))

@@ -25,9 +25,9 @@ from .core import (
     _assignments,
     _check_flavour,
     _int_argument,
+    _is_isomorphism,
     _top_down,
     _tree_poset,
-    check_isomorphism,
 )
 from .errors import (
     BudgetExceeded,
@@ -370,7 +370,7 @@ def are_isomorphic(
             witness[x] = image
             used.add(image)
             image = rparent[image]
-    if not check_isomorphism(left, right, witness):
+    if not _is_isomorphism(left, right, witness):
         return False, None
     return True, witness
 

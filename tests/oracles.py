@@ -476,8 +476,8 @@ def listed_face_chain(ambient: BroadPoset, target: BroadPoset) -> list:
     while _tree(current) != _tree(target):
         candidates = [
             (kind, how, edge)
-            for kind, carrier, how, edge in _faces(current)
-            if target.carrier <= carrier and (how != PRUNE or edge in leaf)
+            for kind, how, edge in _faces(current)
+            if target.carrier <= _cut(current, how, edge).carrier and (how != PRUNE or edge in leaf)
         ]
         if not candidates:
             raise FactorizationError(f"no face of {current!r} contains the image {target!r}")

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dendro import category, structure
+from dendro import category, core
 from dendro.category import (
     FaceKind,
     FaceType,
@@ -227,9 +227,9 @@ def test_classification_builds_no_index(example, monkeypatch):
     sigmas = [s for t in ("r(a(b(c)),d)", "r(a(b))") for s in degeneracies(to_broad(parse_term(t), C))]
 
     def refuse(poset):
-        raise AssertionError("an index was built")
+        raise AssertionError("a relation was written")
 
-    monkeypatch.setattr(structure, "_tree_index", refuse)
+    monkeypatch.setattr(core, "_tree_relation", refuse)
     kinds = [classify_maximal(example, sub) for sub in subs]
     assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in faces), key=FaceKind.sort_key)
     for face in faces:

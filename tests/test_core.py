@@ -1317,3 +1317,13 @@ def test_identifiers_must_be_strings(carrier, pairs, bad):
         with pytest.raises(InvalidArgument) as info:
             BroadPoset.build(flavour, carrier, pairs)
         assert str(info.value) == f"identifiers must be strings, not {bad!r}"
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_build_checks_identifiers_before_it_sorts_letters(flavour):
+    """A commutative word sorts its letters, which a non-string beside a
+    string made a bare TypeError; both flavours name the identifier."""
+    for carrier, pairs, bad in ((["a", 1], [(("a", 1), "a")], 1), (["a", "b"], [(("b", 2), "a")], 2)):
+        with pytest.raises(InvalidArgument) as info:
+            BroadPoset.build(flavour, carrier, pairs)
+        assert str(info.value) == f"identifiers must be strings, not {bad!r}"

@@ -127,7 +127,9 @@ def test_the_scan_finds_a_bare_construction():
 
 
 def test_only_a_cut_tree_skips_the_per_pair_check():
-    """A broad poset is built past its constructor in one place, the check
-    of a tree cut out of a tree, so no data from outside can take it."""
+    """A broad poset is built past its constructor in one place, the tree
+    that holds its vertex map, which is checked vertex by vertex when it
+    is written and needs no check when it is cut out of a tree, so no data
+    from outside can take it."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert bare_constructions(sources, "BroadPoset") == ["structure.py: _cut_poset"]
+    assert bare_constructions(sources, "BroadPoset") == ["core.py: _lazy_tree"]

@@ -74,18 +74,20 @@ def test_a_queried_tree_pickles_and_copies(flavour):
 
 
 def test_threads_sharing_posets_get_the_answers_of_one_thread():
-    """Threads may both work out an entry of one poset; the values are
-    equal, so every thread gets the answers a lone thread gets."""
-    trees = [to_broad(t, flavour) for flavour in Flavour for t in enumerate_trees(4, flavour)]
+    """Threads may both work out an entry of one poset, or write the
+    relation of one tree that holds its vertex map; the values are equal,
+    so every thread gets the answers a lone thread gets."""
+    terms = [(t, flavour) for flavour in Flavour for t in enumerate_trees(4, flavour)]
+    trees = [to_broad(t, flavour) for t, flavour in terms]
 
     def bare(tree: BroadPoset) -> BroadPoset:
         return BroadPoset(tree.flavour, tree.carrier, tree.relation)
 
     def answers(posets: list[BroadPoset]) -> list:
-        return [(vertices(p), links(p), all_faces(p)) for p in posets]
+        return [(p.relation, vertices(p), links(p), all_faces(p)) for p in posets]
 
-    reference = answers([bare(t) for t in trees])
-    shared = [bare(t) for t in trees]
+    reference = answers([bare(t) for t in trees] * 2)
+    shared = [bare(t) for t in trees] + [to_broad(t, flavour) for t, flavour in terms]
     results: list = [None] * 4
 
     def work(i: int) -> None:

@@ -1,0 +1,168 @@
+"""A tree written from its vertex map, or cut out of a tree, holds the map
+and writes its relation only when something reads it.  Such a tree is, on
+the nose, the broad poset the checked constructor builds on its carrier
+and written relation, and the questions answered off vertex maps write no
+relation at all."""
+
+import copy
+import itertools
+import pickle
+import re
+
+import pytest
+
+from dendro import core, terms
+from dendro.category import all_faces, degeneracies, enumerate_subtrees, factorize
+from dendro.core import (
+    BroadPoset,
+    Flavour,
+    MonotoneMap,
+    _maxima_map,
+    check_isomorphism,
+    identity,
+    is_monotone,
+)
+from dendro.structure import classify_all, links, subtree_at
+from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad
+
+C = Flavour.COMMUTATIVE
+P = Flavour.PLANAR
+LAZY_CORPUS_EDGES = 7
+KEY = _maxima_map.__name__
+
+
+def bare(tree: BroadPoset) -> BroadPoset:
+    """The same broad poset built from its relation, holding nothing."""
+    return BroadPoset(tree.flavour, tree.carrier, tree.relation)
+
+
+def unwritten(tree: BroadPoset) -> BroadPoset:
+    """A twin of a tree that holds its map, with its relation not written."""
+    vertices, top = tree._known[KEY]
+    return core._lazy_tree(tree.flavour, tree.carrier, vertices, top, tree.meta)
+
+
+def held_trees(flavour: Flavour) -> list[BroadPoset]:
+    """Every tree of the corpus as ``to_broad`` writes it, and its face
+    domains, subtrees at each edge, degeneracy codomains and subtrees:
+    each distinct by carrier and kept map, since the corpus trees share
+    their edge names."""
+    seen: dict = {}
+    for term in enumerate_trees(LAZY_CORPUS_EDGES, flavour):
+        tree = to_broad(term, flavour)
+        held = [tree, *(face.domain for face in all_faces(tree))]
+        held += [subtree_at(tree, x) for x in sorted(tree.carrier)]
+        held += [sigma.codomain for sigma in degeneracies(tree)]
+        held += enumerate_subtrees(tree)
+        for t in held:
+            vertices, top = t._known[KEY]
+            seen.setdefault((t.carrier, frozenset((x, w.letters) for x, w in vertices.items()), top), t)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_held_trees_are_the_posets_the_constructor_builds(flavour):
+    """Each question is asked of its own unwritten twin, so each writes
+    the relation on its first read: equality both ways, hash, JSON,
+    ``repr``, a pickle round trip and a deep copy, which keep the map."""
+    trees = held_trees(flavour)
+    for tree in trees:
+        kept = tree._known[KEY]
+        built = BroadPoset(flavour, tree.carrier, core._tree_relation(tree))
+        assert _maxima_map(bare(built)) == kept
+        assert unwritten(tree) == built
+        assert built == unwritten(tree)
+        assert hash(unwritten(tree)) == hash(built)
+        assert unwritten(tree).to_json() == built.to_json()
+        assert repr(unwritten(tree)) == repr(built)
+        for twin in (pickle.loads(pickle.dumps(unwritten(tree))), copy.deepcopy(unwritten(tree))):
+            assert twin == built and built == twin
+            assert twin._known[KEY] == kept
+    assert len(trees) > (500 if flavour is C else 1000)
+
+
+def test_questions_answered_off_the_map_write_no_relation(monkeypatch):
+    """Structure, faces, factorization, codes and isomorphism of written
+    trees, with the relation writer made to raise."""
+    tree = to_broad(parse_term("r(a(b(c)),d())"), C)
+    twin = to_broad(parse_term("s(x(y(z)),w())"), C)
+    near = to_broad(parse_term("s(x(y(z())),w)"), C)
+    chain = to_broad(parse_term("x(y(z))"), C)
+    maps = [
+        identity(tree),
+        MonotoneMap.from_dict(chain, tree, {"x": "r", "y": "a", "z": "b"}),  # an outer and an inner face
+        MonotoneMap.from_dict(chain, tree, {"x": "r", "y": "r", "z": "a"}),  # a degeneracy, then three faces
+    ]
+
+    def refuse(poset):
+        raise AssertionError("a relation was written")
+
+    monkeypatch.setattr(core, "_tree_relation", refuse)
+    assert len(classify_all(tree)) == 5
+    assert len(links(tree)) == 4
+    assert len(all_faces(tree)) == 5
+    steps = [(len(f.degeneracies), len(f.faces)) for f in map(factorize, maps)]
+    assert steps == [(0, 0), (0, 2), (1, 3)]
+    assert canonical_code(tree) == canonical_code(twin)
+    assert are_isomorphic(tree, twin) == (True, {"r": "s", "a": "x", "b": "y", "c": "z", "d": "w"})
+    assert are_isomorphic(tree, near) == (False, None)
+
+
+def renamed(term, flavour: Flavour) -> BroadPoset:
+    """The tree of a corpus term with edge ``ei`` named ``z(10 - i)``, so
+    name order runs against the original's."""
+    return to_broad(parse_term(re.sub(r"e(\d+)", lambda m: f"z{10 - int(m[1])}", str(term))), flavour)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_isomorphism_is_decided_as_the_pair_check_decides(flavour, monkeypatch):
+    """Trees up to 5 edges against each tree of their size (the near
+    misses), a renamed copy and a copy recognised from its relation: the
+    vertex-map check gives the answers and witnesses the check of every
+    relation pair gives."""
+    corpus = enumerate_trees(5, flavour)
+    lefts = [to_broad(t, flavour) for t in corpus]
+    rights = [*lefts, *(renamed(t, flavour) for t in corpus), *map(bare, lefts)]
+    pairs = [(left, right) for left in lefts for right in rights if len(left.carrier) == len(right.carrier)]
+    ours = [are_isomorphic(left, right) for left, right in pairs]
+    monkeypatch.setattr(terms, "_is_isomorphism", check_isomorphism)
+    assert ours == [are_isomorphic(left, right) for left, right in pairs]
+    assert sum(found for found, _ in ours) == 3 * len(lefts)  # one tree per class
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_vertex_check_is_the_pair_check_on_every_assignment(flavour):
+    """Every bijection between trees up to 4 edges, a constant map and a
+    partial one are isomorphisms by vertex maps exactly when they are by
+    relation pairs."""
+    trees = [to_broad(t, flavour) for t in enumerate_trees(4, flavour)]
+    checked = 0
+    for left, right in itertools.product(trees, repeat=2):
+        if len(left.carrier) != len(right.carrier):
+            continue
+        edges, images = sorted(left.carrier), sorted(right.carrier)
+        assignments = [dict(zip(edges, perm)) for perm in itertools.permutations(images)]
+        assignments += [dict.fromkeys(edges, images[0]), dict(zip(edges[1:], images))]
+        for assignment in assignments:
+            assert core._is_isomorphism(left, right, assignment) == check_isomorphism(left, right, assignment)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_monotone_between_held_trees_is_read_off_the_vertices(flavour):
+    """Every assignment from a tree up to 3 edges into a tree up to 4 is
+    monotone by its vertices exactly when every relation pair maps into
+    the codomain's relation."""
+    sources = [to_broad(t, flavour) for t in enumerate_trees(3, flavour)]
+    targets = [to_broad(t, flavour) for t in enumerate_trees(4, flavour)]
+    found = 0
+    for source, target in itertools.product(sources, targets):
+        edges = sorted(source.carrier)
+        plain_source, plain_target = bare(source), bare(target)
+        for values in itertools.product(sorted(target.carrier), repeat=len(edges)):
+            assignment = dict(zip(edges, values))
+            monotone = is_monotone(assignment, source, target)
+            assert monotone == is_monotone(assignment, plain_source, plain_target)
+            found += monotone
+    assert found > 100

@@ -11,8 +11,6 @@ from dendro.core import BroadPoset, BroadWord, Flavour, _maxima_map, corolla, st
 from dendro.errors import FlavourMismatch, IdentifierError, InvalidArgument, NoParent, NotDendroidal
 from dendro.structure import (
     EdgeKind,
-    _cut_poset,
-    _tree_index,
     classify_all,
     classify_edge,
     degree,
@@ -407,54 +405,51 @@ def cut_trees(poset: BroadPoset):
 
 @pytest.mark.parametrize("flavour", [C, P])
 def test_cut_trees_are_the_trees_the_constructor_builds(flavour):
-    """Each cut tree equals the broad poset the checked constructor builds
-    on its carrier and relation, slot by slot once both know their vertex
-    map, and so do its pickled and deep-copied twins.  The cuts of one tree
-    share its words, so they are pickled and copied together."""
+    """Each cut tree holds only its vertex map, and its written relation
+    is the relation of the broad poset the checked constructor builds on
+    its carrier, whose recognised map is the kept one; so are its pickled
+    and deep-copied twins.  The cuts of one tree share its words, so they
+    are pickled and copied together."""
     checked = 0
     for poset in tree_corpus(flavour, CUT_CORPUS_EDGES):
         cuts = list(cut_trees(poset))
-        for cut, *twins in zip(cuts, pickle.loads(pickle.dumps(cuts)), copy.deepcopy(cuts)):
+        kept = [cut._known[_maxima_map.__name__] for cut in cuts]
+        for cut, map_and_root, *twins in zip(cuts, kept, pickle.loads(pickle.dumps(cuts)), copy.deepcopy(cuts)):
             assert list(cut._known) == [_maxima_map.__name__]
             built = BroadPoset(flavour, cut.carrier, cut.relation)
-            assert _maxima_map(built) == _maxima_map(cut)
+            assert _maxima_map(built) == map_and_root
             for twin in (cut, *twins):
-                for name in BroadPoset.__slots__:
-                    assert getattr(twin, name) == getattr(built, name), name
+                assert (twin.flavour, twin.carrier, twin.meta) == (built.flavour, built.carrier, built.meta)
+                assert twin.relation == built.relation
+                assert twin._known[_maxima_map.__name__] == map_and_root
             checked += 1
     print(f"[PASS] cut trees: {checked} {flavour.value} cuts as the constructor builds them")
 
 
-def cut_of(term: str, flavour: Flavour, carrier, relation) -> BroadPoset:
-    tree = to_broad(parse_term(term), flavour)
-    return _cut_poset(tree, _tree_index(tree), frozenset(carrier), frozenset(relation))
+def written_from(flavour: Flavour, carrier, vertices) -> BroadPoset:
+    return core._tree_poset(flavour, frozenset(carrier), vertices)
 
 
 def test_a_cut_that_keeps_a_removed_edge_is_refused():
-    relation = [(BroadWord(C, ("a", "b")), "r")]
+    """A vertex map edited as a cut edits it, but keeping an edge the cut
+    removes, is refused as the constructor refuses such a pair."""
     with pytest.raises(IdentifierError) as info:
-        cut_of("r(a,b)", C, {"r", "b"}, relation)
+        written_from(C, {"r", "b"}, {"r": BroadWord(C, ("a", "b"))})
     assert str(info.value) == "letter 'a' not in carrier"
     with pytest.raises(IdentifierError) as info:
-        cut_of("r(a(c))", C, {"r", "c"}, [(BroadWord(C, ("c",)), "a")])
+        written_from(C, {"r", "c"}, {"a": BroadWord(C, ("c",))})
     assert str(info.value) == "target 'a' not in carrier"
 
 
 def test_a_cut_with_a_pair_the_tree_lacks_is_refused():
+    """A vertex of the other flavour, or a reflexive vertex, is refused as
+    the constructor refuses such a pair."""
     with pytest.raises(FlavourMismatch) as info:
-        cut_of("r(a,b)", C, {"r", "a", "b"}, [(BroadWord(P, ("a", "b")), "r")])
+        written_from(C, {"r", "a", "b"}, {"r": BroadWord(P, ("a", "b"))})
     assert str(info.value) == "word a·b has flavour planar"
     with pytest.raises(InvalidArgument) as info:
-        cut_of("r(a,b)", C, {"r", "a", "b"}, [(BroadWord(C, ("a",)), "a")])
+        written_from(C, {"r", "a", "b"}, {"r": BroadWord(C, ("a", "b")), "a": BroadWord(C, ("a",))})
     assert str(info.value) == "reflexive pair a ≤ a must stay implicit"
-
-
-def test_a_cut_outside_its_tree_is_built_by_the_constructor():
-    """A pair the tree lacks, or an edge it lacks, is checked pair by pair."""
-    pairs = [(BroadWord(C, ("b", "a")), "r"), (BroadWord(C, ("a",)), "z")]
-    cut = cut_of("r(a,b)", C, {"r", "a", "b", "z"}, pairs)
-    assert cut == BroadPoset(C, {"r", "a", "b", "z"}, pairs)
-    assert cut._known == {}
 
 
 @pytest.mark.parametrize("flavour", [C, P])
