@@ -21,6 +21,7 @@ from .core import (
     BroadWord,
     MonotoneMap,
     Pair,
+    _TREE,
     _chunk_candidates,
     _descendant_pairs,
     _lazy_tree,
@@ -117,8 +118,10 @@ def classify_edge(poset: BroadPoset, element: str) -> EdgeClassification:
 
 
 def leaves(poset: BroadPoset) -> frozenset[str]:
-    """The elements with no word below them: the carrier less the targets."""
-    return poset.carrier.difference([target for _, target in poset.relation])
+    """The elements with no word below them: the carrier less the targets,
+    or, in a tree that holds its vertex map, less the map's edges."""
+    vertices, top = poset._known.get(_TREE, ({}, None))
+    return poset.carrier.difference(vertices if top is not None else [t for _, t in poset.relation])
 
 
 def stumps(poset: BroadPoset) -> frozenset[str]:

@@ -255,6 +255,30 @@ def test_overflow_message_deterministic_across_processes(tmp_path):
     assert first == run_once("7")
 
 
+def test_bad_pair_message_deterministic_across_processes(tmp_path):
+    """Three pairs with letters outside the carrier: the least is named,
+    where the first met in the relation's frozenset followed the hash seed."""
+    import os
+    import subprocess
+    import sys
+
+    relation = [{"source": [x], "target": t} for x, t in (("x", "a"), ("y", "b"), ("z", "a"))]
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(json.dumps({"flavour": "commutative", "carrier": ["a", "b"], "relation": relation}))
+    ok.write_text(json.dumps(to_broad(parse_term("s(x,y)"), Flavour.COMMUTATIVE).to_json()))
+
+    def run_once(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "dendro.cli", "tensor", str(bad), str(ok)], capture_output=True, env=env
+        )
+        return done.returncode, done.stderr
+
+    first = run_once("1")
+    assert first[0] == 1
+    assert b"letter 'x' not in carrier" in first[1]
+    assert first == run_once("4")
+
 @pytest.mark.parametrize("maximal", [[], ["--maximal"]])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_subtrees_list_the_faces_once(monkeypatch, capsys, output, maximal):

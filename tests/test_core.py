@@ -1327,3 +1327,61 @@ def test_build_checks_identifiers_before_it_sorts_letters(flavour):
         with pytest.raises(InvalidArgument) as info:
             BroadPoset.build(flavour, carrier, pairs)
         assert str(info.value) == f"identifiers must be strings, not {bad!r}"
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_the_pair_check_names_the_least_bad_pair(flavour):
+    """Whatever order the pairs come in, as a frozenset's order follows the
+    hash seed, the least bad pair by repr is named."""
+    pairs = [(BroadWord(flavour, (x,)), t) for x, t in (("x", "a"), ("y", "b"), ("z", "a"))]
+    for order in itertools.permutations(pairs):
+        with pytest.raises(IdentifierError) as info:
+            core._check_pairs(flavour, frozenset("ab"), list(order))
+        assert str(info.value) == "letter 'x' not in carrier"
+    with pytest.raises(IdentifierError) as info:
+        BroadPoset.build(flavour, ["a", "b"], [(("x",), "a"), (("y",), "b"), (("z",), "a")])
+    assert str(info.value) == "letter 'x' not in carrier"
+
+
+def test_an_entry_that_is_no_pair_is_an_invalid_argument():
+    """A raw tuple word in the constructor used to be an AttributeError, and
+    a one-element entry in build a plain ValueError."""
+    with pytest.raises(InvalidArgument) as info:
+        BroadPoset(C, ["a", "b"], [(("a",), "b")])
+    assert str(info.value) == "relation entries must be (BroadWord, str) pairs, not (('a',), 'b')"
+    stray = (BroadWord(C, ("a",)), "b", "c")
+    for relation in ([1], ["ab"], [stray], [(BroadWord(C, ("z",)), "b"), stray]):
+        with pytest.raises(InvalidArgument):
+            BroadPoset(C, ["a", "b"], relation)
+    for pairs in ([("a",)], [(("a",), "b", "c")], [(1, "a")]):
+        with pytest.raises(InvalidArgument) as info:
+            BroadPoset.build(C, ["a", "b"], pairs)
+        assert str(info.value) == "pairs must be (letters, target) pairs"
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_generators_are_checked_as_build_checks_pairs(flavour):
+    """A non-string letter used to be a bare TypeError (commutative) or an
+    IdentifierError (planar); both flavours now name it as build does."""
+    generators = [(("a", 1), "a")]
+    for call in (
+        lambda: generate_broad_poset(["a"], generators, flavour),
+        lambda: BroadPoset.build(flavour, ["a"], generators),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "identifiers must be strings, not 1"
+
+
+def test_a_commutative_word_names_a_non_string_letter():
+    """Sorting the letters used to raise a bare TypeError."""
+    poset = BroadPoset.build(C, ["a"])
+    for call in (
+        lambda: word(C, ["a", 1]),
+        lambda: word_leq(poset, word(C, ["a", 1]), word(C, ["a"])),
+        lambda: poset.leq(["a", 1], "a"),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "identifiers must be strings, not 1"
+    assert word(P, ["a", 1]).letters == ("a", 1)  # nothing is sorted, so nothing is checked

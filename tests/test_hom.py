@@ -43,6 +43,11 @@ def listed(maps) -> list[list[tuple[str, str]]]:
     return [list(m.mapping.items()) for m in maps]
 
 
+def bare(poset: BroadPoset) -> BroadPoset:
+    """The same broad poset built from its relation, holding no vertex map."""
+    return BroadPoset(poset.flavour, poset.carrier, poset.relation)
+
+
 @pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
 def test_tree_hom_sets_match_the_search_on_the_corpus(flavour, monkeypatch):
     pairs = list(itertools.product(tree_corpus(flavour, 4), repeat=2))
@@ -74,15 +79,32 @@ def test_tree_hom_sets_match_the_oracle(flavour, source, target, recognised):
 
 def test_small_hom_sets_read_no_tree(monkeypatch):
     """Up to SEARCH_AT_MOST assignments the search runs on the relation
-    alone: 4^3 = 64 here."""
-    source = to_broad(parse_term("r(a,b)"), Flavour.COMMUTATIVE)
-    target = to_broad(parse_term("s(c,d)"), Flavour.COMMUTATIVE)
+    alone, out of a domain that holds no vertex map: 4^3 = 64 here."""
+    source = bare(to_broad(parse_term("r(a,b)"), Flavour.COMMUTATIVE))
+    target = bare(to_broad(parse_term("s(c,d)"), Flavour.COMMUTATIVE))
 
     def refuse(poset):
         raise AssertionError("a tree was read")
 
     monkeypatch.setattr(core, "_maxima_map", refuse)
     assert len(enumerate_monotone(source, target)) == 2
+
+
+@pytest.mark.parametrize("flavour", list(Flavour))
+def test_held_small_hom_sets_take_the_tree_path(flavour, monkeypatch):
+    """A domain that holds its vertex map reads its maps off it at any size,
+    here at most 5^3 = 125 assignments, with no search; the maps are those
+    the search finds, in the same order."""
+    cases = [("r(a,b)", "s(c,d)"), ("r(a,b)", "s(c(d),e())"), ("x", "y"), ("r(a,b)", "s")]
+    posets = [[to_broad(parse_term(term), flavour) for term in pair] for pair in cases]
+    expected = [searched(source, target) for source, target in posets]
+
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(core, "_assignments", refuse)
+    assert [[m.mapping for m in enumerate_monotone(source, target)] for source, target in posets] == expected
+    assert [len(maps) for maps in expected] == ([2, 4, 1, 0] if flavour is Flavour.COMMUTATIVE else [1, 2, 1, 0])
 
 
 def test_budget_bounds_the_assignments_not_the_maps():

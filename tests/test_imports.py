@@ -1,6 +1,7 @@
 """Every imported name is used, every private name of the package is
 mentioned, and a broad poset skips its constructor in one place only:
-scans of the source with ``ast`` and text search.
+scans of the source with ``ast`` and text search.  Every name the README
+cites in backticks, module-qualified or bare and private, is defined.
 
 Package ``__init__`` modules re-export what they import, and ``from
 __future__`` imports are directives, so both are exempt.  The benchmark's
@@ -9,10 +10,13 @@ read as text, never imported.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+import dendro
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -133,3 +137,34 @@ def test_only_a_cut_tree_skips_the_per_pair_check():
     from outside can take it."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert bare_constructions(sources, "BroadPoset") == ["core.py: _lazy_tree"]
+
+
+def unresolved_readme_names(text: str) -> list[str]:
+    """The names set in backticks, module-qualified (``core._closure``,
+    ``dendro.cli``, ``BroadPoset.build``) or bare and private
+    (``_maxima_map``, in any module), that the package does not define."""
+    modules = {path.stem: importlib.import_module(f"dendro.{path.stem}") for path in PACKAGE if path.stem != "__init__"}
+    missing = []
+    for name in sorted(set(re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*|_\w+)`", text))):
+        path = name.removeprefix("dendro.").split(".")
+        if path[0] in modules:
+            owners = [modules[path.pop(0)]]
+        else:
+            owners = [dendro] if len(path) > 1 else list(modules.values())
+        for owner in owners:
+            for part in path:
+                owner = getattr(owner, part, None)
+            if owner is not None:
+                break
+        else:
+            missing.append(name)
+    return missing
+
+
+def test_the_scan_finds_a_stale_readme_name():
+    text = "`core._gone`, `_nothing`, `core.SEARCH_AT_MOST`, `dendro.cli`, `_maxima_map`, `FaceKind.sort_key`"
+    assert unresolved_readme_names(text) == ["_nothing", "core._gone"]
+
+
+def test_every_name_the_readme_cites_is_defined():
+    assert unresolved_readme_names((ROOT / "README.md").read_text(encoding="utf-8")) == []

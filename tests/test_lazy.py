@@ -22,7 +22,7 @@ from dendro.core import (
     identity,
     is_monotone,
 )
-from dendro.structure import classify_all, links, subtree_at
+from dendro.structure import classify_all, leaves, links, subtree_at
 from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad
 
 C = Flavour.COMMUTATIVE
@@ -107,6 +107,25 @@ def test_questions_answered_off_the_map_write_no_relation(monkeypatch):
     assert are_isomorphic(tree, twin) == (True, {"r": "s", "a": "x", "b": "y", "c": "z", "d": "w"})
     assert are_isomorphic(tree, near) == (False, None)
 
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_graft_of_held_trees_writes_no_relation(flavour, monkeypatch):
+    """A held tree's leaves are its carrier less its vertex map's edges, so
+    grafting two held trees reads no relation; a bare tree's are the
+    carrier less the relation's targets, the same set."""
+    host, scion = to_broad(parse_term("r(a,b,c())"), flavour), to_broad(parse_term("x(y)"), flavour)
+    expected = {"b", "y"}
+    assert leaves(bare(host)) == leaves(host) == {"a", "b"}
+
+    def refuse(poset):
+        raise AssertionError("a relation was written")
+
+    monkeypatch.setattr(core, "_tree_relation", refuse)
+    grafted = terms.graft(host, "a", scion)
+    assert leaves(grafted) == expected
+    monkeypatch.undo()
+    assert leaves(bare(grafted)) == expected
+    assert grafted == terms.graft(bare(host), "a", bare(scion))
 
 def renamed(term, flavour: Flavour) -> BroadPoset:
     """The tree of a corpus term with edge ``ei`` named ``z(10 - i)``, so
