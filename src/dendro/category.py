@@ -22,12 +22,15 @@ from .core import (
     BroadWord,
     MonotoneMap,
     Pair,
+    _canonical,
+    _canonical_word,
     _int_argument,
     _is_isomorphism,
     _lazy_tree,
     _maxima_map,
     _top_down,
     _tree_poset,
+    _words_below,
     compose,
     is_monotone,
     pair_str,
@@ -49,13 +52,11 @@ from .structure import (
     PRUNE,
     SUBTREE,
     _cut,
-    _cut_map,
     _tree,
     inclusion,
     is_dendroidal,
     leaves,
     root,
-    sources_map,
 )
 from .terms import graft
 
@@ -190,25 +191,30 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     ambient tree.  Each one is the tree built from a choice of root vertex
     word together with subtrees below its letters; note that a subtree may keep
     an edge while dropping the vertex above it, so subtrees are not always
-    induced on their carrier.  The subtrees rooted at each edge, children
-    first, are held as carrier and vertex map, and each subtree holds its
-    map: its relation is part of the tree's, so it is within the budget
-    and is written only when it is read.
+    induced on their carrier.  The words below each edge are written from
+    the tree's vertex map, so the tree's relation is not written.  The
+    subtrees rooted at each edge, children first, are held as carrier and
+    vertex map, and each subtree holds its map: its relation is part of
+    the tree's, so it is within the budget and is written only when it is
+    read.
     """
     _int_argument("cap", cap)
     vertices, top = _tree(poset)
     if len(poset.carrier) > cap:
         raise BudgetExceeded(f"carrier larger than {cap}")
-    srcs = sources_map(poset)
+    flavour = poset.flavour
+    bottom_up = list(reversed(_top_down(vertices, top)))
+    below = _words_below(vertices, [x for x in bottom_up if x in vertices])
     rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, BroadWord], ...]]]] = {}
-    for x in reversed(_top_down(vertices, top)):
+    for x in bottom_up:
         pieces = rooted[x] = [(frozenset([x]), ())]
-        for w in sorted(srcs[x], key=lambda w: (len(w), w.letters)):
-            for combo in itertools.product(*(rooted[c] for c in w.letters)):
+        for letters in sorted([_canonical(flavour, w) for w in below.get(x, ())], key=lambda w: (len(w), w)):
+            w = _canonical_word(flavour, letters)
+            for combo in itertools.product(*(rooted[c] for c in letters)):
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
                 pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
     return _subtree_order([
-        _lazy_tree(poset.flavour, carrier, dict(verts), x)
+        _lazy_tree(flavour, carrier, dict(verts), x)
         for x in sorted(poset.carrier)
         for carrier, verts in rooted[x]
     ])
@@ -250,10 +256,9 @@ def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     faces have distinct domains.  A tree is written from its vertex map, so
     faces are matched by map; a non-tree has no root and matches none."""
     faces = _faces(poset)
-    vertices, top = _tree(poset)
     if sub.flavour is poset.flavour and sub.carrier <= poset.carrier:
         for kind, how, edge in faces:  # equal maps and roots mean equal carriers
-            if _cut_map(vertices, top, how, edge) == _maxima_map(sub):
+            if _maxima_map(_cut(poset, how, edge)) == _maxima_map(sub):
                 return kind
     raise NotMaximal("the subtree is not the domain of any face")
 
@@ -304,7 +309,7 @@ def classify_map(mapping: MonotoneMap) -> MapKind:
     vertices, top = _maxima_map(domain)
     # a degeneracy moves one edge of a tree onto its only child
     if len(moved) == 1 and top is not None and moved[0] in _unary(vertices):
-        if _maxima_map(codomain) == _cut_map(vertices, top, CONTRACT, moved[0][0]):
+        if _maxima_map(codomain) == _maxima_map(_cut(domain, CONTRACT, moved[0][0])):
             return MapKind.DEGENERACY
     if not moved and domain.carrier <= codomain.carrier:
         try:

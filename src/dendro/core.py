@@ -26,6 +26,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import wraps
+from math import prod
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -188,7 +189,15 @@ class BroadPoset:
     def __post_init__(self):
         _check_flavour(self.flavour)
         object.__setattr__(self, "carrier", frozenset(self.carrier))
-        object.__setattr__(self, "relation", frozenset(self.relation))
+        relation = self.relation
+        if iter(relation) is relation:  # an iterator, which a failure reads again
+            relation = list(relation)
+        try:
+            object.__setattr__(self, "relation", frozenset(relation))
+        except TypeError:  # an entry that does not hash
+            _check_identifiers(self.carrier)
+            _refuse_least_bad_pair(self.flavour, self.carrier, relation)
+            raise
         _check_pairs(self.flavour, self.carrier, self.relation)
 
     @classmethod
@@ -205,7 +214,7 @@ class BroadPoset:
             raw = [(s if isinstance(s, BroadWord) else tuple(s), t) for s, t in pairs]
         except (TypeError, ValueError):  # an entry that is no pair, or a source that is no sequence
             raise InvalidArgument("pairs must be (letters, target) pairs") from None
-        _check_identifiers(carrier.union(*(s for s, _ in raw if type(s) is tuple)))  # before letters sort
+        _check_identifiers(itertools.chain(carrier, *(s for s, _ in raw if type(s) is tuple)))  # before letters sort
         words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, s), t) for s, t in raw]
         for w, _ in words:  # before a reflexive pair is dropped, and before a word is hashed
             if w.flavour is not flavour:
@@ -341,10 +350,21 @@ def _check_pairs(flavour: Flavour, carrier: frozenset, pairs: Collection[Pair]) 
     _check_identifiers(carrier)  # letters and targets must lie in it, so they are strings too
     with suppress(DendroError, AttributeError, TypeError, ValueError):  # the last three from a malformed entry
         return _scan_pairs(flavour, carrier, pairs)
+    _refuse_least_bad_pair(flavour, carrier, pairs)
+
+
+def _refuse_least_bad_pair(flavour: Flavour, carrier: frozenset, pairs: Collection) -> None:
+    """Raise for the least pair in ``repr`` order that :func:`_check_pairs`
+    refuses: an entry that is no ``(BroadWord, str)`` pair, or holds an
+    identifier that does not hash, is an :class:`InvalidArgument`."""
     for pair in sorted(pairs, key=repr):
         if not isinstance(pair, tuple) or len(pair) != 2 or not isinstance(pair[0], BroadWord):
             raise InvalidArgument(f"relation entries must be (BroadWord, str) pairs, not {pair!r}")
-        _scan_pairs(flavour, carrier, [pair])
+        try:
+            _scan_pairs(flavour, carrier, [pair])
+        except TypeError:  # an identifier that does not hash, so is no string
+            _check_identifiers([pair[1], *pair[0].letters])
+            raise
 
 
 def _scan_pairs(flavour: Flavour, carrier: frozenset, pairs: Iterable[Pair]) -> None:
@@ -488,52 +508,50 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     """The vertex map of a tree, each non-leaf edge with the word of its
     children, together with its root; or None when the poset is not a tree.
 
-    The map is guessed in one pass over the relation, which collects each
-    element's ancestors and the words below each target: the parent of an
-    edge is its ancestor with one ancestor fewer, and the children of an
-    edge are the word below it made of exactly the edges whose parent it
-    is.  The guess is accepted only when its relation, counted first so
-    that a non-tree cannot span a tree far larger than itself, has as many
-    pairs as the poset's, and the words it writes below each target lie
-    among the poset's; so the answer is exact.  The map lists its edges
-    from the root down, each after its parent, so its order does not
+    The map is guessed by counting.  Let N(x) be one more than the number
+    of words below x.  In a tree N(x) is one more than the product of N
+    over the vertex word of x, and putting a word below a letter in place
+    of the letter strictly lowers that product; so the vertex word of x
+    is the one word below x whose letters' N multiply to N(x) - 1.  The
+    guess must be a rooted tree on the carrier: every element but one is
+    a letter of exactly one guessed word.  A letter's N is below its
+    target's, so there is no cycle and the walk down from the root ends.
+    The identity at every target makes the guess write as many words
+    below each target as the poset holds, so it is accepted only when
+    every word it writes lies among the poset's: the answer is exact, and
+    no guess writes more words than the poset holds.  The map lists its
+    edges from the root down, each after its parent, so its order does not
     follow the hash seed.  Nothing is kept on the poset.
     """
-    ancestors: dict[str, set[str]] = {x: set() for x in poset.carrier}
     below: dict[str, set[tuple[str, ...]]] = defaultdict(set)  # target -> letters of its words
     for w, target in poset.relation:
         below[target].add(w.letters)
-        for letter in w.letters:
-            ancestors[letter].add(target)
-    depth = {x: len(ups) for x, ups in ancestors.items()}
-    tops = [x for x, d in depth.items() if not d]
-    if len(tops) != 1:
-        return None  # no unique root
-    children: dict[str, set[str]] = defaultdict(set)
-    for x, ups in ancestors.items():
-        if ups:
-            parents = [a for a in ups if depth[a] == depth[x] - 1]
-            if len(parents) != 1:
-                return None
-            children[parents[0]].add(x)
+    size = dict.fromkeys(poset.carrier, 1)  # N: one more than the words below
+    for target, words in below.items():
+        size[target] += len(words)
+    look = size.__getitem__
     flavour = poset.flavour
     guess: dict[str, BroadWord] = {}
     for target, words in below.items():
-        kids = children.get(target, frozenset())
-        n = len(kids)
+        n = len(words)
         for letters in words:
-            if len(letters) == n and kids.issuperset(letters) and len(set(letters)) == n:
+            if prod(map(look, letters)) == n:
                 guess[target] = _canonical_word(flavour, letters)
                 break
         else:
             return None
-    vertices = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
-    if _relation_size(vertices, reversed(vertices)) != len(poset.relation):
+    kids = [c for w in guess.values() for c in w.letters]
+    tops = poset.carrier.difference(kids)
+    if len(tops) != 1 or len(kids) != len(poset.carrier) - 1:
         return None
+    (top,) = tops
+    vertices = {x: guess[x] for x in _top_down(guess, top) if x in guess}
     for x, words in _words_below(vertices, reversed(vertices)).items():
-        if not below[x].issuperset(map(tuple, map(sorted, words)) if flavour is Flavour.COMMUTATIVE else words):
+        if flavour is Flavour.COMMUTATIVE:  # a word of one letter is already sorted
+            words = [w if len(w) < 2 else tuple(sorted(w)) for w in words]
+        if not below[x].issuperset(words):
             return None
-    return vertices, tops[0]
+    return vertices, top
 
 
 @_kept
@@ -543,8 +561,10 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
 
     A tree written from its vertex map or cut out of a tree holds the map
     and root as this answer (:func:`_lazy_tree`), and a tree from
-    elsewhere is recognised by :func:`_tree_words`; a tree's maxima are
-    its vertices.  Any other broad poset gets a full search.
+    elsewhere is recognised by :func:`_tree_words`, which counts the
+    words below each element; a tree's maxima are its vertices, the words
+    whose letters' counts multiply to their target's.  Any other broad
+    poset gets a full search, word against word in the induced order.
     """
     tree = _tree_words(poset)
     if tree is not None:

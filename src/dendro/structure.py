@@ -24,6 +24,7 @@ from .core import (
     _TREE,
     _chunk_candidates,
     _descendant_pairs,
+    _kept,
     _lazy_tree,
     _maxima_map,
     _top_down,
@@ -154,11 +155,11 @@ def _require_edge(poset: BroadPoset, element: str) -> None:
 
 def parent(poset: BroadPoset, element: str) -> str:
     """The unique edge having ``element`` among its children."""
-    vertices, top = _tree(poset)
+    top = _tree(poset)[1]
     _require_edge(poset, element)
     if element == top:
         raise NoParent(f"{element!r} is the root")
-    return next(x for x, word in vertices.items() if element in word.letters)
+    return _parents(poset)[element]
 
 
 def join(poset: BroadPoset, left: str, right: str) -> str:
@@ -166,8 +167,8 @@ def join(poset: BroadPoset, left: str, right: str) -> str:
     that lies on the path up from ``left``."""
     _require_edge(poset, left)
     _require_edge(poset, right)
-    vertices, top = _tree(poset)
-    up = {c: x for x, word in vertices.items() for c in word.letters}
+    top = _tree(poset)[1]
+    up = _parents(poset)
     above_left = {left}
     while left != top:
         left = up[left]
@@ -222,6 +223,12 @@ def _tree(poset: BroadPoset) -> tuple[dict[str, BroadWord], str]:
     return vertices, top
 
 
+@_kept
+def _parents(poset: BroadPoset) -> dict[str, str]:
+    """Each edge of a tree but the root, with the edge whose vertex holds it."""
+    return {c: x for x, word in _tree(poset)[0].items() for c in word.letters}
+
+
 def links(poset: BroadPoset) -> frozenset[Pair]:
     """Covering pairs: words strictly below a target with nothing between.
 
@@ -258,37 +265,34 @@ def vertices(poset: BroadPoset) -> frozenset[Pair]:
 CONTRACT, PRUNE, SUBTREE = "contract", "prune", "subtree"
 
 
-def _cut_map(vertices: dict[str, BroadWord], top: str, how: str, edge: str) -> tuple[dict, str]:
-    """The vertex map and root of a tree cut out at ``edge`` from the tree
-    with the given vertex map and root.
+def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
+    """The tree cut out of a tree at ``edge``, by an edit of its vertex map.
 
     CONTRACT removes the edge and splices its children into its parent's
     word; at the root, which must then be unary, the child becomes the
-    root.  PRUNE deletes the edge's vertex and its children, so the edge
-    becomes a leaf.  SUBTREE keeps the edge's descendants, rooted at it.
+    root.  PRUNE deletes the vertex of an edge all of whose children are
+    leaves, and those children, so the edge becomes a leaf.  SUBTREE keeps
+    the edge's descendants, rooted at it.  The map of a tree edited this
+    way needs no check, and its relation is written only when it is read.
     """
-    vertices = dict(vertices)
-    if how == CONTRACT:
-        kids = vertices.pop(edge)
-        if edge == top:
-            (top,) = kids.letters
-        else:
-            up = next(x for x, word in vertices.items() if edge in word.letters)
-            vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
-    elif how == PRUNE:
-        del vertices[edge]
+    vertices, top = _maxima_map(poset)
+    carrier = poset.carrier
+    if how == SUBTREE:
+        order = _top_down(vertices, edge)
+        vertices = {x: vertices[x] for x in order if x in vertices}
+        carrier, top = frozenset(order), edge
     else:
-        vertices = {x: vertices[x] for x in _top_down(vertices, edge) if x in vertices}
-        top = edge
-    return vertices, top
-
-
-def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
-    """The tree :func:`_cut_map` cuts out of a tree, on the edges its map
-    keeps; the map of a tree edited this way needs no check, and its
-    relation is written only when it is read."""
-    vertices, top = _cut_map(*_maxima_map(poset), how, edge)
-    carrier = frozenset([top]).union(*[word.letters for word in vertices.values()])
+        vertices = dict(vertices)
+        kids = vertices.pop(edge)
+        if how == PRUNE:
+            carrier = carrier.difference(kids.letters)
+        else:
+            carrier = carrier - {edge}
+            if edge == top:
+                (top,) = kids.letters
+            else:
+                up = _parents(poset)[edge]
+                vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
     return _lazy_tree(poset.flavour, carrier, vertices, top)
 
 
@@ -331,5 +335,19 @@ def root_corolla(poset: BroadPoset) -> BroadPoset:
 
 
 def inclusion(sub: BroadPoset, ambient: BroadPoset) -> MonotoneMap:
-    """The identity-assignment map of a sub broad poset into its ambient."""
-    return MonotoneMap(sub, ambient, tuple([(x, x) for x in sorted(sub.carrier)]))
+    """The identity-assignment map of a sub broad poset into its ambient.
+
+    When the flavours agree and the carriers nest, this is the map the
+    constructor would build from the pairs sorted once, so it is built
+    past the constructor's checks, which it passes: every face and every
+    step of a factorization makes one.  Otherwise the constructor builds
+    it, and raises as it does for any map.
+    """
+    keys = sorted(sub.carrier)
+    pairs = tuple(zip(keys, keys))
+    if sub.flavour is not ambient.flavour or not sub.carrier <= ambient.carrier:
+        return MonotoneMap(sub, ambient, pairs)
+    included = object.__new__(MonotoneMap)
+    for name, value in (("domain", sub), ("codomain", ambient), ("pairs", pairs), ("_map", dict(pairs))):
+        object.__setattr__(included, name, value)
+    return included

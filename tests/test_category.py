@@ -35,7 +35,9 @@ from dendro.core import (
     star,
 )
 from dendro.errors import (
+    FlavourMismatch,
     GraftUndefined,
+    IdentifierError,
     InvalidArgument,
     NoRootFace,
     NotDendroidal,
@@ -191,6 +193,33 @@ def test_faces_of_a_chain_are_checked_against_it_not_pair_by_pair(monkeypatch):
     monkeypatch.setattr(BroadPoset, "__post_init__", lambda poset: checks.append(poset) or check(poset))
     assert len(all_faces(chain)) == 40
     assert checks == []
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_face_inclusions_are_the_maps_the_constructor_builds(flavour):
+    """A face's inclusion, built past the constructor, is the map the
+    constructor builds from the sorted identity pairs: equal both ways,
+    with the same hash, pairs, mapping and JSON, on every face of the
+    7-edge corpus."""
+    for tree in tree_corpus(flavour, 7):
+        for face in all_faces(tree):
+            built = MonotoneMap(face.domain, tree, tuple((x, x) for x in sorted(face.domain.carrier)))
+            assert face.map == built and built == face.map
+            assert hash(face.map) == hash(built)
+            assert face.map.pairs == built.pairs
+            assert list(face.map.mapping.items()) == list(built.mapping.items())
+            assert face.map.to_json() == built.to_json()
+
+
+def test_inclusion_outside_its_ambient_raises_as_the_constructor_does():
+    tree = to_broad(parse_term("r(a,b)"), C)
+    with pytest.raises(IdentifierError) as info:
+        inclusion(to_broad(parse_term("r(c,d,a)"), C), tree)
+    assert str(info.value) == "value 'c' not in codomain carrier"
+    with pytest.raises(FlavourMismatch) as info:
+        inclusion(to_broad(parse_term("r(a)"), P), tree)
+    assert str(info.value) == "domain and codomain flavours differ"
+    assert inclusion(tree, tree) == identity(tree)
 
 
 @pytest.mark.parametrize("cap", ["16", True, None], ids=repr)

@@ -1359,6 +1359,38 @@ def test_an_entry_that_is_no_pair_is_an_invalid_argument():
         assert str(info.value) == "pairs must be (letters, target) pairs"
 
 
+def test_an_entry_that_does_not_hash_is_an_invalid_argument():
+    """An entry, target or letter that does not hash used to escape as a
+    bare TypeError from freezing the relation; the least bad entry by
+    ``repr`` is named, read once even from an iterator."""
+    a, b = word(C, ["a"]), word(C, ["b"])
+    with pytest.raises(InvalidArgument) as info:
+        BroadPoset(C, ["a", "b"], [[a, "b"]])
+    assert str(info.value) == f"relation entries must be (BroadWord, str) pairs, not [{a!r}, 'b']"
+    with pytest.raises(IdentifierError) as info:
+        BroadPoset(C, ["a", "b"], iter([[b, "a"], (word(C, ["x"]), "b"), [a, "b"]]))
+    assert str(info.value) == "letter 'x' not in carrier"  # "(" sorts before "["
+    with pytest.raises(InvalidArgument) as info:
+        BroadPoset(C, ["a", "b"], [[b, "a"], [a, "b"]])
+    assert str(info.value) == f"relation entries must be (BroadWord, str) pairs, not [{a!r}, 'b']"
+    for call in (
+        lambda: BroadPoset(C, ["a", "b"], [(a, ["b"])]),
+        lambda: BroadPoset.build(C, ["a", "b"], [(["a"], ["b"])]),
+        lambda: generate_broad_poset(["a", "b"], [(["a"], ["b"])], C),
+        lambda: generate_broad_poset(["a", "b"], [(["a"], ["b"])], P),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "identifiers must be strings, not ['b']"
+    for call in (
+        lambda: BroadPoset(P, ["a", "b"], [(word(P, [["a"]]), "b")]),
+        lambda: BroadPoset.build(C, ["a", "b"], [([["a"]], "b")]),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "identifiers must be strings, not ['a']"
+
+
 @pytest.mark.parametrize("flavour", [C, P])
 def test_generators_are_checked_as_build_checks_pairs(flavour):
     """A non-string letter used to be a bare TypeError (commutative) or an

@@ -1,7 +1,8 @@
 """Every imported name is used, every private name of the package is
-mentioned, and a broad poset skips its constructor in one place only:
-scans of the source with ``ast`` and text search.  Every name the README
-cites in backticks, module-qualified or bare and private, is defined.
+mentioned, and a broad poset and a monotone map each skip their
+constructor in one place only: scans of the source with ``ast`` and text
+search.  Every name the README cites in backticks, module-qualified or
+bare and private, is defined.
 
 Package ``__init__`` modules re-export what they import, and ``from
 __future__`` imports are directives, so both are exempt.  The benchmark's
@@ -137,6 +138,16 @@ def test_only_a_cut_tree_skips_the_per_pair_check():
     from outside can take it."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert bare_constructions(sources, "BroadPoset") == ["core.py: _lazy_tree"]
+
+
+def test_only_an_inclusion_skips_the_map_check():
+    """A monotone map is built past its constructor in one place, the
+    inclusion of a sub broad poset whose flavour is its ambient's and whose
+    carrier lies in the ambient's: its identity pairs, sorted once, pass
+    every check the constructor makes, and any other inclusion goes
+    through the constructor."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert bare_constructions(sources, "MonotoneMap") == ["structure.py: inclusion"]
 
 
 def unresolved_readme_names(text: str) -> list[str]:

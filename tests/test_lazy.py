@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from dendro import core, terms
+from dendro import category, core, terms
 from dendro.category import all_faces, degeneracies, enumerate_subtrees, factorize
 from dendro.core import (
     BroadPoset,
@@ -21,9 +21,13 @@ from dendro.core import (
     check_isomorphism,
     identity,
     is_monotone,
+    pair_str,
 )
 from dendro.structure import classify_all, leaves, links, subtree_at
 from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad
+
+from conftest import tree_corpus
+from oracles import subtree_vertex_choices
 
 C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
@@ -126,6 +130,41 @@ def test_graft_of_held_trees_writes_no_relation(flavour, monkeypatch):
     monkeypatch.undo()
     assert leaves(bare(grafted)) == expected
     assert grafted == terms.graft(bare(host), "a", bare(scion))
+
+
+def vertex_key(carrier, vertices) -> tuple:
+    """A tree by its carrier and vertex map, which fix its root."""
+    return carrier, frozenset((x, w.letters) for x, w in vertices.items())
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_subtrees_write_no_relation_of_their_host(flavour, monkeypatch):
+    """The words below each edge are written off the host's vertex map, so
+    the host's relation is never written, and the subtrees are the ones
+    chosen from the words of the host's relation, each once.  Their order
+    is a sort on a key that tells every two subtrees apart, so the lists
+    are equal on the nose; it is left out here, as it writes relations,
+    and checked up to 5 edges."""
+    write = core._tree_relation
+
+    def guarded(tree):
+        if tree is host:  # no assert: its message would print the host, so write its relation
+            raise AssertionError("the host's relation was written")
+        return write(tree)
+
+    monkeypatch.setattr(core, "_tree_relation", guarded)
+    monkeypatch.setattr(category, "_subtree_order", list)
+    for tree in tree_corpus(flavour, LAZY_CORPUS_EDGES):
+        host = unwritten(tree)
+        subtrees = [vertex_key(s.carrier, s._known[KEY][0]) for s in enumerate_subtrees(host)]
+        chosen = {vertex_key(*choice) for choice in subtree_vertex_choices(tree)}
+        assert len(subtrees) == len(chosen) and set(subtrees) == chosen
+    monkeypatch.undo()
+    for tree in tree_corpus(flavour, 5):
+        chosen = [core._tree_poset(flavour, *choice) for choice in subtree_vertex_choices(tree)]
+        chosen.sort(key=lambda s: (len(s.carrier), sorted(s.carrier), sorted(map(pair_str, s.relation))))
+        assert enumerate_subtrees(unwritten(tree)) == chosen
+
 
 def renamed(term, flavour: Flavour) -> BroadPoset:
     """The tree of a corpus term with edge ``ei`` named ``z(10 - i)``, so

@@ -359,6 +359,29 @@ def test_recognition_matches_the_descendant_scan_on_the_corpus(flavour):
     assert recognised > len(corpus)
 
 
+@settings(max_examples=150, deadline=None)
+@given(flavours, tree_terms(), st.integers(min_value=0, max_value=10**4))
+def test_recognition_matches_the_descendant_scan_on_random_trees(flavour, term, i):
+    assert sum(map(assert_recognised_as_by_descendant_scan, recognition_cases(to_broad(term, flavour), i))) >= 1
+
+
+def test_a_non_tree_with_a_tree_count_is_refused_by_its_words():
+    """Planar ``r(a(b,c))`` with ``c·b ≤ r`` in place of ``b·c ≤ r``: every
+    target has a word whose letters' counts multiply to the words below
+    it, and the guess spans the carrier, so only the words the guess
+    writes below ``r`` tell it from the tree."""
+    planar = Flavour.PLANAR
+    tree = to_broad(parse_term("r(a(b,c))"), planar)
+    swapped = {(BroadWord(planar, ("b", "c")), "r"), (BroadWord(planar, ("c", "b")), "r")}
+    poset = BroadPoset(planar, tree.carrier, tree.relation ^ swapped)
+    written, write = [], core._words_below
+    with patch.object(core, "_words_below", lambda *args: written.append(args) or write(*args)):
+        assert core._tree_words(poset) is None
+    assert [list(vertices.items()) for vertices, _ in written] == [list(core._tree_words(bare(tree))[0].items())]
+    assert descendant_scan_tree_words(poset) is None
+    assert not is_dendroidal(poset).is_dendroidal
+
+
 @st.composite
 def small_relations(draw) -> BroadPoset:
     """Any relation on up to 5 elements: cycles, stumps and words that
