@@ -22,11 +22,12 @@ from .core import (
     BroadWord,
     MonotoneMap,
     Pair,
+    _TREE,
     _canonical,
     _canonical_word,
     _int_argument,
+    _held,
     _is_isomorphism,
-    _lazy_tree,
     _maxima_map,
     _top_down,
     _tree_poset,
@@ -214,7 +215,7 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
                 pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
     return _subtree_order([
-        _lazy_tree(flavour, carrier, dict(verts), x)
+        _held(flavour, carrier, {_TREE: (dict(verts), x)})
         for x in sorted(poset.carrier)
         for carrier, verts in rooted[x]
     ])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,13 +136,9 @@ def _canonical_word(flavour: Flavour, letters: tuple[str, ...]) -> BroadWord:
 
 
 def _canonical(flavour: Flavour, letters: tuple[str, ...]) -> tuple[str, ...]:
-    """The letters of the word of that flavour: sorted when commutative."""
-    return tuple(sorted(letters)) if flavour is Flavour.COMMUTATIVE else letters
-
-
-def _letter_pairs(relation: Iterable[tuple[BroadWord, str]]) -> set[tuple[tuple[str, ...], str]]:
-    """The pairs with each word as its letters, to look up with no word built."""
-    return {(w.letters, t) for w, t in relation}
+    """The letters of the word of that flavour: sorted when commutative
+    and longer than one letter."""
+    return tuple(sorted(letters)) if flavour is Flavour.COMMUTATIVE and len(letters) > 1 else letters
 
 
 def _flavour_mismatch(w: BroadWord) -> FlavourMismatch:
@@ -164,12 +160,18 @@ class BroadPoset:
     reflexive pair is stored; it does not verify transitivity or
     anti-symmetry.  Use :func:`validate` to check those, or
     :func:`generate_broad_poset` to build a closed relation from
-    generators.  A tree written from its vertex map (:func:`_tree_poset`)
-    or cut out of a tree holds its map and root, and its relation is
-    written from them the first time it is read (:func:`_tree_relation`;
-    two threads may both write it, and store equal values); its map is
-    checked vertex by vertex, which implies the constructor's checks of
-    every pair.
+    generators.  Two kinds of poset are built past the constructor
+    (:func:`_held`) and hold their relation in another form, from which
+    it is written the first time it is read (two threads may both write
+    it, and store equal values).  A tree written from its vertex map
+    (:func:`_tree_poset`) or cut out of a tree holds its map and root
+    (:func:`_tree_relation`); its map is checked vertex by vertex, which
+    implies the constructor's checks of every pair.  A poset made by the
+    closure kernel, :func:`product`, :func:`forget_symmetry` or
+    :func:`internal_hom` holds its pairs as ``(letters, target)`` tuples
+    (:func:`_pair_relation`); their letters come only from checked
+    inputs.  Equality, hashing, JSON, ``repr`` and pickling read the
+    relation, so they do not tell how a poset was built.
     """
 
     flavour: Flavour
@@ -179,16 +181,16 @@ class BroadPoset:
     # what the memoized lookups have worked out about this object, by name
     _known: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __getattr__(self, name: str):  # only for an unset slot: a tree's relation not yet read
+    def __getattr__(self, name: str):  # only for an unset slot: a held relation not yet read
         if name != "relation":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        relation = _tree_relation(self)
+        relation = _pair_relation(self) if _PAIRS in self._known else _tree_relation(self)
         object.__setattr__(self, "relation", relation)
         return relation
 
     def __post_init__(self):
         _check_flavour(self.flavour)
-        object.__setattr__(self, "carrier", frozenset(self.carrier))
+        object.__setattr__(self, "carrier", _carrier(self.carrier))
         relation = self.relation
         if iter(relation) is relation:  # an iterator, which a failure reads again
             relation = list(relation)
@@ -209,7 +211,7 @@ class BroadPoset:
         meta: dict | None = None,
     ) -> "BroadPoset":
         """Normalise raw ``(letters, target)`` pairs and drop reflexive ones."""
-        carrier = frozenset(carrier)
+        carrier = _carrier(carrier)
         try:
             raw = [(s if isinstance(s, BroadWord) else tuple(s), t) for s, t in pairs]
         except (TypeError, ValueError):  # an entry that is no pair, or a source that is no sequence
@@ -236,9 +238,7 @@ class BroadPoset:
 
     def unary_pairs(self) -> frozenset[tuple[str, str]]:
         """Stored pairs whose source has length one, as element pairs."""
-        return frozenset(
-            (w.letters[0], target) for w, target in self.relation if len(w) == 1
-        )
+        return frozenset([(letters[0], target) for letters, target in _relation_pairs(self) if len(letters) == 1])
 
     def rename(self, mapping: Mapping[str, str]) -> "BroadPoset":
         """Injectively relabel the carrier; words are rewritten letterwise."""
@@ -330,6 +330,27 @@ def _kept(compute: Callable[[BroadPoset], object]) -> Callable:
     return kept
 
 
+def _relation_pairs(poset: BroadPoset) -> Collection[tuple[tuple[str, ...], str]]:
+    """The relation as ``(letters, target)`` tuples, which hash in C: the
+    frozenset a poset holds (:func:`_held`), or else a list read off its
+    words and not kept, so no poset keeps a second copy of its relation.
+    A reader that looks pairs up takes ``frozenset`` of it, which is the
+    held set itself."""
+    held = poset._known.get(_PAIRS)
+    return held if held is not None else [(w.letters, t) for w, t in poset.relation]
+
+
+# the key a poset's held (letters, target) pairs are kept under
+_PAIRS = _relation_pairs.__name__
+
+
+def _pair_relation(poset: BroadPoset) -> frozenset[Pair]:
+    """The relation of a poset that holds its pairs: each one's letters,
+    canonical already, wrapped as its word without sorting them again."""
+    flavour = poset.flavour
+    return frozenset([(_canonical_word(flavour, letters), t) for letters, t in poset._known[_PAIRS]])
+
+
 def _int_argument(name: str, value) -> int:
     """The value of an int argument; anything else, a bool included, raises."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -341,6 +362,19 @@ def _check_identifiers(identifiers: Iterable) -> None:
     for x in identifiers:
         if not isinstance(x, str):
             raise InvalidArgument(f"identifiers must be strings, not {x!r}")
+
+
+def _carrier(identifiers: Iterable) -> frozenset:
+    """The identifiers as a set; one that does not hash raises
+    :class:`InvalidArgument` naming the least identifier that is no
+    string in ``repr`` order, which no hash seed moves."""
+    if iter(identifiers) is identifiers:  # an iterator, which a failure reads again
+        identifiers = list(identifiers)
+    try:
+        return frozenset(identifiers)
+    except TypeError:
+        _check_identifiers(sorted(identifiers, key=repr))
+        raise
 
 
 def _check_pairs(flavour: Flavour, carrier: frozenset, pairs: Collection[Pair]) -> None:
@@ -411,8 +445,8 @@ def sources_map(poset: BroadPoset) -> dict[str, frozenset[BroadWord]]:
 def _chunk_candidates(poset: BroadPoset) -> dict[str, tuple[tuple[str, ...], ...]]:
     """For each element x, the letter tuples of words w with w <= x."""
     out: dict[str, list[tuple[str, ...]]] = {x: [(x,)] for x in poset.carrier}
-    for w, target in poset.relation:
-        out[target].append(w.letters)
+    for letters, target in _relation_pairs(poset):
+        out[target].append(letters)
     return {x: tuple(sorted(chunks, key=lambda c: (len(c), c))) for x, chunks in out.items()}
 
 
@@ -474,8 +508,8 @@ def _take(rest: tuple[str, ...], chunk: tuple[str, ...]) -> tuple[str, ...] | No
 def _descendant_pairs(poset: BroadPoset) -> frozenset[tuple[str, str]]:
     """Reflexive descendant relation: (b, a) when b occurs in a word below a."""
     pairs = {(x, x) for x in poset.carrier}
-    for w, target in poset.relation:
-        for letter in w.letters:
+    for letters, target in _relation_pairs(poset):
+        for letter in letters:
             pairs.add((letter, target))
     return frozenset(pairs)
 
@@ -491,15 +525,16 @@ MAX_RELATION_PAIRS = 10**6
 def _maximum_word(
     candidates: dict[str, tuple[tuple[str, ...], ...]],
     flavour: Flavour,
-    words: list[BroadWord],
-) -> BroadWord | None:
-    """The maximum of a set of words in the induced order, if it exists."""
+    words: list[tuple[str, ...]],
+) -> tuple[str, ...] | None:
+    """The letters of the maximum of a set of words, given by their
+    letters, in the induced order, if it exists."""
     best = words[0]
     for w in words[1:]:
-        if _word_leq(candidates, flavour, best.letters, w.letters):
+        if _word_leq(candidates, flavour, best, w):
             best = w
     for w in words:
-        if w != best and not _word_leq(candidates, flavour, w.letters, best.letters):
+        if w != best and not _word_leq(candidates, flavour, w, best):
             return None
     return best
 
@@ -524,8 +559,13 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     follow the hash seed.  Nothing is kept on the poset.
     """
     below: dict[str, set[tuple[str, ...]]] = defaultdict(set)  # target -> letters of its words
-    for w, target in poset.relation:
-        below[target].add(w.letters)
+    held = poset._known.get(_PAIRS)
+    if held is None:  # words read in place: on the 40-edge chain, listing their pairs first took 124 µs, not 78
+        for w, target in poset.relation:
+            below[target].add(w.letters)
+    else:
+        for letters, target in held:
+            below[target].add(letters)
     size = dict.fromkeys(poset.carrier, 1)  # N: one more than the words below
     for target, words in below.items():
         size[target] += len(words)
@@ -560,7 +600,7 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
     the root when the poset is a tree, else None.
 
     A tree written from its vertex map or cut out of a tree holds the map
-    and root as this answer (:func:`_lazy_tree`), and a tree from
+    and root as this answer (:func:`_held`), and a tree from
     elsewhere is recognised by :func:`_tree_words`, which counts the
     words below each element; a tree's maxima are its vertices, the words
     whose letters' counts multiply to their target's.  Any other broad
@@ -572,10 +612,11 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
     candidates = _chunk_candidates(poset)
     flavour = poset.flavour
     out: dict[str, BroadWord | None] = {}
-    for target, below_set in sources_map(poset).items():
-        if below_set:
-            below = sorted(below_set, key=lambda w: (len(w), w.letters))
-            out[target] = _maximum_word(candidates, flavour, below)
+    for target, chunks in candidates.items():
+        below = [c for c in chunks if c != (target,)]  # sorted by length, then letters
+        if below:
+            best = _maximum_word(candidates, flavour, below)
+            out[target] = None if best is None else _canonical_word(flavour, best)
     return out, None
 
 
@@ -583,18 +624,17 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
 _TREE = _maxima_map.__name__
 
 
-def _lazy_tree(
-    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], top: str, meta=None
-) -> BroadPoset:
-    """The tree with the given carrier, vertex map and root, held as its
-    :func:`_maxima_map` answer; its relation is written when first read.
-    Nothing is checked, and the caller must not change the map afterwards."""
-    tree = object.__new__(BroadPoset)
-    for name, value in (
-        ("flavour", flavour), ("carrier", carrier), ("meta", meta or {}), ("_known", {_TREE: (vertices, top)})
-    ):
-        object.__setattr__(tree, name, value)
-    return tree
+def _held(flavour: Flavour, carrier: frozenset[str], known: dict, meta=None) -> BroadPoset:
+    """The broad poset with the given carrier that holds its relation in
+    ``known``, written when first read: a tree's vertex map and root under
+    :data:`_TREE`, as its :func:`_maxima_map` answer, or the relation's
+    canonical ``(letters, target)`` tuples, a frozenset, under
+    :data:`_PAIRS`.  Nothing is checked, and the caller must not change
+    what it holds afterwards."""
+    poset = object.__new__(BroadPoset)
+    for name, value in (("flavour", flavour), ("carrier", carrier), ("meta", meta or {}), ("_known", known)):
+        object.__setattr__(poset, name, value)
+    return poset
 
 
 def _tree_relation(tree: BroadPoset) -> frozenset[Pair]:
@@ -674,7 +714,7 @@ def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
 ) -> BroadPoset:
     """The tree with the given edges and vertex map, its relation written
-    when it is first read (:func:`_lazy_tree`).
+    when it is first read (:func:`_held`).
 
     The map must span the carrier as one rooted tree: every edge but the
     root is a child of exactly one edge.  The constructor checks each pair
@@ -688,7 +728,7 @@ def _tree_poset(
     order = [x for x in _top_down(vertices, top) if x in vertices]
     if _relation_size(vertices, reversed(order)) > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    return _lazy_tree(flavour, carrier, vertices, top, meta)
+    return _held(flavour, carrier, {_TREE: (vertices, top)}, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +838,7 @@ def generate_broad_poset(
     product rule hands every over-bound generator set to the queue.
     ``max_word_len`` must be an int of at least 1.
     """
-    carrier = frozenset(carrier)
+    carrier = _carrier(carrier)
 
     def checked() -> Iterator[tuple[tuple[str, ...], str]]:  # as build checks pairs, once the bound is checked
         for w, target in BroadPoset.build(flavour, carrier, generators).relation:
@@ -820,7 +860,11 @@ def _closure(
     The bound, an int of at least 1 or None for the carrier size, is
     checked before the first pair is read.  The product rule needs each
     target's generators only shortest first; the queue, when it runs,
-    takes them all in its fixed order.
+    takes them all in its fixed order.  Both work on letter tuples, and
+    the result holds its pairs as such (:func:`_held`): they join only
+    letters of the generators, which the callers have checked, so no
+    pair is checked again and no word is built until the relation is
+    read.
     """
     if max_word_len is None:
         bound = max(1, len(carrier))
@@ -835,32 +879,34 @@ def _closure(
         ws.sort(key=len)
     closed = _product_closure(flavour, by_target, bound)
     if closed is not None:
-        relation = [(_canonical_word(flavour, w), x) for x, ws in closed.items() for w in ws]
-        return BroadPoset(flavour, carrier, frozenset(relation))
+        relation = frozenset([(w, x) for x, ws in closed.items() for w in ws])
+        return _held(flavour, carrier, {_PAIRS: relation})
 
-    gens = {(w, x) for x, ws in by_target.items() for w in ws}
-    ordered = sorted(gens, key=lambda p: (p[1], len(p[0]), p[0]))
-    below: dict[str, list[BroadWord]] = defaultdict(list)  # target -> generator words, in queue order
+    ordered = sorted({(w, x) for x, ws in by_target.items() for w in ws}, key=lambda p: (p[1], len(p[0]), p[0]))
+    below: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters, in queue order
     for w, x in ordered:
-        below[x].append(_canonical_word(flavour, w))
-    relation = set()
-    queue: deque[Pair] = deque((w, x) for x, ws in below.items() for w in ws)
+        below[x].append(w)
+    commutative = flavour is Flavour.COMMUTATIVE
+    found: set[tuple[tuple[str, ...], str]] = set()
+    queue = deque(ordered)
     while queue:
         current = queue.popleft()
         w, target = current
-        if w.letters == (target,) or current in relation:
+        if w == (target,) or current in found:
             continue
         if len(w) > bound:
             raise ClosureOverflow(
-                f"saturation produced {pair_str(current)} with length {len(w)} > {bound}"
+                f"saturation produced {pair_str((_canonical_word(flavour, w), target))} with length {len(w)} > {bound}"
             )
-        relation.add(current)
-        for position, letter in _substitution_sites(flavour, w.letters):
+        found.add(current)
+        for position, letter in _substitution_sites(flavour, w):
+            head, tail = w[:position], w[position + 1:]
             for b in below.get(letter, ()):
-                queue.append((w.substitute(position, b), target))
+                derived = head + b + tail
+                queue.append((tuple(sorted(derived)) if commutative else derived, target))
 
     # quotient by mutual single-element comparability
-    unary = {(w.letters[0], t) for w, t in relation if len(w) == 1}
+    unary = {(w[0], t) for w, t in found if len(w) == 1}
     mutual = {(a, b) for (a, b) in unary if (b, a) in unary}
     collapsed: dict[str, str] = {}
     if mutual:
@@ -875,15 +921,15 @@ def _closure(
         def r(x: str) -> str:
             return collapsed.get(x, x)
         carrier = frozenset(r(x) for x in carrier)
-        relation = {
+        found = {
             pair
-            for w, t in relation
-            for pair in [(BroadWord(flavour, tuple(r(x) for x in w.letters)), r(t))]
-            if pair[0].letters != (pair[1],)
+            for w, t in found
+            for pair in [(_canonical(flavour, tuple([r(x) for x in w])), r(t))]
+            if pair[0] != (pair[1],)
         }
 
     meta = {"collapsed": collapsed} if collapsed else {}
-    return BroadPoset(flavour, carrier, frozenset(relation), meta)
+    return _held(flavour, carrier, {_PAIRS: frozenset(found)}, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +967,8 @@ def validate(poset: BroadPoset) -> ValidationReport:
     flavour = poset.flavour
     commutative = flavour is Flavour.COMMUTATIVE
     below: dict[str, set[tuple[str, ...]]] = defaultdict(set)  # target -> letters of its words
-    for w, target in poset.relation:
-        below[target].add(w.letters)
+    for letters, target in _relation_pairs(poset):
+        below[target].add(letters)
     missing: list[str] = []
     for target, words in below.items():
         own = (target,)
@@ -1064,9 +1110,9 @@ def is_monotone(assignment: Mapping[str, str], domain: BroadPoset, codomain: Bro
             _tree_leq(image, flavour, _canonical(flavour, tuple([assignment[x] for x in w.letters])), assignment[e])
             for e, w in vertices.items()
         )
-    relation = _letter_pairs(codomain.relation)
-    for w, target in domain.relation:
-        image = _canonical(flavour, tuple([assignment[x] for x in w.letters]))
+    relation = frozenset(_relation_pairs(codomain))
+    for letters, target in _relation_pairs(domain):
+        image = _canonical(flavour, tuple([assignment[x] for x in letters]))
         ft = assignment[target]
         if image != (ft,) and (image, ft) not in relation:
             return False
@@ -1149,9 +1195,9 @@ def _tree_maps(
     for x in codomain.carrier:
         words[x, 1].append((x,))  # a unary vertex's edge and child may share their image
     arities = {len(v) for v in vertices.values()}  # the only lengths looked up
-    for w, x in codomain.relation:
-        if len(w) in arities:
-            words[x, len(w)].extend([w.letters] if planar else set(itertools.permutations(w.letters)))
+    for letters, x in _relation_pairs(codomain):
+        if len(letters) in arities:
+            words[x, len(letters)].extend([letters] if planar else set(itertools.permutations(letters)))
     leaf = {x: [(x,)] for x in codomain.carrier}
     maps: dict[str, dict[str, list[tuple[str, ...]]]] = {}  # edge -> value -> blocks
     block: dict[str, tuple[str, ...]] = {}  # edge -> the edges of its subtree, as its blocks list them
@@ -1201,11 +1247,11 @@ def _assignments(
         return
     index = {x: i for i, x in enumerate(order)}
     checkable: list[list[tuple[tuple[str, ...], str]]] = [[] for _ in order]
-    for w, target in domain.relation:
-        last = max([index[target]] + [index[x] for x in w.letters])
-        checkable[last].append((w.letters, target))
+    for letters, target in _relation_pairs(domain):
+        last = max([index[target]] + [index[x] for x in letters])
+        checkable[last].append((letters, target))
 
-    relation = _letter_pairs(codomain.relation)
+    relation = frozenset(_relation_pairs(codomain))
     commutative = codomain.flavour is Flavour.COMMUTATIVE
     assignment: dict[str, str] = {}  # entries past the current element may be stale
     used: set[str] = set()  # when injective, the values before the current element
@@ -1252,10 +1298,10 @@ def check_isomorphism(
     if len(set(assignment.values())) != len(assignment):
         return False
     image = {
-        (_canonical(right.flavour, tuple([assignment[x] for x in w.letters])), assignment[t])
-        for w, t in left.relation
+        (_canonical(right.flavour, tuple([assignment[x] for x in letters])), assignment[t])
+        for letters, t in _relation_pairs(left)
     }
-    return image == _letter_pairs(right.relation)
+    return image == frozenset(_relation_pairs(right))
 
 
 def _is_isomorphism(left: BroadPoset, right: BroadPoset, assignment: Mapping[str, str]) -> bool:
@@ -1281,10 +1327,10 @@ def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int
     each shape numbered too.  Both sides of a search share ``ids``, so
     equal numbers mean equal profiles; base profiles, shapes and profiles
     are told apart by the kinds of their two entries."""
+    pairs = _relation_pairs(poset)
     below: dict[str, list[int]] = {x: [] for x in poset.carrier}
     occurs: dict[str, list[int]] = {x: [] for x in poset.carrier}
-    for w, target in poset.relation:
-        letters = w.letters
+    for letters, target in pairs:
         size = len(letters)
         below[target].append(size)
         for letter in letters:
@@ -1295,8 +1341,7 @@ def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int
     # one refinement round over the relation's shape: each pair's shape
     # counts once for every element it mentions
     neighbours: dict[str, list[int]] = {x: [] for x in poset.carrier}
-    for w, t in poset.relation:
-        letters = w.letters
+    for letters, t in pairs:
         shape = ids.setdefault((tuple(sorted([base[l] for l in letters])), base[t]), len(ids))
         for x in {t, *letters}:
             neighbours[x].append(shape)
@@ -1310,9 +1355,10 @@ def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | No
     between carriers and relations of equal size it is an isomorphism."""
     if left.flavour is not right.flavour:
         return None
-    if len(left.carrier) != len(right.carrier) or len(left.relation) != len(right.relation):
+    pairs = [_relation_pairs(side) for side in (left, right)]
+    if len(left.carrier) != len(right.carrier) or len(pairs[0]) != len(pairs[1]):
         return None
-    lengths = [sorted([len(w.letters) for w, _ in side.relation]) for side in (left, right)]
+    lengths = [sorted([len(letters) for letters, _ in side]) for side in pairs]
     if lengths[0] != lengths[1]:
         return None
     ids: dict[tuple, int] = {}
@@ -1419,7 +1465,10 @@ def product(
     """Cartesian product with its two projections.
 
     A word of pairs is below a pair exactly when both coordinatewise words
-    are below the respective coordinates, counting reflexive pairs.
+    are below the respective coordinates, counting reflexive pairs.  The
+    product holds its pairs as letter tuples (:func:`_held`): each joins
+    pair names of the carrier, so none is checked again, and its words
+    are written when the relation is first read.
     """
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
@@ -1442,8 +1491,7 @@ def product(
                 for perm in itertools.permutations(wb):
                     pairs.add((tuple(sorted([names[xy] for xy in zip(wa, perm)])), name))
 
-    relation = frozenset([(_canonical_word(flavour, w), x) for w, x in pairs if w != (x,)])
-    poset = BroadPoset(flavour, frozenset(carrier), relation)
+    poset = _held(flavour, frozenset(carrier), {_PAIRS: frozenset([(w, x) for w, x in pairs if w != (x,)])})
     proj_left = MonotoneMap.from_dict(poset, left, {n: ab[0] for n, ab in carrier.items()})
     proj_right = MonotoneMap.from_dict(poset, right, {n: ab[1] for n, ab in carrier.items()})
     return poset, proj_left, proj_right
@@ -1459,12 +1507,13 @@ def tensor(
     names = _pair_names(left.carrier, right.carrier)
     rows = {a: {b: names[a, b] for b in right.carrier} for a in left.carrier}
     generators: set[tuple[tuple[str, ...], str]] = set()
+    right_pairs, left_pairs = _relation_pairs(right), _relation_pairs(left)
     for row in rows.values():
-        for w, b in right.relation:
-            generators.add((_canonical(flavour, tuple([row[y] for y in w.letters])), row[b]))
+        for letters, b in right_pairs:
+            generators.add((_canonical(flavour, tuple([row[y] for y in letters])), row[b]))
     for b in right.carrier:
-        for w, a in left.relation:
-            generators.add((_canonical(flavour, tuple([rows[x][b] for x in w.letters])), rows[a][b]))
+        for letters, a in left_pairs:
+            generators.add((_canonical(flavour, tuple([rows[x][b] for x in letters])), rows[a][b]))
     carrier = frozenset([name for row in rows.values() for name in row.values()])
     return _closure(flavour, carrier, generators, max_word_len)
 
@@ -1480,10 +1529,18 @@ def internal_hom(
 
     Maps are named by their assignments; two with one name raise
     :class:`IdentifierError`.  ``f1 ... fn <= g`` exactly when ``f1(a) ...
-    fn(a) <= g(a)`` at every domain element ``a``, so the words at or
-    below ``g(a0)``, at the least element ``a0``, spell the candidates,
-    kept when they hold at the other elements.  An empty domain raises
-    :class:`InvalidArgument`: every word of its one map is below it.
+    fn(a) <= g(a)`` at every domain element ``a``.  So for each map ``g``
+    and each length ``n`` of a word at or below ``g(a)`` at every ``a``,
+    the words are spelled one map at a time, each element ``a`` keeping
+    the letters still to place of the words of length ``n`` at or below
+    ``g(a)`` that the maps so far fit.  The next map is one that takes a
+    letter to place at every element: the maps grouped by their value,
+    united over those letters and intersected over the elements.  Planar
+    words place their letters in order, and commutative words take their
+    maps in name order, so only words that hold are spelled, each once.
+    The result holds its pairs as letter tuples (:func:`_held`).  An empty
+    domain raises :class:`InvalidArgument`: every word of its one map is
+    below it.
     """
     maps = enumerate_monotone(domain, codomain, budget)
     if not domain.carrier:
@@ -1495,29 +1552,51 @@ def internal_hom(
             raise IdentifierError(f"maps {named[name]} and {f.mapping} are both named {name!r}")
         named[name] = f.mapping
     flavour = domain.flavour
-    first, *rest = sorted(domain.carrier)
-    relation = _letter_pairs(codomain.relation)
-    spelling: dict[str, list[str]] = defaultdict(list)  # a value -> the maps taking it at first, sorted
-    for name in sorted(named):
-        spelling[named[name][first]].append(name)
+    planar = flavour is Flavour.PLANAR
+    points = sorted(domain.carrier)
+    taking: dict[str, dict[str, set[str]]] = {a: defaultdict(set) for a in points}  # a -> value -> maps
+    for name, f in named.items():
+        for a in points:
+            taking[a][f[a]].add(name)
+    words: dict[str, dict[int, set[tuple[str, ...]]]] = {}  # x -> length -> letters of the words at or below x
+    for x, us in _chunk_candidates(codomain).items():
+        for u in us:
+            words.setdefault(x, {}).setdefault(len(u), set()).add(u)
 
-    def below(fs: tuple[str, ...], g: dict[str, str]) -> bool:
-        for a in rest:
-            image = _canonical(flavour, tuple([named[f][a] for f in fs]))
-            if image != (g[a],) and (image, g[a]) not in relation:
-                return False
-        return True
-
-    pairs: set[Pair] = set()
+    pairs: set[tuple[tuple[str, ...], str]] = set()
     for target, g in named.items():
-        for u in _chunk_candidates(codomain)[g[first]]:
-            if flavour is Flavour.PLANAR:
-                words = itertools.product(*(spelling[y] for y in u))
-            else:
-                groups = [itertools.combinations_with_replacement(spelling[y], k) for y, k in Counter(u).items()]
-                words = (tuple(sorted(itertools.chain(*parts))) for parts in itertools.product(*groups))
-            pairs.update((_canonical_word(flavour, fs), target) for fs in words if fs != (target,) and below(fs, g))
-    return BroadPoset(flavour, frozenset(named), frozenset(pairs))
+        at = [words[g[a]] for a in points]
+        for n in set(at[0]).intersection(*at[1:]):
+            if not n:
+                pairs.add(((), target))
+                continue
+            stack = [((), [by_length[n] for by_length in at])]  # a word so far, and what each element leaves
+            while stack:
+                fs, rests = stack.pop()
+                fitting: set[str] | None = None
+                for a, left in zip(points, rests):
+                    letters = {r[0] for r in left} if planar else {y for r in left for y in r}
+                    here = set().union(*[taking[a][y] for y in letters])
+                    fitting = here if fitting is None else fitting & here
+                    if not fitting:
+                        break
+                last = len(fs) + 1 == n  # every map that fits ends a word
+                for f in fitting:
+                    if not planar and fs and f < fs[-1]:
+                        continue
+                    word = fs + (f,)
+                    if last:
+                        if word != (target,):
+                            pairs.add((word, target))
+                        continue
+                    images = [named[f][a] for a in points]
+                    if planar:
+                        after = [{r[1:] for r in left if r[0] == y} for left, y in zip(rests, images)]
+                    else:
+                        after = [{rest for rest in (_take(r, (y,)) for r in left) if rest is not None}
+                                 for left, y in zip(rests, images)]
+                    stack.append((word, after))
+    return _held(flavour, frozenset(named), {_PAIRS: frozenset(pairs)})
 
 
 def pushout(
@@ -1569,8 +1648,8 @@ def pushout(
 
     generators: set[tuple[tuple[str, ...], str]] = set()
     for side, poset in (("L", left), ("R", right)):
-        for w, target in poset.relation:
-            letters = _canonical(flavour, tuple([names[side, x] for x in w.letters]))
+        for source, target in _relation_pairs(poset):
+            letters = _canonical(flavour, tuple([names[side, x] for x in source]))
             if letters != (names[side, target],):
                 generators.add((letters, names[side, target]))
     result = _closure(flavour, frozenset(used), generators, max_word_len)
@@ -1595,17 +1674,19 @@ def abelianize(poset: BroadPoset) -> BroadPoset:
     """
     if poset.flavour is not Flavour.PLANAR:
         raise FlavourMismatch("abelianize expects a planar broad poset")
-    pairs = {(tuple(sorted(w.letters)), t) for w, t in poset.relation}
+    pairs = {(_canonical(Flavour.COMMUTATIVE, w), t) for w, t in _relation_pairs(poset)}
     bound = max([1, len(poset.carrier), *(len(w) for w, _ in pairs)])
     return _closure(Flavour.COMMUTATIVE, poset.carrier, pairs, bound)
 
 
 def forget_symmetry(poset: BroadPoset) -> BroadPoset:
-    """All orderings of each commutative source, as a planar broad poset."""
+    """All orderings of each commutative source, as a planar broad poset.
+
+    It holds its pairs as letter tuples (:func:`_held`): each orders the
+    letters of a pair of the input, so none is checked again, and its
+    words are written when the relation is first read.
+    """
     if poset.flavour is not Flavour.COMMUTATIVE:
         raise FlavourMismatch("forget_symmetry expects a commutative broad poset")
-    relation: set[Pair] = set()
-    for w, target in poset.relation:
-        for perm in set(itertools.permutations(w.letters)):
-            relation.add((BroadWord(Flavour.PLANAR, perm), target))
-    return BroadPoset(Flavour.PLANAR, poset.carrier, frozenset(relation))
+    pairs = frozenset([(perm, target) for w, target in _relation_pairs(poset) for perm in itertools.permutations(w)])
+    return _held(Flavour.PLANAR, poset.carrier, {_PAIRS: pairs})

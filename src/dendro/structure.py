@@ -24,8 +24,8 @@ from .core import (
     _TREE,
     _chunk_candidates,
     _descendant_pairs,
+    _held,
     _kept,
-    _lazy_tree,
     _maxima_map,
     _top_down,
     _word_leq,
@@ -293,7 +293,7 @@ def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
             else:
                 up = _parents(poset)[edge]
                 vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
-    return _lazy_tree(poset.flavour, carrier, vertices, top)
+    return _held(poset.flavour, carrier, {_TREE: (vertices, top)})
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:

@@ -1391,6 +1391,24 @@ def test_an_entry_that_does_not_hash_is_an_invalid_argument():
         assert str(info.value) == "identifiers must be strings, not ['a']"
 
 
+def test_a_carrier_identifier_that_does_not_hash_is_an_invalid_argument():
+    """A carrier identifier that does not hash used to escape as a bare
+    TypeError from freezing the carrier; the least identifier that is no
+    string, by ``repr``, is named, read once even from an iterator."""
+    for call in (
+        lambda: BroadPoset(C, [["a"]], []),
+        lambda: BroadPoset.build(C, [["a"]]),
+        lambda: generate_broad_poset([["a"]], [], C),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "identifiers must be strings, not ['a']"
+    for carrier in (["b", ["a"], ("c",), {1}], iter([{1}, ["a"], "b", ("c",)])):
+        with pytest.raises(InvalidArgument) as info:
+            BroadPoset(P, carrier, [])
+        assert str(info.value) == "identifiers must be strings, not ('c',)"  # "(" sorts before "[" and "{"
+
+
 @pytest.mark.parametrize("flavour", [C, P])
 def test_generators_are_checked_as_build_checks_pairs(flavour):
     """A non-string letter used to be a bare TypeError (commutative) or an

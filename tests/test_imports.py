@@ -132,12 +132,15 @@ def test_the_scan_finds_a_bare_construction():
 
 
 def test_only_a_cut_tree_skips_the_per_pair_check():
-    """A broad poset is built past its constructor in one place, the tree
-    that holds its vertex map, which is checked vertex by vertex when it
-    is written and needs no check when it is cut out of a tree, so no data
-    from outside can take it."""
+    """A broad poset is built past its constructor in one place, the poset
+    that holds its relation in another form.  A tree holds its vertex map,
+    which is checked vertex by vertex when it is written and needs no
+    check when it is cut out of a tree.  The closure kernel, ``product``,
+    ``forget_symmetry`` and ``internal_hom`` hold letter pairs that join
+    only letters of inputs already checked.  So no data from outside can
+    take it."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert bare_constructions(sources, "BroadPoset") == ["core.py: _lazy_tree"]
+    assert bare_constructions(sources, "BroadPoset") == ["core.py: _held"]
 
 
 def test_only_an_inclusion_skips_the_map_check():

@@ -1,8 +1,9 @@
 """A tree written from its vertex map, or cut out of a tree, holds the map
-and writes its relation only when something reads it.  Such a tree is, on
-the nose, the broad poset the checked constructor builds on its carrier
-and written relation, and the questions answered off vertex maps write no
-relation at all."""
+and writes its relation only when something reads it; a generated broad
+poset holds its pairs as letter tuples and does the same.  Such a poset
+is, on the nose, the broad poset the checked constructor builds on its
+carrier and written relation, and the questions answered off vertex maps
+or held pairs write no relation at all."""
 
 import copy
 import itertools
@@ -15,13 +16,25 @@ from dendro import category, core, terms
 from dendro.category import all_faces, degeneracies, enumerate_subtrees, factorize
 from dendro.core import (
     BroadPoset,
+    FinitePoset,
     Flavour,
     MonotoneMap,
     _maxima_map,
+    abelianize,
     check_isomorphism,
+    embed_poset,
+    enumerate_monotone,
+    find_isomorphism,
+    forget_symmetry,
+    generate_broad_poset,
     identity,
+    internal_hom,
     is_monotone,
     pair_str,
+    product,
+    pushout,
+    tensor,
+    validate,
 )
 from dendro.structure import classify_all, leaves, links, subtree_at
 from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad
@@ -33,6 +46,7 @@ C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
 LAZY_CORPUS_EDGES = 7
 KEY = _maxima_map.__name__
+PAIRS = core._relation_pairs.__name__
 
 
 def bare(tree: BroadPoset) -> BroadPoset:
@@ -42,8 +56,7 @@ def bare(tree: BroadPoset) -> BroadPoset:
 
 def unwritten(tree: BroadPoset) -> BroadPoset:
     """A twin of a tree that holds its map, with its relation not written."""
-    vertices, top = tree._known[KEY]
-    return core._lazy_tree(tree.flavour, tree.carrier, vertices, top, tree.meta)
+    return core._held(tree.flavour, tree.carrier, {KEY: tree._known[KEY]}, tree.meta)
 
 
 def held_trees(flavour: Flavour) -> list[BroadPoset]:
@@ -224,3 +237,135 @@ def test_monotone_between_held_trees_is_read_off_the_vertices(flavour):
             assert monotone == is_monotone(assignment, plain_source, plain_target)
             found += monotone
     assert found > 100
+
+
+def held_twin(poset: BroadPoset) -> BroadPoset:
+    """A twin of a poset that holds its letter pairs, its relation not written."""
+    return core._held(poset.flavour, poset.carrier, {PAIRS: poset._known[PAIRS]}, poset.meta)
+
+
+def assert_held_as_built(poset: BroadPoset) -> None:
+    """The poset holds its pairs, and is on the nose the poset ``build``
+    makes of them, which sorts commutative letters and checks every pair:
+    equality both ways, hash, JSON, ``repr``, and a pickle round trip and
+    a deep copy, which keep the pairs.  Each question is asked of its own
+    unwritten twin, so each writes the relation on its first read."""
+    pairs = poset._known[PAIRS]
+    built = BroadPoset.build(poset.flavour, poset.carrier, sorted(pairs))
+    assert len(built.relation) == len(pairs)
+    assert held_twin(poset) == built and built == held_twin(poset)
+    assert hash(held_twin(poset)) == hash(built)
+    assert held_twin(poset).to_json() == built.to_json()
+    assert repr(held_twin(poset)) == repr(built)
+    for twin in (pickle.loads(pickle.dumps(held_twin(poset))), copy.deepcopy(held_twin(poset))):
+        assert twin == built and built == twin
+        assert twin._known[PAIRS] == pairs
+
+
+def algebra_inputs(flavour: Flavour) -> list[BroadPoset]:
+    """A word that repeats a letter, first so that it is the left side of
+    its pairs, then trees up to 4 edges, chains of 1 to 3 edges and the
+    2×3 grid."""
+    chains = [embed_poset(FinitePoset.chain(n), flavour) for n in (1, 2, 3)]
+    grid = embed_poset(FinitePoset.chain(1).product(FinitePoset.chain(2)), flavour)
+    repeated = BroadPoset.build(flavour, ["x", "y"], [(("x", "x"), "y")])
+    return [repeated, *tree_corpus(flavour, 4), *chains, grid]
+
+
+def longest_word(poset: BroadPoset) -> int:
+    return max((len(letters) for letters, _ in core._relation_pairs(poset)), default=0)
+
+
+# generators with a cycle, which the queue saturates and which collapse a ≤ b ≤ a;
+# substituting e for a in a·c gives a word whose letters must be sorted again
+CYCLIC = [
+    (["a", "b", "c"], [(["a"], "b"), (["b"], "a"), (["c"], "a")]),
+    (["a", "b", "c", "d", "e"], [(["a"], "b"), (["b"], "a"), (["e"], "a"), ([], "c"), (["a", "c"], "d")]),
+]
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_algebra_outputs_are_the_posets_the_constructor_builds(flavour):
+    """Every generated poset, abelianization or forgotten symmetry of an
+    input, and, for every unordered pair of inputs with at most 12 element
+    pairs, its tensor, product, pushout (a point glued to an element of
+    each side, which collapses nothing), the tensor's abelianization or
+    forgotten symmetry (words up to 4 letters), and the internal hom
+    between inputs of at most 3 elements; and two cyclic closures."""
+    inputs = algebra_inputs(flavour)
+    point = BroadPoset.build(flavour, ["p"])
+    outputs = []
+    for x in inputs:
+        outputs.append(generate_broad_poset(x.carrier, x.relation, flavour))
+        outputs += [forget_symmetry(x)] if flavour is C else [abelianize(x)]
+    for x, y in itertools.combinations_with_replacement(inputs, 2):
+        if len(x.carrier) * len(y.carrier) > 12:
+            continue
+        t = tensor(x, y)
+        outputs += [t, product(x, y)[0]]
+        legs = [MonotoneMap.from_dict(point, side, {"p": pick(side.carrier)}) for side, pick in ((x, min), (y, max))]
+        outputs.append(pushout(*legs, max_word_len=16)[0])  # words of at most 4 letters on each side
+        if flavour is P:
+            outputs.append(abelianize(t))
+        elif longest_word(t) <= 4:
+            outputs.append(forget_symmetry(t))
+        if len(x.carrier) <= 3 and len(y.carrier) <= 3:
+            outputs.append(internal_hom(x, y))
+    for carrier, generators in CYCLIC:
+        outputs.append(generate_broad_poset(carrier, generators, flavour, 4))
+    assert any(p.meta.get("collapsed") for p in outputs)
+    for poset in outputs:
+        assert_held_as_built(poset)
+    assert len(outputs) > (1000 if flavour is C else 1500)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
+    """Validation, isomorphism search, symmetrization and hom sets read a
+    tensor's held pairs, with the pair writer made to raise; each answer
+    is the one its word-built copy gives.  The hom sets run once through
+    the backtracker alone (81 assignments) and once after recognition
+    finds no tree (729)."""
+    x, y = to_broad(parse_term("r(a,b)"), flavour), to_broad(parse_term("s(t(u))"), flavour)
+    renamed = [side.rename({e: e.upper() for e in side.carrier}) for side in (x, y)]
+    small = [to_broad(parse_term(term), flavour) for term in ("r(a)", "s(t)")]
+    target = to_broad(parse_term("p(q,w)"), flavour)
+
+    def refuse(poset):
+        raise AssertionError("a held relation was written")
+
+    monkeypatch.setattr(core, "_pair_relation", refuse)
+    t, twin = tensor(x, y), tensor(*renamed)
+    report = validate(t)
+    found = find_isomorphism(t, twin)
+    homs = [enumerate_monotone(tensor(*small), target), enumerate_monotone(t, target)]
+    if flavour is C:
+        symmetrized = abelianize(tensor(forget_symmetry(x), forget_symmetry(y)))
+    monkeypatch.undo()
+    assert report == validate(bare(t)) and report.ok
+    assert found is not None and check_isomorphism(t, twin, found)
+    assert [[m.pairs for m in hom] for hom in homs] == [
+        [m.pairs for m in enumerate_monotone(bare(tensor(*small)), target)],
+        [m.pairs for m in enumerate_monotone(bare(t), target)],
+    ]
+    assert len(homs[0]) > 0 and len(homs[1]) > 0
+    if flavour is C:
+        assert symmetrized == t
+
+
+def test_public_constructors_still_check_every_pair(monkeypatch):
+    """``BroadPoset(...)``, ``build`` and ``generate_broad_poset`` hand
+    every pair they are given to the per-pair check."""
+    checked = []
+    check = core._check_pairs
+
+    def counted(flavour, carrier, pairs):
+        checked.append(len(pairs))
+        return check(flavour, carrier, pairs)
+
+    relation = to_broad(parse_term("r(a(b),c)"), C).relation
+    monkeypatch.setattr(core, "_check_pairs", counted)
+    BroadPoset(C, "rabc", relation)
+    BroadPoset.build(C, "rabc", [(w.letters, t) for w, t in relation])
+    generate_broad_poset("rabc", [(("a", "c"), "r"), (("b",), "a")], C)
+    assert checked == [len(relation), len(relation), 2]
