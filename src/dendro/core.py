@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -747,23 +747,20 @@ def _substitution_sites(flavour: Flavour, letters: tuple[str, ...]) -> Iterator[
     return ((i, x) for i, x in enumerate(letters) if i == 0 or letters[i - 1] != x)
 
 
-def _product_closure(
-    flavour: Flavour, generators: dict[str, list[tuple[str, ...]]], bound: int
-) -> dict[str, set[tuple[str, ...]]] | None:
-    """The closure of generators whose letter-to-target graph is acyclic,
-    as the words below each target, written children first by the product
-    rule; None on a cycle or when a word would be longer than ``bound``.
+def _by_target(pairs: Iterable[tuple[tuple[str, ...], str]]) -> dict[str, list[tuple[str, ...]]]:
+    """The letters of the generators below each target, shortest first."""
+    by_target: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+    for letters, target in pairs:
+        by_target[target].append(letters)
+    for ws in by_target.values():
+        ws.sort(key=len)
+    return by_target
 
-    The words below ``x`` are, over the generators ``(w, x)``, the
-    concatenations, in order, of one choice per letter ``c`` of ``w``:
-    ``c`` itself or a word below ``c``; commutative words are sorted.
-    The longest such word is counted before any is written.  A generator
-    already among the words below its target adds nothing, since the
-    words below each letter are closed; generators come shortest first,
-    so a tree's vertex word spans the longer words before they are met.
-    Generators and words are given by their letters, canonical for the
-    flavour.
-    """
+
+def _children_first(generators: dict[str, list[tuple[str, ...]]]) -> list[str]:
+    """The targets of the generators, each after the targets among its
+    generators' letters; a target on or above a cycle of the
+    letter-to-target graph is left out."""
     users: dict[str, list[str]] = defaultdict(list)
     waiting: dict[str, int] = {}
     for target, ws in generators.items():
@@ -777,9 +774,47 @@ def _product_closure(
             waiting[x] -= 1
             if not waiting[x]:
                 order.append(x)
-    if len(order) < len(generators):
-        return None  # a cycle: the closure may collapse or grow without bound
+    return order
+
+
+def _unary_classes(generators: dict[str, list[tuple[str, ...]]]) -> dict[str, str]:
+    """Each element mutually reachable along unary generators with a less
+    one, mapped to the least such, in identifier order."""
+    up: dict[str, set[str]] = defaultdict(set)  # letter -> targets of its unary generators
+    for x, ws in generators.items():
+        for w in ws:
+            if len(w) == 1:
+                up[w[0]].add(x)
+    reach: dict[str, set[str]] = {}
+    for a in list(up):
+        seen, pending = set(), [a]
+        while pending:
+            ys = up[pending.pop()] - seen
+            seen |= ys
+            pending += ys
+        reach[a] = seen
+    least = {a: min(b for b in seen if a in reach.get(b, ())) for a, seen in sorted(reach.items()) if a in seen}
+    return {a: b for a, b in least.items() if b != a}
+
+
+def _product_closure(
+    flavour: Flavour, generators: dict[str, list[tuple[str, ...]]], order: list[str], bound: int
+) -> dict[str, set[tuple[str, ...]]]:
+    """The closure of generators whose letter-to-target graph is acyclic,
+    their targets given children first, as the words below each target.
+
+    The words below ``x`` are, over the generators ``(w, x)``, the
+    concatenations, in order, of one choice per letter ``c`` of ``w``:
+    ``c`` itself or a word below ``c``; commutative words are sorted.
+    The longest words are counted first; one over ``bound`` raises
+    :class:`ClosureOverflow`.  A generator already among the words below
+    its target adds nothing, since the words below each letter are
+    closed; generators come shortest first, so a tree's vertex word spans
+    the longer words before they are met.  Generators and words are
+    given by their letters, canonical for the flavour.
+    """
     longest: dict[str, int] = {}  # the longest word below each target; a letter alone is 1
+    over = []
     for x in order:
         most = 0
         for w in generators[x]:
@@ -789,8 +824,11 @@ def _product_closure(
             if size > most:
                 most = size
         if most > bound:
-            return None
+            over.append(x)
         longest[x] = most
+    if over:
+        x = min(over)
+        raise ClosureOverflow(f"the closure has a word of length {longest[x]} > {bound} below {x}")
     commutative = flavour is Flavour.COMMUTATIVE
     below: dict[str, set[tuple[str, ...]]] = {}
     choices: dict[str, list[tuple[str, ...]]] = {}  # each target itself, then the words below it
@@ -816,27 +854,21 @@ def generate_broad_poset(
 ) -> BroadPoset:
     """The broad poset generated by a relation.
 
-    When no element is below itself through the generators (their
-    letter-to-target graph is acyclic) and no word of the closure is
-    longer than the bound, the closure is written children first by the
-    product rule: the words below an element are, over its generators,
-    one choice per letter of the letter itself or a word below it.
-    Nothing then collapses.
+    Its closure is finite exactly when every cycle of the generators'
+    letter-to-target graph runs through unary generators only.  The
+    elements on such a cycle are below each other, so anti-symmetry
+    identifies each class of them with its least identifier, recorded in
+    the result's ``meta['collapsed']``.  The closure of the generators
+    mapped through it is then written by the product rule: the words
+    below an element are, over its generators, one choice per letter of
+    the letter itself or a word below it.
 
-    Otherwise it saturates by substituting generators only, one site at a
-    time; substitution is associative, so this reaches every composite.
-    Pairs leave the queue in a fixed order that starts from the generators
-    sorted by target, length and letters.  Then quotients by mutual
-    comparability of single elements, choosing the least identifier as
-    each class representative.  Any collapse performed by the quotient is
-    recorded in the result's ``meta['collapsed']``.
-
-    Raises :class:`ClosureOverflow` when a word longer than
-    ``max_word_len`` (default: the carrier size) appears, which signals a
-    possibly infinite relation.  The queue names the first such pair in
-    its order, so the message does not depend on the hash seed, and the
-    product rule hands every over-bound generator set to the queue.
-    ``max_word_len`` must be an int of at least 1.
+    Raises :class:`ClosureOverflow`, naming no word and so moved by no
+    hash seed, when a cycle through a word of two or more letters is left
+    (naming the least element on or above it) or a word is longer than
+    ``max_word_len``, default the carrier size (naming the least element
+    with one below it, and the length of its longest).  ``max_word_len``
+    must be an int of at least 1.
     """
     carrier = _carrier(carrier)
 
@@ -858,13 +890,13 @@ def _closure(
     flavour, over ``carrier``, and not reflexive; repeats are allowed.
 
     The bound, an int of at least 1 or None for the carrier size, is
-    checked before the first pair is read.  The product rule needs each
-    target's generators only shortest first; the queue, when it runs,
-    takes them all in its fixed order.  Both work on letter tuples, and
-    the result holds its pairs as such (:func:`_held`): they join only
-    letters of the generators, which the callers have checked, so no
-    pair is checked again and no word is built until the relation is
-    read.
+    checked before the first pair is read.  The unary classes are looked
+    for only when the product rule's order leaves a target out, so an
+    acyclic generator set pays nothing for them.  The kernel works on
+    letter tuples, and the result holds its pairs as such
+    (:func:`_held`): they join only letters of the generators, which the
+    callers have checked, so no pair is checked again and no word is
+    built until the relation is read.
     """
     if max_word_len is None:
         bound = max(1, len(carrier))
@@ -872,64 +904,26 @@ def _closure(
         raise InvalidArgument("max_word_len must be at least 1")
     else:
         bound = max_word_len
-    by_target: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters
-    for letters, target in pairs:
-        by_target[target].append(letters)
-    for ws in by_target.values():
-        ws.sort(key=len)
-    closed = _product_closure(flavour, by_target, bound)
-    if closed is not None:
-        relation = frozenset([(w, x) for x, ws in closed.items() for w in ws])
-        return _held(flavour, carrier, {_PAIRS: relation})
-
-    ordered = sorted({(w, x) for x, ws in by_target.items() for w in ws}, key=lambda p: (p[1], len(p[0]), p[0]))
-    below: dict[str, list[tuple[str, ...]]] = defaultdict(list)  # target -> generator letters, in queue order
-    for w, x in ordered:
-        below[x].append(w)
-    commutative = flavour is Flavour.COMMUTATIVE
-    found: set[tuple[tuple[str, ...], str]] = set()
-    queue = deque(ordered)
-    while queue:
-        current = queue.popleft()
-        w, target = current
-        if w == (target,) or current in found:
-            continue
-        if len(w) > bound:
-            raise ClosureOverflow(
-                f"saturation produced {pair_str((_canonical_word(flavour, w), target))} with length {len(w)} > {bound}"
-            )
-        found.add(current)
-        for position, letter in _substitution_sites(flavour, w):
-            head, tail = w[:position], w[position + 1:]
-            for b in below.get(letter, ()):
-                derived = head + b + tail
-                queue.append((tuple(sorted(derived)) if commutative else derived, target))
-
-    # quotient by mutual single-element comparability
-    unary = {(w[0], t) for w, t in found if len(w) == 1}
-    mutual = {(a, b) for (a, b) in unary if (b, a) in unary}
-    collapsed: dict[str, str] = {}
-    if mutual:
-        classes: dict[str, set[str]] = {}
-        for a, b in mutual:
-            merged = classes.get(a, {a}) | classes.get(b, {b})
-            for x in merged:
-                classes[x] = merged
-        rep = {x: min(cls) for x, cls in classes.items()}
-        collapsed = {x: r for x, r in sorted(rep.items()) if x != r}
+    by_target = _by_target(pairs)
+    order = _children_first(by_target)
+    collapsed = _unary_classes(by_target) if len(order) < len(by_target) else {}
     if collapsed:
         def r(x: str) -> str:
             return collapsed.get(x, x)
-        carrier = frozenset(r(x) for x in carrier)
-        found = {
-            pair
-            for w, t in found
-            for pair in [(_canonical(flavour, tuple([r(x) for x in w])), r(t))]
-            if pair[0] != (pair[1],)
-        }
-
-    meta = {"collapsed": collapsed} if collapsed else {}
-    return _held(flavour, carrier, {_PAIRS: frozenset(found)}, meta)
+        carrier = frozenset(map(r, carrier))
+        by_target = _by_target(
+            (v, r(x)) for x, ws in by_target.items() for w in ws
+            for v in [_canonical(flavour, tuple(map(r, w)))] if v != (r(x),)
+        )
+        order = _children_first(by_target)
+    if len(order) < len(by_target):
+        x = min(by_target.keys() - set(order))
+        raise ClosureOverflow(
+            f"the closure is infinite: {x} is on or above a cycle through a word of 2 or more letters"
+        )
+    closed = _product_closure(flavour, by_target, order, bound)
+    relation = frozenset([(w, x) for x, ws in closed.items() for w in ws])
+    return _held(flavour, carrier, {_PAIRS: relation}, {"collapsed": collapsed} if collapsed else None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ class FlavourMismatch(DendroError):
 
 
 class ClosureOverflow(DendroError):
-    """Saturation produced a word longer than the configured bound.
-
-    This signals that the generated relation is possibly infinite; the
-    bound makes the failure observable instead of diverging.
-    """
+    """A generated relation is infinite, through a cycle of generators
+    with a word of two or more letters, or has a word longer than the
+    configured bound."""
 
 
 class CollapseError(DendroError):

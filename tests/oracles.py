@@ -3,11 +3,12 @@
 Each oracle follows the defining rule as literally as possible and avoids
 the library's strategies: closure is recomputed from scratch in rounds
 with simultaneous substitution, enumerations are exhaustive scans with
-late filtering.  Four are the library's own earlier, slower ways, kept
-as the reference for the faster ones: tree recognition from the
-descendant pairs, the face chain that lists every face, the internal
-hom that tests every word of maps up to the codomain's longest word, and
-the word order searched with a stack of chunk iterators.
+late filtering.  Five are the library's own earlier, slower ways, kept
+as the reference for the faster ones: the closure that saturates a
+substitution queue, tree recognition from the descendant pairs, the
+face chain that lists every face, the internal hom that tests every
+word of maps up to the codomain's longest word, and the word order
+searched with a stack of chunk iterators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 
 from dendro.category import Face, _faces
 from dendro.core import (
@@ -99,6 +100,60 @@ def naive_closure(
         if w2 != (t2,):
             quotiented.add((w2, t2))
     return frozenset(quotiented), rep
+
+
+def queue_closure(
+    flavour: Flavour, carrier, generators, bound: int
+) -> tuple[frozenset, frozenset, dict[str, str]]:
+    """The library's earlier closure: saturation by substituting
+    generators only, one site at a time, into each pair a queue finds,
+    then the quotient by mutual comparability of single elements onto the
+    least identifier of each class.
+
+    Returns the relation as ``(letters, target)`` pairs, the carrier and
+    the collapsed map, which names only the elements that moved, in
+    identifier order.  Raises ``OverflowError`` on the first non-reflexive
+    pair longer than ``bound`` in queue order, which starts from the
+    generators sorted by target, length and letters.
+    """
+    commutative = flavour is Flavour.COMMUTATIVE
+
+    def norm(letters) -> tuple[str, ...]:
+        return tuple(sorted(letters)) if commutative else tuple(letters)
+
+    ordered = sorted({(norm(w), x) for w, x in generators}, key=lambda p: (p[1], len(p[0]), p[0]))
+    below = defaultdict(list)  # target -> generator letters, in queue order
+    for w, x in ordered:
+        below[x].append(w)
+    found = set()
+    queue = deque(ordered)
+    while queue:
+        current = queue.popleft()
+        w, target = current
+        if w == (target,) or current in found:
+            continue
+        if len(w) > bound:
+            raise OverflowError(f"queue closure met a word of length {len(w)} > {bound}")
+        found.add(current)
+        sites = enumerate(w) if not commutative else ((i, x) for i, x in enumerate(w) if i == 0 or w[i - 1] != x)
+        for position, letter in sites:
+            for b in below.get(letter, ()):
+                queue.append((norm(w[:position] + b + w[position + 1:]), target))
+
+    unary = {(w[0], t) for w, t in found if len(w) == 1}
+    classes: dict[str, set[str]] = {}
+    for a, b in unary:
+        if (b, a) in unary:
+            merged = classes.get(a, {a}) | classes.get(b, {b})
+            for x in merged:
+                classes[x] = merged
+    collapsed = {x: min(cls) for x, cls in sorted(classes.items()) if x != min(cls)}
+
+    def r(x: str) -> str:
+        return collapsed.get(x, x)
+
+    pairs = {(norm(map(r, w)), r(t)) for w, t in found}
+    return frozenset(p for p in pairs if p[0] != (p[1],)), frozenset(map(r, carrier)), collapsed
 
 
 def brute_word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> bool:

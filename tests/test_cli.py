@@ -231,28 +231,40 @@ def test_output_deterministic_across_processes():
 
 
 def test_overflow_message_deterministic_across_processes(tmp_path):
+    """A word over the bound, and a pushout that glues z ≤ y onto
+    x·y ≤ z, a cycle through x·y ≤ y that no bound holds: each names the
+    same element under every hash seed."""
     import os
     import subprocess
     import sys
 
-    paths = []
-    for name, term in [("A", "r(a(b,c),d)"), ("B", "s(x,y)")]:
+    C = Flavour.COMMUTATIVE
+    corolla_2 = BroadPoset.build(C, ["x", "y", "z"], [(["x", "y"], "z")])
+    shared = BroadPoset.build(C, ["s", "t"])
+    legs = {
+        "f": MonotoneMap.from_dict(shared, corolla_2, {"s": "z", "t": "y"}),
+        "g": MonotoneMap.from_dict(shared, BroadPoset.build(C, ["p", "q"], [(["p"], "q")]), {"s": "p", "t": "q"}),
+    }
+    trees = {"A": to_broad(parse_term("r(a(b,c),d)"), C), "B": to_broad(parse_term("s(x,y)"), C)}
+    paths = {}
+    for name, value in [*trees.items(), *legs.items()]:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(to_broad(parse_term(term), Flavour.COMMUTATIVE).to_json()))
-        paths.append(str(path))
+        path.write_text(json.dumps(value.to_json()))
+        paths[name] = str(path)
 
-    def run_once(seed):
+    def run_once(seed, *argv):
         env = dict(os.environ, PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-m", "dendro.cli", "--max-word-len=3", "tensor", *paths],
-            capture_output=True,
-            env=env,
-        )
+        done = subprocess.run([sys.executable, "-m", "dendro.cli", *argv], capture_output=True, env=env)
         return done.returncode, done.stderr
 
-    first = run_once("1")
-    assert first[0] == 3
-    assert first == run_once("7")
+    for argv, named in [
+        (["--max-word-len=3", "tensor", paths["A"], paths["B"]], b"below (a,s)"),
+        (["pushout", paths["f"], paths["g"]], b"p is on or above a cycle"),
+    ]:
+        first = run_once("1", *argv)
+        assert first[0] == 3
+        assert named in first[1]
+        assert first == run_once("7", *argv) == run_once("42", *argv)
 
 
 def test_bad_pair_message_deterministic_across_processes(tmp_path):

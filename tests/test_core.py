@@ -1,7 +1,7 @@
 import itertools
 import random
 import sys
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +55,7 @@ from oracles import (
     brute_monotone_maps,
     counted_element_profiles,
     naive_closure,
+    queue_closure,
     stacked_word_leq,
     tuple_element_profiles,
     word_scan_violations,
@@ -282,6 +283,11 @@ def acyclic_generator_sets(draw):
 @example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c",), "a")], 10))
 @example((["r", "a", "b", "c"], [(("a",), "r"), (("b", "c"), "a")], 10))
 @example((["x", "y"], [(("x",), "y"), (("y",), "x")], 10))  # collapses
+@example((["a", "b", "c"], [(("a", "b"), "c"), ((), "b"), (("c",), "a")], 10))  # a ≤ c through a stump, c ≤ a
+@example((["x", "y", "z"], [(("x",), "y"), (("y",), "x"), (("x", "z"), "y")], 10))  # leaves x·z ≤ x
+@example((["a", "b", "c", "d"], [(("a",), "b"), (("b",), "c"), (("c",), "a"), (("b", "c"), "d")], 10))  # a·a ≤ d
+@example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c", "c"), "a")], 3))  # the bound is the longest word
+@example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c", "c"), "a")], 2))  # one below it
 def test_generate_matches_naive_oracle(flavour, case):
     carrier, generators, bound = case
     max_len = max(1, len(carrier)) if bound is None else bound
@@ -308,65 +314,106 @@ def test_generate_overflow():
         generate_broad_poset(["x", "y"], [(("x", "x"), "x")], C, 5)
 
 
-def refuse_product_rule(monkeypatch):
-    monkeypatch.setattr(core, "_product_closure", lambda *args: None)
+def tensor_generators(left: BroadPoset, right: BroadPoset) -> tuple[list[str], list]:
+    """The carrier of the tensor of two posets, and its generators: each
+    side's full relation tensored with the points of the other."""
+    carrier = [pair_id(a, b) for a in left.carrier for b in right.carrier]
+    generators = [
+        *(([pair_id(a, y) for y in w], pair_id(a, b)) for a in left.carrier for w, b in right.relation),
+        *(([pair_id(x, b) for x in w], pair_id(a, b)) for b in right.carrier for w, a in left.relation),
+    ]
+    return carrier, generators
+
+
+def against_queue(call, flavour: Flavour, carrier, generators, bound: int | None) -> str:
+    """``call()`` is the queue oracle's closure of the generators, with its
+    collapsed map in the same order, or both overflow; say whether it
+    closed, collapsed or overflowed."""
+    try:
+        pairs, closed_carrier, collapsed = queue_closure(
+            flavour, carrier, generators, max(1, len(set(carrier))) if bound is None else bound
+        )
+    except OverflowError:
+        with pytest.raises(ClosureOverflow):
+            call()
+        return "overflow"
+    got = call()
+    assert got == BroadPoset.build(flavour, closed_carrier, pairs)
+    assert list(got.meta.get("collapsed", {}).items()) == list(collapsed.items())
+    return "collapsed" if collapsed else "closed"
 
 
 @pytest.mark.parametrize("flavour", [C, P])
-def test_tensor_product_rule_matches_queue_on_small_trees(flavour, monkeypatch):
+def test_tensor_product_rule_matches_queue_on_small_trees(flavour):
     trees = tree_corpus(flavour, 4)
-    fast = [tensor(s, t) for s in trees for t in trees]
-    refuse_product_rule(monkeypatch)
-    slow = [tensor(s, t) for s in trees for t in trees]
-    assert len(fast) == len(trees) ** 2
-    for one, other in zip(fast, slow):
-        assert one == other and one.meta == other.meta
+    outcomes = Counter(
+        against_queue(lambda: tensor(s, t), flavour, *tensor_generators(s, t), None) for s in trees for t in trees
+    )
+    assert outcomes == {"closed": len(trees) ** 2}
 
 
-def test_queue_runs_only_on_cycles_and_overflow(monkeypatch):
-    queues = []
-    monkeypatch.setattr(core, "deque", lambda items: queues.append(items) or deque(items))
+def generated(flavour: Flavour, carrier, generators, bound: int | None = None) -> tuple:
+    return lambda: generate_broad_poset(carrier, generators, flavour, bound), flavour, carrier, generators, bound
 
-    def entered(call) -> bool:
-        queues.clear()
-        try:
-            call()
-        except ClosureOverflow:
-            pass
-        return bool(queues)
 
+def closure_cases() -> dict[str, tuple]:
+    """Calls of the closure, each with the flavour, carrier, generators
+    and bound that the queue oracle closes for it."""
     two, chain = to_broad(parse_term("r(a(b,c),d)"), C), to_broad(parse_term("s(t(u))"), C)
-    in_bound = [
-        lambda: tensor(two, chain),
-        lambda: tensor(forget_symmetry(two), forget_symmetry(chain)),
-        lambda: generate_broad_poset("rab", [(("a", "a", "b"), "r"), ((), "a"), (("b",), "a")], C),
-        lambda: generate_broad_poset(["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], P, 4),
-        lambda: pushout(identity(two), identity(two)),
-    ]
-    assert not any(entered(call) for call in in_bound)
-    queued = [
-        lambda: generate_broad_poset(["x", "y"], [(("x",), "y"), (("y",), "x")], C),  # collapses
-        lambda: generate_broad_poset(["x", "y"], [(("x", "x"), "x")], P, 5),  # grows without bound
-        lambda: generate_broad_poset(["x", "y"], [(("x", "y"), "y"), ((), "x")], C),  # y is below y
-        lambda: generate_broad_poset(["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], P, 3),
-        lambda: tensor(two, to_broad(parse_term("s(x,y)"), C), max_word_len=3),
-    ]
-    assert all(entered(call) for call in queued)
+    planar_two, planar_chain = forget_symmetry(two), forget_symmetry(chain)
+    cherry = to_broad(parse_term("s(x,y)"), C)
+    return {
+        "tensor": (lambda: tensor(two, chain), C, *tensor_generators(two, chain), None),
+        "planar tensor": (
+            lambda: tensor(planar_two, planar_chain), P, *tensor_generators(planar_two, planar_chain), None
+        ),
+        "stump": generated(C, "rab", [(("a", "a", "b"), "r"), ((), "a"), (("b",), "a")]),
+        "at the bound": generated(P, ["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], 4),
+        "pushout": (
+            lambda: pushout(identity(two), identity(two))[0],
+            C, two.carrier, [(w.letters, x) for w, x in two.relation], None,
+        ),
+        "unary cycle": generated(C, ["x", "y"], [(("x",), "y"), (("y",), "x")]),
+        "x*x below x": generated(P, ["x", "y"], [(("x", "x"), "x")], 5),  # grows without bound
+        "x*y below y": generated(C, ["x", "y"], [(("x", "y"), "y"), ((), "x")]),  # x·y ≤ y, with ε ≤ x
+        "over the bound": generated(P, ["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], 3),
+        "tensor over the bound": (lambda: tensor(two, cherry, max_word_len=3), C, *tensor_generators(two, cherry), 3),
+    }
 
 
-OVERFLOW = "saturation produced (b,x)·(c,x)·(d,x)·(r,y) ≤ (r,s) with length 4 > 3"
+@pytest.mark.parametrize(
+    "case, outcome",
+    [
+        *((case, "closed") for case in ["tensor", "planar tensor", "stump", "at the bound", "pushout"]),
+        ("unary cycle", "collapsed"),
+        *((case, "overflow") for case in ["x*x below x", "x*y below y", "over the bound", "tensor over the bound"]),
+    ],
+)
+def test_closure_matches_the_queue_oracle(case, outcome):
+    """Acyclic sets within the bound close; a unary cycle collapses; a
+    cycle through a longer word, or a word over the bound, overflows; each
+    as the queue oracle has it."""
+    assert against_queue(*closure_cases()[case]) == outcome
+
+
+OVERFLOW = "the closure has a word of length 4 > 3 below (a,s)"
+CYCLE = "the closure is infinite: a is on or above a cycle through a word of 2 or more letters"
 COLLAPSE = "generation collapsed elements beyond the set pushout: {'a2': 'a1'}"
 
 
 @pytest.mark.parametrize("flavour", [C, P])
-@pytest.mark.parametrize("product_rule", [True, False])
-def test_overflow_and_collapse_messages_are_pinned(flavour, product_rule, monkeypatch):
-    if not product_rule:
-        refuse_product_rule(monkeypatch)
+def test_overflow_and_collapse_messages_are_pinned(flavour):
+    """An overflow names the least element with a word over the bound
+    below it, and the length of its longest word, (a,s) and 4 where (r,s)
+    has 6; or the least element on or above a cycle that is left, a
+    above y, where x·y ≤ y is the cycle."""
     left, right = to_broad(parse_term("r(a(b,c),d)"), flavour), to_broad(parse_term("s(x,y)"), flavour)
     with pytest.raises(ClosureOverflow) as info:
         tensor(left, right, max_word_len=3)
     assert str(info.value) == OVERFLOW
+    with pytest.raises(ClosureOverflow) as info:
+        generate_broad_poset(["a", "x", "y"], [(("x", "y"), "y"), (("y",), "a")], flavour)
+    assert str(info.value) == CYCLE
     up = BroadPoset.build(flavour, ["a1", "a2"], [(("a1",), "a2")])
     down = BroadPoset.build(flavour, ["b1", "b2"], [(("b2",), "b1")])
     discrete = BroadPoset.build(flavour, ["c1", "c2"])
@@ -409,11 +456,7 @@ def test_tensor_matches_the_public_closure(flavour):
     corpus = closure_corpus(flavour)
     for s in corpus:
         for t in corpus:
-            carrier = [pair_id(a, b) for a in s.carrier for b in t.carrier]
-            generators = [
-                *(([pair_id(a, y) for y in w], pair_id(a, b)) for a in s.carrier for w, b in t.relation),
-                *(([pair_id(x, b) for x in w], pair_id(a, b)) for b in t.carrier for w, a in s.relation),
-            ]
+            carrier, generators = tensor_generators(s, t)
             for bound in (None, 2):
                 same_closure(
                     lambda: tensor(s, t, bound),
@@ -524,9 +567,9 @@ def test_generate_rejects_unknown_identifiers():
     "carrier, letters, bound",
     [
         ("abc", ("c", "b"), None),  # acyclic: the product rule
-        ("ab", ("b", "a"), 3),  # a is below itself: the queue, which would overflow
+        ("ab", ("b", "a"), 3),  # a is below itself through a word of 2 letters: a cycle, which overflows
     ],
-    ids=["product rule", "queue"],
+    ids=["product rule", "cycle"],
 )
 def test_generate_rejects_a_word_of_the_other_flavour(flavour, carrier, letters, bound):
     stray = BroadWord(P if flavour is C else C, letters)

@@ -276,7 +276,7 @@ def longest_word(poset: BroadPoset) -> int:
     return max((len(letters) for letters, _ in core._relation_pairs(poset)), default=0)
 
 
-# generators with a cycle, which the queue saturates and which collapse a ≤ b ≤ a;
+# generators with a cycle, the unary a ≤ b ≤ a, which collapses onto a;
 # substituting e for a in a·c gives a word whose letters must be sorted again
 CYCLIC = [
     (["a", "b", "c"], [(["a"], "b"), (["b"], "a"), (["c"], "a")]),
