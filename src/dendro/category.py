@@ -29,6 +29,7 @@ from .core import (
     _held,
     _is_isomorphism,
     _maxima_map,
+    _relation_pairs,
     _top_down,
     _tree_poset,
     _words_below,
@@ -55,7 +56,6 @@ from .structure import (
     _cut,
     _tree,
     inclusion,
-    is_dendroidal,
     leaves,
     root,
 )
@@ -215,7 +215,7 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
                 pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
     return _subtree_order([
-        _held(flavour, carrier, {_TREE: (dict(verts), x)})
+        _held(flavour, carrier, None, known={_TREE: (dict(verts), x)})
         for x in sorted(poset.carrier)
         for carrier, verts in rooted[x]
     ])
@@ -230,18 +230,8 @@ def _subtree_order(subtrees: list[BroadPoset]) -> list[BroadPoset]:
         key=lambda s: (
             len(s.carrier),
             sorted(s.carrier),
-            sorted(map(pair_str, s.relation)) if shared[s.carrier] > 1 else [],
+            sorted(map(pair_str, _relation_pairs(s))) if shared[s.carrier] > 1 else [],
         ),
-    )
-
-
-def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
-    """Carrier and relation containment plus the tree axioms."""
-    return (
-        candidate.flavour is ambient.flavour
-        and candidate.carrier <= ambient.carrier
-        and candidate.relation <= ambient.relation
-        and is_dendroidal(candidate).is_dendroidal
     )
 
 

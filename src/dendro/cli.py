@@ -151,7 +151,7 @@ def _map_str(m: MonotoneMap) -> str:
 
 
 def _poset_lines(poset: BroadPoset) -> list[str]:
-    rel = sorted(core.pair_str(p) for p in poset.relation)
+    rel = sorted(core.pair_str(p) for p in core._relation_pairs(poset))
     return [
         f"carrier: {','.join(sorted(poset.carrier))}",
         f"relation: {'; '.join(rel) if rel else '(reflexive only)'}",
@@ -228,7 +228,7 @@ def cmd_subtrees(args, flavour: Flavour):
                 entry["face"] = kind.to_json()
             entries.append(entry)
             continue
-        rel = sorted(core.pair_str(p) for p in sub.relation)
+        rel = sorted(core.pair_str(p) for p in core._relation_pairs(sub))
         line = "{" + ",".join(sorted(sub.carrier)) + "} with "
         line += "; ".join(rel) if rel else "(reflexive only)"
         if kind is not None:

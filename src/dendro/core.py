@@ -23,7 +23,7 @@ import itertools
 from bisect import bisect_left
 from collections import defaultdict
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import wraps
 from math import prod
@@ -146,61 +146,90 @@ def _flavour_mismatch(w: BroadWord) -> FlavourMismatch:
 
 
 Pair = tuple[BroadWord, str]
+# a pair by its source's canonical letters, the form every broad poset stores
+LetterPair = tuple[tuple[str, ...], str]
 
 
-def pair_str(pair: Pair) -> str:
-    return f"{pair[0]} ≤ {pair[1]}"
+def pair_str(pair: Pair | LetterPair) -> str:
+    """``source ≤ target``, the source's letters joined by ``·`` or
+    :data:`EPSILON` when it has none, whether it is a word or its letters."""
+    letters, target = pair
+    return f"{'·'.join(letters) if len(letters) else EPSILON} ≤ {target}"
 
 
-@dataclass(frozen=True, slots=True)
 class BroadPoset:
     """A finite carrier with a broad relation, reflexive pairs implicit.
 
-    The constructor checks that identifiers are consistent and that no
-    reflexive pair is stored; it does not verify transitivity or
-    anti-symmetry.  Use :func:`validate` to check those, or
-    :func:`generate_broad_poset` to build a closed relation from
-    generators.  Two kinds of poset are built past the constructor
-    (:func:`_held`) and hold their relation in another form, from which
-    it is written the first time it is read (two threads may both write
-    it, and store equal values).  A tree written from its vertex map
-    (:func:`_tree_poset`) or cut out of a tree holds its map and root
-    (:func:`_tree_relation`); its map is checked vertex by vertex, which
-    implies the constructor's checks of every pair.  A poset made by the
-    closure kernel, :func:`product`, :func:`forget_symmetry` or
-    :func:`internal_hom` holds its pairs as ``(letters, target)`` tuples
-    (:func:`_pair_relation`); their letters come only from checked
-    inputs.  Equality, hashing, JSON, ``repr`` and pickling read the
-    relation, so they do not tell how a poset was built.
+    The constructor takes ``(BroadWord, str)`` pairs and checks that
+    identifiers are consistent and that no reflexive pair is stored; it
+    does not verify transitivity or anti-symmetry.  Use :func:`validate`
+    to check those, or :func:`generate_broad_poset` to build a closed
+    relation from generators.
+
+    Every poset stores its relation in one form, the frozenset of its
+    pairs' canonical ``(letters, target)`` tuples, which hash in C and
+    are read through :func:`_relation_pairs`; ``relation`` is a view that
+    wraps them as words on each read.  Two kinds of poset are built past
+    the constructor (:func:`_held`): one made by the closure kernel,
+    :func:`product`, :func:`forget_symmetry` or :func:`internal_hom`,
+    handed pairs whose letters come only from checked inputs; and a tree
+    that holds its vertex map and root, checked vertex by vertex, which
+    implies the constructor's checks of every pair.  A tree's pairs are
+    written from its map when first read (two threads may both write
+    them, and store equal values).  Equality, hashing, JSON, ``repr``
+    and pickling read the pairs, so they do not tell how a poset was
+    built.
     """
+
+    __slots__ = ("flavour", "carrier", "_pairs", "meta", "_known")
 
     flavour: Flavour
     carrier: frozenset[str]
-    relation: frozenset[Pair]
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    meta: dict
+    # the canonical (letters, target) pairs, or None while a tree has not written them
+    _pairs: frozenset[LetterPair] | None
     # what the memoized lookups have worked out about this object, by name
-    _known: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _known: dict
 
-    def __getattr__(self, name: str):  # only for an unset slot: a held relation not yet read
-        if name != "relation":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        relation = _pair_relation(self) if _PAIRS in self._known else _tree_relation(self)
-        object.__setattr__(self, "relation", relation)
-        return relation
-
-    def __post_init__(self):
-        _check_flavour(self.flavour)
-        object.__setattr__(self, "carrier", _carrier(self.carrier))
-        relation = self.relation
+    def __new__(cls, flavour: Flavour, carrier: Iterable[str], relation: Iterable[Pair], meta: dict | None = None):
+        _check_flavour(flavour)
+        carrier = _carrier(carrier)
         if iter(relation) is relation:  # an iterator, which a failure reads again
             relation = list(relation)
         try:
-            object.__setattr__(self, "relation", frozenset(relation))
+            words = frozenset(relation)
         except TypeError:  # an entry that does not hash
-            _check_identifiers(self.carrier)
-            _refuse_least_bad_pair(self.flavour, self.carrier, relation)
+            _check_identifiers(carrier)
+            _refuse_least_bad_pair(flavour, carrier, relation)
             raise
-        _check_pairs(self.flavour, self.carrier, self.relation)
+        _check_pairs(flavour, carrier, words)
+        return _held(flavour, carrier, frozenset([(w.letters, t) for w, t in words]), meta)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def relation(self) -> frozenset[Pair]:
+        """The stored pairs, each one's letters wrapped as its word without
+        sorting them again; nothing is kept."""
+        flavour = self.flavour
+        return frozenset([(_canonical_word(flavour, letters), t) for letters, t in _relation_pairs(self)])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavour, self.carrier, _relation_pairs(self)) == (
+            other.flavour, other.carrier, _relation_pairs(other)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.flavour, self.carrier, _relation_pairs(self)))
+
+    def __reduce__(self):
+        return _held, (self.flavour, self.carrier, self._pairs, self.meta, self._known)
 
     @classmethod
     def build(
@@ -227,7 +256,7 @@ class BroadPoset:
         """Whether ``source <= target`` holds, counting implicit reflexivity."""
         w = source if isinstance(source, BroadWord) else BroadWord(self.flavour, tuple(source))
         _check_word(self, w, target)
-        return w.letters == (target,) or (w, target) in self.relation
+        return w.letters == (target,) or (w.letters, target) in _relation_pairs(self)
 
     def sources(self, target: str) -> frozenset[BroadWord]:
         """All stored words strictly below ``target``."""
@@ -250,21 +279,16 @@ class BroadPoset:
         carrier = frozenset(r(x) for x in self.carrier)
         if len(carrier) != len(self.carrier):
             raise InvalidArgument("renaming must stay injective on the carrier")
-        relation = frozenset(
-            (BroadWord(self.flavour, tuple(r(x) for x in w.letters)), r(t))
-            for w, t in self.relation
-        )
-        return BroadPoset(self.flavour, carrier, relation)
+        pairs = [(tuple(map(r, letters)), r(t)) for letters, t in _relation_pairs(self)]
+        return BroadPoset.build(self.flavour, carrier, pairs)
 
     def to_json(self) -> dict:
         return {
             "flavour": self.flavour.value,
             "carrier": sorted(self.carrier),
             "relation": [
-                {"source": list(w.letters), "target": t}
-                for w, t in sorted(
-                    self.relation, key=lambda p: (p[1], len(p[0]), p[0].letters)
-                )
+                {"source": list(letters), "target": t}
+                for letters, t in sorted(_relation_pairs(self), key=lambda p: (p[1], len(p[0]), p[0]))
             ],
         }
 
@@ -283,7 +307,7 @@ class BroadPoset:
         return cls.build(Flavour(flavour), _json_ids(carrier), pairs)
 
     def __repr__(self) -> str:  # compact, for test failures
-        rel = ", ".join(sorted(pair_str(p) for p in self.relation))
+        rel = ", ".join(sorted(pair_str(p) for p in _relation_pairs(self)))
         return f"BroadPoset({self.flavour.value}, {{{', '.join(sorted(self.carrier))}}}, {{{rel}}})"
 
 
@@ -330,25 +354,15 @@ def _kept(compute: Callable[[BroadPoset], object]) -> Callable:
     return kept
 
 
-def _relation_pairs(poset: BroadPoset) -> Collection[tuple[tuple[str, ...], str]]:
-    """The relation as ``(letters, target)`` tuples, which hash in C: the
-    frozenset a poset holds (:func:`_held`), or else a list read off its
-    words and not kept, so no poset keeps a second copy of its relation.
-    A reader that looks pairs up takes ``frozenset`` of it, which is the
-    held set itself."""
-    held = poset._known.get(_PAIRS)
-    return held if held is not None else [(w.letters, t) for w, t in poset.relation]
-
-
-# the key a poset's held (letters, target) pairs are kept under
-_PAIRS = _relation_pairs.__name__
-
-
-def _pair_relation(poset: BroadPoset) -> frozenset[Pair]:
-    """The relation of a poset that holds its pairs: each one's letters,
-    canonical already, wrapped as its word without sorting them again."""
-    flavour = poset.flavour
-    return frozenset([(_canonical_word(flavour, letters), t) for letters, t in poset._known[_PAIRS]])
+def _relation_pairs(poset: BroadPoset) -> frozenset[LetterPair]:
+    """The relation as the canonical ``(letters, target)`` tuples the
+    poset stores; a tree that holds its vertex map writes them from the
+    map on the first read (:func:`_tree_relation`) and keeps them."""
+    pairs = poset._pairs
+    if pairs is None:
+        pairs = _tree_relation(poset)
+        object.__setattr__(poset, "_pairs", pairs)
+    return pairs
 
 
 def _int_argument(name: str, value) -> int:
@@ -436,8 +450,9 @@ def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
 def sources_map(poset: BroadPoset) -> dict[str, frozenset[BroadWord]]:
     """Map each element to the set of stored words below it."""
     by_target: dict[str, set[BroadWord]] = {x: set() for x in poset.carrier}
-    for w, target in poset.relation:
-        by_target[target].add(w)
+    flavour = poset.flavour
+    for letters, target in _relation_pairs(poset):
+        by_target[target].add(_canonical_word(flavour, letters))
     return {x: frozenset(ws) for x, ws in by_target.items()}
 
 
@@ -559,13 +574,8 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     follow the hash seed.  Nothing is kept on the poset.
     """
     below: dict[str, set[tuple[str, ...]]] = defaultdict(set)  # target -> letters of its words
-    held = poset._known.get(_PAIRS)
-    if held is None:  # words read in place: on the 40-edge chain, listing their pairs first took 124 µs, not 78
-        for w, target in poset.relation:
-            below[target].add(w.letters)
-    else:
-        for letters, target in held:
-            below[target].add(letters)
+    for letters, target in _relation_pairs(poset):
+        below[target].add(letters)
     size = dict.fromkeys(poset.carrier, 1)  # N: one more than the words below
     for target, words in below.items():
         size[target] += len(words)
@@ -624,30 +634,31 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
 _TREE = _maxima_map.__name__
 
 
-def _held(flavour: Flavour, carrier: frozenset[str], known: dict, meta=None) -> BroadPoset:
-    """The broad poset with the given carrier that holds its relation in
-    ``known``, written when first read: a tree's vertex map and root under
-    :data:`_TREE`, as its :func:`_maxima_map` answer, or the relation's
-    canonical ``(letters, target)`` tuples, a frozenset, under
-    :data:`_PAIRS`.  Nothing is checked, and the caller must not change
-    what it holds afterwards."""
+def _held(
+    flavour: Flavour, carrier: frozenset[str], pairs: frozenset[LetterPair] | None, meta=None, known=None
+) -> BroadPoset:
+    """The broad poset with the given carrier and canonical ``(letters,
+    target)`` pairs, its slots set past its frozen ``__setattr__``.  A
+    tree passes None for its pairs and its vertex map and root in
+    ``known`` under :data:`_TREE`, as its :func:`_maxima_map` answer; its
+    pairs are written when first read.  Nothing is checked, and the
+    caller must not change what it hands over afterwards."""
     poset = object.__new__(BroadPoset)
-    for name, value in (("flavour", flavour), ("carrier", carrier), ("meta", meta or {}), ("_known", known)):
+    values = (flavour, carrier, pairs, {} if meta is None else meta, {} if known is None else known)
+    for name, value in zip(BroadPoset.__slots__, values):
         object.__setattr__(poset, name, value)
     return poset
 
 
-def _tree_relation(tree: BroadPoset) -> frozenset[Pair]:
-    """The relation of a tree that holds its vertex map: the words below an
+def _tree_relation(tree: BroadPoset) -> frozenset[LetterPair]:
+    """The pairs of a tree that holds its vertex map: the words below an
     edge are the concatenations of one choice per child, the child itself
     or a word below it, sorted when commutative."""
     vertices, top = tree._known[_TREE]
     flavour = tree.flavour
     order = [x for x in _top_down(vertices, top) if x in vertices]
     below = _words_below(vertices, reversed(order))
-    return frozenset(
-        [(_canonical_word(flavour, _canonical(flavour, w)), x) for x, ws in below.items() for w in ws]
-    )
+    return frozenset([(_canonical(flavour, w), x) for x, ws in below.items() for w in ws])
 
 
 def _tree_leq(vertices: dict[str, BroadWord], flavour: Flavour, letters: tuple[str, ...], target: str) -> bool:
@@ -713,8 +724,8 @@ def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> di
 def _tree_poset(
     flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
 ) -> BroadPoset:
-    """The tree with the given edges and vertex map, its relation written
-    when it is first read (:func:`_held`).
+    """The tree with the given edges and vertex map, its pairs written
+    when they are first read (:func:`_held`).
 
     The map must span the carrier as one rooted tree: every edge but the
     root is a child of exactly one edge.  The constructor checks each pair
@@ -728,7 +739,7 @@ def _tree_poset(
     order = [x for x in _top_down(vertices, top) if x in vertices]
     if _relation_size(vertices, reversed(order)) > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    return _held(flavour, carrier, {_TREE: (vertices, top)}, meta)
+    return _held(flavour, carrier, None, meta, {_TREE: (vertices, top)})
 
 
 # ---------------------------------------------------------------------------
@@ -872,9 +883,8 @@ def generate_broad_poset(
     """
     carrier = _carrier(carrier)
 
-    def checked() -> Iterator[tuple[tuple[str, ...], str]]:  # as build checks pairs, once the bound is checked
-        for w, target in BroadPoset.build(flavour, carrier, generators).relation:
-            yield w.letters, target
+    def checked() -> Iterator[LetterPair]:  # as build checks pairs, once the bound is checked
+        yield from _relation_pairs(BroadPoset.build(flavour, carrier, generators))
 
     return _closure(flavour, carrier, checked(), max_word_len)
 
@@ -893,10 +903,9 @@ def _closure(
     checked before the first pair is read.  The unary classes are looked
     for only when the product rule's order leaves a target out, so an
     acyclic generator set pays nothing for them.  The kernel works on
-    letter tuples, and the result holds its pairs as such
-    (:func:`_held`): they join only letters of the generators, which the
-    callers have checked, so no pair is checked again and no word is
-    built until the relation is read.
+    letter tuples and hands them to the result (:func:`_held`): they join
+    only letters of the generators, which the callers have checked, so no
+    pair is checked again and no word is built.
     """
     if max_word_len is None:
         bound = max(1, len(carrier))
@@ -923,7 +932,7 @@ def _closure(
         )
     closed = _product_closure(flavour, by_target, order, bound)
     relation = frozenset([(w, x) for x, ws in closed.items() for w in ws])
-    return _held(flavour, carrier, {_PAIRS: relation}, {"collapsed": collapsed} if collapsed else None)
+    return _held(flavour, carrier, relation, {"collapsed": collapsed} if collapsed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -977,8 +986,8 @@ def validate(poset: BroadPoset) -> ValidationReport:
                         derived = tuple(sorted(derived))
                     if derived not in words and derived != own:
                         missing.append(
-                            f"missing {pair_str((word(flavour, derived), target))} obtained from "
-                            f"{pair_str((word(flavour, ls), target))} and {pair_str((word(flavour, b), letter))}"
+                            f"missing {pair_str((derived, target))} obtained from "
+                            f"{pair_str((ls, target))} and {pair_str((b, letter))}"
                         )
     transitive = not missing
     violations.extend(sorted(missing))  # in an order that no hash seed moves
@@ -1460,9 +1469,8 @@ def product(
 
     A word of pairs is below a pair exactly when both coordinatewise words
     are below the respective coordinates, counting reflexive pairs.  The
-    product holds its pairs as letter tuples (:func:`_held`): each joins
-    pair names of the carrier, so none is checked again, and its words
-    are written when the relation is first read.
+    product is handed its letter pairs (:func:`_held`): each joins pair
+    names of the carrier, so none is checked again.
     """
     if left.flavour is not right.flavour:
         raise FlavourMismatch("flavours differ")
@@ -1485,7 +1493,7 @@ def product(
                 for perm in itertools.permutations(wb):
                     pairs.add((tuple(sorted([names[xy] for xy in zip(wa, perm)])), name))
 
-    poset = _held(flavour, frozenset(carrier), {_PAIRS: frozenset([(w, x) for w, x in pairs if w != (x,)])})
+    poset = _held(flavour, frozenset(carrier), frozenset([(w, x) for w, x in pairs if w != (x,)]))
     proj_left = MonotoneMap.from_dict(poset, left, {n: ab[0] for n, ab in carrier.items()})
     proj_right = MonotoneMap.from_dict(poset, right, {n: ab[1] for n, ab in carrier.items()})
     return poset, proj_left, proj_right
@@ -1532,7 +1540,7 @@ def internal_hom(
     united over those letters and intersected over the elements.  Planar
     words place their letters in order, and commutative words take their
     maps in name order, so only words that hold are spelled, each once.
-    The result holds its pairs as letter tuples (:func:`_held`).  An empty
+    The result is handed its letter pairs (:func:`_held`).  An empty
     domain raises :class:`InvalidArgument`: every word of its one map is
     below it.
     """
@@ -1590,7 +1598,7 @@ def internal_hom(
                         after = [{rest for rest in (_take(r, (y,)) for r in left) if rest is not None}
                                  for left, y in zip(rests, images)]
                     stack.append((word, after))
-    return _held(flavour, frozenset(named), {_PAIRS: frozenset(pairs)})
+    return _held(flavour, frozenset(named), frozenset(pairs))
 
 
 def pushout(
@@ -1676,11 +1684,10 @@ def abelianize(poset: BroadPoset) -> BroadPoset:
 def forget_symmetry(poset: BroadPoset) -> BroadPoset:
     """All orderings of each commutative source, as a planar broad poset.
 
-    It holds its pairs as letter tuples (:func:`_held`): each orders the
-    letters of a pair of the input, so none is checked again, and its
-    words are written when the relation is first read.
+    It is handed its letter pairs (:func:`_held`): each orders the
+    letters of a pair of the input, so none is checked again.
     """
     if poset.flavour is not Flavour.COMMUTATIVE:
         raise FlavourMismatch("forget_symmetry expects a commutative broad poset")
     pairs = frozenset([(perm, target) for w, target in _relation_pairs(poset) for perm in itertools.permutations(w)])
-    return _held(Flavour.PLANAR, poset.carrier, {_PAIRS: pairs})
+    return _held(Flavour.PLANAR, poset.carrier, pairs)

@@ -27,6 +27,7 @@ from .core import (
     _held,
     _kept,
     _maxima_map,
+    _relation_pairs,
     _top_down,
     _word_leq,
     pair_str,
@@ -122,7 +123,7 @@ def leaves(poset: BroadPoset) -> frozenset[str]:
     """The elements with no word below them: the carrier less the targets,
     or, in a tree that holds its vertex map, less the map's edges."""
     vertices, top = poset._known.get(_TREE, ({}, None))
-    return poset.carrier.difference(vertices if top is not None else [t for _, t in poset.relation])
+    return poset.carrier.difference(vertices if top is not None else [t for _, t in _relation_pairs(poset)])
 
 
 def stumps(poset: BroadPoset) -> frozenset[str]:
@@ -192,10 +193,10 @@ def is_dendroidal(poset: BroadPoset) -> DendroReport:
         violations.extend(report.violations)
 
     simple = True
-    for w, target in sorted(poset.relation, key=lambda p: (p[1], p[0].letters)):
-        if len(set(w.letters)) != len(w.letters):
+    for pair in sorted(_relation_pairs(poset), key=lambda p: (p[1], p[0])):
+        if len(set(pair[0])) != len(pair[0]):
             simple = False
-            violations.append(f"repeated letter in {pair_str((w, target))}")
+            violations.append(f"repeated letter in {pair_str(pair)}")
 
     tops = _descendant_maxima(poset)
     has_root = len(tops) == 1
@@ -273,7 +274,7 @@ def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
     root.  PRUNE deletes the vertex of an edge all of whose children are
     leaves, and those children, so the edge becomes a leaf.  SUBTREE keeps
     the edge's descendants, rooted at it.  The map of a tree edited this
-    way needs no check, and its relation is written only when it is read.
+    way needs no check, and its pairs are written only when they are read.
     """
     vertices, top = _maxima_map(poset)
     carrier = poset.carrier
@@ -293,7 +294,7 @@ def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
             else:
                 up = _parents(poset)[edge]
                 vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
-    return _held(poset.flavour, carrier, {_TREE: (vertices, top)})
+    return _held(poset.flavour, carrier, None, known={_TREE: (vertices, top)})
 
 
 def inner_edges(poset: BroadPoset) -> frozenset[str]:

@@ -32,7 +32,7 @@ from dendro.core import (
     pair_str,
 )
 from dendro.errors import BudgetExceeded, FactorizationError
-from dendro.structure import PRUNE, _cut, _tree, inclusion
+from dendro.structure import PRUNE, _cut, _tree, inclusion, is_dendroidal
 
 
 def naive_closure(
@@ -163,9 +163,10 @@ def brute_word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> boo
     commutative ones.  A chunk is below its letter when it is the letter
     itself or a relation pair says so."""
     flavour, letters, targets = poset.flavour, lower.letters, upper.letters
+    relation = poset.relation  # each read writes the words again
 
     def below(chunk, target):
-        return chunk == (target,) or (BroadWord(flavour, chunk), target) in poset.relation
+        return chunk == (target,) or (BroadWord(flavour, chunk), target) in relation
 
     if flavour is Flavour.PLANAR:
         if not targets:
@@ -256,18 +257,19 @@ def brute_monotone_maps(domain: BroadPoset, codomain: BroadPoset) -> list[dict[s
     lexicographic order of its values, by scanning every total assignment
     and checking every relation pair."""
     elements = sorted(domain.carrier)
+    pairs, image_pairs = domain.relation, codomain.relation  # each read writes the words again
     out = []
     for values in itertools.product(sorted(codomain.carrier), repeat=len(elements)):
         assignment = dict(zip(elements, values))
         ok = True
-        for w, target in domain.relation:
+        for w, target in pairs:
             image = tuple(assignment[x] for x in w.letters)
             if codomain.flavour is Flavour.COMMUTATIVE:
                 image = tuple(sorted(image))
             ft = assignment[target]
             if image == (ft,):
                 continue
-            if (BroadWord(codomain.flavour, image), ft) not in codomain.relation:
+            if (BroadWord(codomain.flavour, image), ft) not in image_pairs:
                 ok = False
                 break
         if ok:
@@ -317,7 +319,6 @@ def brute_subtree_posets(poset: BroadPoset) -> set[BroadPoset]:
     """Every dendroidally ordered sub broad poset, by exhaustive scan over
     carrier subsets and relation subsets."""
     from dendro.core import validate
-    from dendro.structure import is_dendroidal
 
     out = set()
     elements = sorted(poset.carrier)
@@ -336,6 +337,17 @@ def brute_subtree_posets(poset: BroadPoset) -> set[BroadPoset]:
                     if validate(candidate).ok and is_dendroidal(candidate).is_dendroidal:
                         out.add(candidate)
     return out
+
+
+def is_subtree(candidate: BroadPoset, ambient: BroadPoset) -> bool:
+    """Whether a broad poset is a tree contained in another: the same
+    flavour, carrier and pairs contained, and the tree axioms."""
+    return (
+        candidate.flavour is ambient.flavour
+        and candidate.carrier <= ambient.carrier
+        and candidate.relation <= ambient.relation
+        and is_dendroidal(candidate).is_dendroidal
+    )
 
 
 def subtree_vertex_choices(poset: BroadPoset):
@@ -367,13 +379,13 @@ def brute_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict]:
     if len(left.carrier) != len(right.carrier):
         return []
     elements = sorted(left.carrier)
+    pairs, image = left.relation, right.relation  # each read writes the words again
     out = []
     for values in itertools.permutations(sorted(right.carrier)):
         assignment = dict(zip(elements, values))
         monotone = all(
-            (BroadWord(right.flavour, tuple(assignment[x] for x in w)), assignment[t])
-            in right.relation
-            for w, t in left.relation
+            (BroadWord(right.flavour, tuple(assignment[x] for x in w)), assignment[t]) in image
+            for w, t in pairs
         )  # necessary, and cheap to refute
         if monotone and check_isomorphism(left, right, assignment):
             out.append(assignment)
@@ -385,8 +397,9 @@ def brute_descendant_cycles(poset: BroadPoset) -> list[tuple[str, str]]:
     transitive closure of "occurs in a word below", taken Floyd–Warshall
     style over every intermediate element."""
     elements = sorted(poset.carrier)
+    relation = poset.relation  # each read writes the words again
     reach = {
-        (a, b): a == b or any(a in w.letters and t == b for w, t in poset.relation)
+        (a, b): a == b or any(a in w.letters and t == b for w, t in relation)
         for a in elements
         for b in elements
     }

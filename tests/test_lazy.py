@@ -1,9 +1,9 @@
 """A tree written from its vertex map, or cut out of a tree, holds the map
-and writes its relation only when something reads it; a generated broad
-poset holds its pairs as letter tuples and does the same.  Such a poset
-is, on the nose, the broad poset the checked constructor builds on its
-carrier and written relation, and the questions answered off vertex maps
-or held pairs write no relation at all."""
+and writes its letter pairs only when something reads them; a generated
+broad poset is handed its letter pairs.  Such a poset is, on the nose,
+the broad poset the checked constructor builds on its carrier and
+pairs, and the questions answered off vertex maps or letter pairs write
+no relation at all."""
 
 import copy
 import itertools
@@ -46,7 +46,6 @@ C = Flavour.COMMUTATIVE
 P = Flavour.PLANAR
 LAZY_CORPUS_EDGES = 7
 KEY = _maxima_map.__name__
-PAIRS = core._relation_pairs.__name__
 
 
 def bare(tree: BroadPoset) -> BroadPoset:
@@ -55,8 +54,8 @@ def bare(tree: BroadPoset) -> BroadPoset:
 
 
 def unwritten(tree: BroadPoset) -> BroadPoset:
-    """A twin of a tree that holds its map, with its relation not written."""
-    return core._held(tree.flavour, tree.carrier, {KEY: tree._known[KEY]}, tree.meta)
+    """A twin of a tree that holds its map, with its pairs not written."""
+    return core._held(tree.flavour, tree.carrier, None, tree.meta, {KEY: tree._known[KEY]})
 
 
 def held_trees(flavour: Flavour) -> list[BroadPoset]:
@@ -85,7 +84,7 @@ def test_held_trees_are_the_posets_the_constructor_builds(flavour):
     trees = held_trees(flavour)
     for tree in trees:
         kept = tree._known[KEY]
-        built = BroadPoset(flavour, tree.carrier, core._tree_relation(tree))
+        built = BroadPoset.build(flavour, tree.carrier, core._tree_relation(tree))
         assert _maxima_map(bare(built)) == kept
         assert unwritten(tree) == built
         assert built == unwritten(tree)
@@ -240,26 +239,29 @@ def test_monotone_between_held_trees_is_read_off_the_vertices(flavour):
 
 
 def held_twin(poset: BroadPoset) -> BroadPoset:
-    """A twin of a poset that holds its letter pairs, its relation not written."""
-    return core._held(poset.flavour, poset.carrier, {PAIRS: poset._known[PAIRS]}, poset.meta)
+    """A fresh twin of a poset that was handed its letter pairs."""
+    return core._held(poset.flavour, poset.carrier, poset._pairs, poset.meta)
 
 
 def assert_held_as_built(poset: BroadPoset) -> None:
-    """The poset holds its pairs, and is on the nose the poset ``build``
-    makes of them, which sorts commutative letters and checks every pair:
-    equality both ways, hash, JSON, ``repr``, and a pickle round trip and
-    a deep copy, which keep the pairs.  Each question is asked of its own
-    unwritten twin, so each writes the relation on its first read."""
-    pairs = poset._known[PAIRS]
-    built = BroadPoset.build(poset.flavour, poset.carrier, sorted(pairs))
+    """The poset was handed its pairs, and is on the nose the poset
+    ``build`` makes of them, which sorts commutative letters and checks
+    every pair: equality both ways, hash, JSON, ``repr``, and a pickle
+    round trip and a deep copy, which keep the pairs.  Each question is
+    asked of its own fresh twin.  The pickle holds the pairs alone, as
+    letters: no ``BroadWord``, and no more bytes than the built poset's."""
+    pairs = poset._pairs
+    built = BroadPoset.build(poset.flavour, poset.carrier, sorted(pairs), poset.meta)
     assert len(built.relation) == len(pairs)
     assert held_twin(poset) == built and built == held_twin(poset)
     assert hash(held_twin(poset)) == hash(built)
     assert held_twin(poset).to_json() == built.to_json()
     assert repr(held_twin(poset)) == repr(built)
-    for twin in (pickle.loads(pickle.dumps(held_twin(poset))), copy.deepcopy(held_twin(poset))):
+    pickled = pickle.dumps(held_twin(poset))
+    assert b"BroadWord" not in pickled and len(pickled) <= len(pickle.dumps(built))
+    for twin in (pickle.loads(pickled), copy.deepcopy(held_twin(poset))):
         assert twin == built and built == twin
-        assert twin._known[PAIRS] == pairs
+        assert twin._pairs == pairs
 
 
 def algebra_inputs(flavour: Flavour) -> list[BroadPoset]:
@@ -291,7 +293,8 @@ def test_algebra_outputs_are_the_posets_the_constructor_builds(flavour):
     pairs, its tensor, product, pushout (a point glued to an element of
     each side, which collapses nothing), the tensor's abelianization or
     forgotten symmetry (words up to 4 letters), and the internal hom
-    between inputs of at most 3 elements; and two cyclic closures."""
+    between inputs of at most 3 elements; two cyclic closures, and the
+    tensor of ``r(a,b,c)`` and ``s(t(u,v))``."""
     inputs = algebra_inputs(flavour)
     point = BroadPoset.build(flavour, ["p"])
     outputs = []
@@ -313,6 +316,7 @@ def test_algebra_outputs_are_the_posets_the_constructor_builds(flavour):
             outputs.append(internal_hom(x, y))
     for carrier, generators in CYCLIC:
         outputs.append(generate_broad_poset(carrier, generators, flavour, 4))
+    outputs.append(tensor(*(to_broad(parse_term(term), flavour) for term in ("r(a,b,c)", "s(t(u,v))"))))
     assert any(p.meta.get("collapsed") for p in outputs)
     for poset in outputs:
         assert_held_as_built(poset)
@@ -321,11 +325,12 @@ def test_algebra_outputs_are_the_posets_the_constructor_builds(flavour):
 
 @pytest.mark.parametrize("flavour", [C, P])
 def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
-    """Validation, isomorphism search, symmetrization and hom sets read a
-    tensor's held pairs, with the pair writer made to raise; each answer
-    is the one its word-built copy gives.  The hom sets run once through
-    the backtracker alone (81 assignments) and once after recognition
-    finds no tree (729)."""
+    """Tensors of fresh trees, validation, isomorphism search,
+    symmetrization and hom sets read letter pairs, with the ``relation``
+    view made to raise, so none of them writes a ``BroadWord`` relation;
+    each answer is the one its word-built copy gives.  The hom sets run
+    once through the backtracker alone (81 assignments) and once after
+    recognition finds no tree (729)."""
     x, y = to_broad(parse_term("r(a,b)"), flavour), to_broad(parse_term("s(t(u))"), flavour)
     renamed = [side.rename({e: e.upper() for e in side.carrier}) for side in (x, y)]
     small = [to_broad(parse_term(term), flavour) for term in ("r(a)", "s(t)")]
@@ -334,7 +339,7 @@ def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
     def refuse(poset):
         raise AssertionError("a held relation was written")
 
-    monkeypatch.setattr(core, "_pair_relation", refuse)
+    monkeypatch.setattr(BroadPoset, "relation", property(refuse))
     t, twin = tensor(x, y), tensor(*renamed)
     report = validate(t)
     found = find_isomorphism(t, twin)
@@ -351,6 +356,19 @@ def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
     assert len(homs[0]) > 0 and len(homs[1]) > 0
     if flavour is C:
         assert symmetrized == t
+
+
+def test_no_poset_takes_an_assignment():
+    """A word-built poset, a tree before and after its pairs are written,
+    and a generated poset all refuse to have an attribute assigned."""
+    unread, read = (to_broad(parse_term("r(a,b(c))"), P) for _ in range(2))
+    assert read.relation and read._pairs is not None
+    posets = [BroadPoset.build(P, "ab", [(("a",), "b")]), unread, read, generate_broad_poset("ab", [(("a",), "b")], P)]
+    for poset in posets:
+        for name in ("flavour", "carrier", "relation", "meta"):
+            with pytest.raises(AttributeError):
+                setattr(poset, name, None)
+    assert unread._pairs is None
 
 
 def test_public_constructors_still_check_every_pair(monkeypatch):

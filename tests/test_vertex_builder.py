@@ -23,7 +23,6 @@ from dendro.category import (
     degeneracy,
     enumerate_subtrees,
     factorize,
-    is_subtree,
     maximal_subtrees,
     outer_face,
 )
@@ -59,7 +58,7 @@ from dendro.terms import (
 )
 
 from conftest import flavours, tree_corpus, tree_terms
-from oracles import descendant_scan_tree_words
+from oracles import descendant_scan_tree_words, is_subtree
 
 
 def term_vertices(term: TreeTerm) -> list[tuple[tuple[str, ...], str]]:
