@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     MonotoneMap,
     Pair,
     _TREE,
+    _Frozen,
     _canonical,
     _canonical_word,
     _int_argument,
@@ -68,14 +68,16 @@ class FaceType(str, Enum):
     ROOT = "root"
 
 
-@dataclass(frozen=True, slots=True)
-class FaceKind:
+class FaceKind(_Frozen):
     """Which face a maximal subtree is, with its identifying datum."""
 
-    type: FaceType
-    edge: str | None = None
-    cluster: Pair | None = None
-    branch: str | None = None
+    __slots__ = ("type", "edge", "cluster", "branch")
+
+    def __init__(self, type: FaceType, edge: str | None = None, cluster: Pair | None = None, branch: str | None = None):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "branch", branch)
 
     def describe(self) -> str:
         if self.type is FaceType.INNER:
@@ -102,11 +104,13 @@ class FaceKind:
         return data
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
-    kind: FaceKind
-    domain: BroadPoset
-    map: MonotoneMap
+class Face(_Frozen):
+    __slots__ = ("kind", "domain", "map")
+
+    def __init__(self, kind: FaceKind, domain: BroadPoset, map: MonotoneMap):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "map", map)
 
 
 class MapKind(str, Enum):
@@ -245,11 +249,24 @@ def maximal_subtrees(poset: BroadPoset) -> list[BroadPoset]:
 def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     """The face kind realising a maximal subtree, unique since distinct
     faces have distinct domains.  A tree is written from its vertex map, so
-    faces are matched by map; a non-tree has no root and matches none."""
+    faces are matched by map; a non-tree has no root and matches none.
+    Equal maps and roots mean equal carriers, so only the faces that keep
+    the subtree's carrier are cut.  What a face drops is read off the
+    vertex map: an inner face its edge, an outer face the vertex's
+    children, a root face the root and its other children."""
     faces = _faces(poset)
     if sub.flavour is poset.flavour and sub.carrier <= poset.carrier:
-        for kind, how, edge in faces:  # equal maps and roots mean equal carriers
-            if _maxima_map(_cut(poset, how, edge)) == _maxima_map(sub):
+        vertices, top = _tree(poset)
+        lost = len(poset.carrier) - len(sub.carrier)
+        for kind, how, edge in faces:
+            if how == CONTRACT:
+                dropped = (edge,)
+            elif how == PRUNE:
+                dropped = vertices[edge].letters
+            else:
+                dropped = (top, *(c for c in vertices[top].letters if c != edge))
+            same_carrier = len(dropped) == lost and sub.carrier.isdisjoint(dropped)
+            if same_carrier and _maxima_map(_cut(poset, how, edge)) == _maxima_map(sub):
                 return kind
     raise NotMaximal("the subtree is not the domain of any face")
 
@@ -314,15 +331,20 @@ def classify_map(mapping: MonotoneMap) -> MapKind:
 # Factorization of arrows
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(_Frozen):
     """Degeneracies, then an isomorphism, then faces; composite equals the
     original map.  Lists are ordered as applied."""
 
-    degeneracies: tuple[MonotoneMap, ...]
-    iso: MonotoneMap
-    faces: tuple[MonotoneMap, ...]
-    kinds: tuple[FaceKind, ...]
+    __slots__ = ("degeneracies", "iso", "faces", "kinds")
+
+    def __init__(
+        self, degeneracies: tuple[MonotoneMap, ...], iso: MonotoneMap, faces: tuple[MonotoneMap, ...],
+        kinds: tuple[FaceKind, ...],
+    ):
+        object.__setattr__(self, "degeneracies", degeneracies)
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "kinds", kinds)
 
     def composite(self) -> MonotoneMap:
         result, *rest = [*self.degeneracies, self.iso, *self.faces]

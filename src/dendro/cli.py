@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 semantic failure (not dendroidal, not monotone,
 not maximal, a JSON input that is not a broad poset), 2 parse or flag
 error (including malformed JSON), 3 overflow or budget.
+
+Each command imports the modules beyond ``core`` that it runs, so a run
+loads only those: ``tensor``, ``product`` and ``pushout`` load ``core`` alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import category, core, structure, terms
+from . import core
 from .core import BroadPoset, Flavour, MonotoneMap
 from .errors import (
     BudgetExceeded,
@@ -100,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tree(text: str, flavour: Flavour) -> BroadPoset:
+    from . import terms
     return terms.to_broad(terms.parse_term(text), flavour)
 
 
@@ -159,6 +163,7 @@ def _poset_lines(poset: BroadPoset) -> list[str]:
 
 
 def cmd_check(args, flavour: Flavour):
+    from . import structure
     poset = _parse_tree(args.term, flavour)
     report = structure.is_dendroidal(poset)
     # a tree satisfies the broad poset axioms, and is_dendroidal has checked it is one
@@ -183,6 +188,7 @@ def cmd_check(args, flavour: Flavour):
 
 
 def cmd_info(args, flavour: Flavour):
+    from . import structure
     poset = _parse_tree(args.term, flavour)
     the_root = structure.root(poset)
     lv = sorted(structure.leaves(poset))
@@ -212,6 +218,7 @@ def cmd_info(args, flavour: Flavour):
 
 
 def cmd_subtrees(args, flavour: Flavour):
+    from . import category
     poset = _parse_tree(args.term, flavour)
     subs = None if args.maximal else category.enumerate_subtrees(poset)  # over its cap, fail first
     # the maximal subtrees are the face domains, each with the kind of its face
@@ -239,6 +246,7 @@ def cmd_subtrees(args, flavour: Flavour):
 
 
 def cmd_faces(args, flavour: Flavour):
+    from . import category
     poset = _parse_tree(args.term, flavour)
     faces = category.all_faces(poset)
     payload = {
@@ -255,6 +263,7 @@ def cmd_faces(args, flavour: Flavour):
 
 
 def cmd_degeneracies(args, flavour: Flavour):
+    from . import category
     poset = _parse_tree(args.term, flavour)
     maps = category.degeneracies(poset)
     payload = {"degeneracies": [m.to_json() for m in maps]}
@@ -274,6 +283,7 @@ def cmd_hom(args, flavour: Flavour):
 
 
 def cmd_factor(args, flavour: Flavour):
+    from . import category
     source = _parse_tree(args.source, flavour)
     target = _parse_tree(args.target, flavour)
     assignment = _parse_assignment(args.assignment)
@@ -293,6 +303,7 @@ def cmd_factor(args, flavour: Flavour):
 
 
 def cmd_graft(args, flavour: Flavour):
+    from . import terms
     host = _parse_tree(args.host, flavour)
     scion = _parse_tree(args.scion, flavour)
     result = terms.graft(host, args.leaf, scion)
@@ -340,6 +351,7 @@ def cmd_pushout(args, flavour: Flavour):
 
 
 def cmd_dot(args, flavour: Flavour):
+    from . import structure
     poset = _parse_tree(args.term, flavour)
     lines = ["digraph tree {", "  rankdir=BT;"]
     for edge in sorted(poset.carrier):

@@ -23,7 +23,6 @@ import itertools
 from bisect import bisect_left
 from collections import defaultdict
 from contextlib import suppress
-from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import wraps
 from math import prod
@@ -36,6 +35,7 @@ from .errors import (
     DendroError,
     DomainMismatch,
     FlavourMismatch,
+    FrozenInstanceError,
     IdentifierError,
     InvalidArgument,
     ParseError,
@@ -71,8 +71,47 @@ def _pair_names(left: Iterable[str], right: Iterable[str]) -> dict[tuple[str, st
     return names
 
 
-@dataclass(frozen=True, slots=True)
-class BroadWord:
+class _Frozen:
+    """An immutable value whose fields are the public names in its class's
+    ``__slots__``.  Equality (between values of one class), hashing,
+    ``repr`` (``Name(field=value, ...)``) and pickling read the tuple of
+    its fields; assigning or deleting an attribute raises
+    :class:`FrozenInstanceError`.  Each class writes its own ``__init__``,
+    which sets its slots past ``__setattr__``; a private slot is no field.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # rebuilt through the constructor, which checks the fields again
+        return self.__class__, self._values()
+
+
+class BroadWord(_Frozen):
     """A finite word over element identifiers.
 
     Commutative words are canonicalised by sorting, so two words with equal
@@ -80,18 +119,26 @@ class BroadWord:
     distinct from every length-1 word.
     """
 
-    flavour: Flavour
-    letters: tuple[str, ...]
+    __slots__ = ("flavour", "letters")
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        if self.flavour is Flavour.COMMUTATIVE:
+    def __init__(self, flavour: Flavour, letters: Iterable[str]):
+        letters = tuple(letters)
+        if flavour is Flavour.COMMUTATIVE:
             try:
                 letters = tuple(sorted(letters))
             except TypeError:  # letters that do not compare: name one that is no string
                 _check_identifiers(letters)
                 raise
-        object.__setattr__(self, "letters", letters)
+        _set_flavour(self, flavour)
+        _set_letters(self, letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavour, self.letters) == (other.flavour, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.flavour, self.letters))
 
     def __deepcopy__(self, memo) -> "BroadWord":  # immutable, so its own copy
         return self
@@ -205,11 +252,8 @@ class BroadPoset:
         _check_pairs(flavour, carrier, words)
         return _held(flavour, carrier, frozenset([(w.letters, t) for w, t in words]), meta)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
     @property
     def relation(self) -> frozenset[Pair]:
@@ -230,6 +274,13 @@ class BroadPoset:
 
     def __reduce__(self):
         return _held, (self.flavour, self.carrier, self._pairs, self.meta, self._known)
+
+    def __deepcopy__(self, memo) -> "BroadPoset":
+        """A twin that shares the immutable carrier and pairs, with copies
+        of ``meta`` and the kept answers."""
+        from copy import deepcopy  # loaded already by whoever deep-copies
+
+        return _held(self.flavour, self.carrier, self._pairs, deepcopy(self.meta, memo), deepcopy(self._known, memo))
 
     @classmethod
     def build(
@@ -658,7 +709,10 @@ def _tree_relation(tree: BroadPoset) -> frozenset[LetterPair]:
     flavour = tree.flavour
     order = [x for x in _top_down(vertices, top) if x in vertices]
     below = _words_below(vertices, reversed(order))
-    return frozenset([(_canonical(flavour, w), x) for x, ws in below.items() for w in ws])
+    if flavour is Flavour.PLANAR:
+        return frozenset([(w, x) for x, ws in below.items() for w in ws])
+    # a word of one letter is already sorted
+    return frozenset([(w if len(w) < 2 else tuple(sorted(w)), x) for x, ws in below.items() for w in ws])
 
 
 def _tree_leq(vertices: dict[str, BroadWord], flavour: Flavour, letters: tuple[str, ...], target: str) -> bool:
@@ -939,12 +993,14 @@ def _closure(
 # Validation
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    transitive: bool
-    antisymmetric: bool
-    stratified: bool
-    violations: tuple[str, ...]
+class ValidationReport(_Frozen):
+    __slots__ = ("transitive", "antisymmetric", "stratified", "violations")
+
+    def __init__(self, transitive: bool, antisymmetric: bool, stratified: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "transitive", transitive)
+        object.__setattr__(self, "antisymmetric", antisymmetric)
+        object.__setattr__(self, "stratified", stratified)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -1025,26 +1081,32 @@ def validate(poset: BroadPoset) -> ValidationReport:
 # Monotone maps
 
 
-@dataclass(frozen=True, slots=True)
-class MonotoneMap:
+class MonotoneMap(_Frozen):
     """A total assignment between carriers, extended to words letterwise."""
 
-    domain: BroadPoset
-    codomain: BroadPoset
-    pairs: tuple[tuple[str, str], ...]
-    _map: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("domain", "codomain", "pairs", "_map")  # _map: the pairs as a dict, for lookups
 
-    def __post_init__(self):
-        if self.domain.flavour is not self.codomain.flavour:
+    def __init__(self, domain: BroadPoset, codomain: BroadPoset, pairs: Iterable[tuple[str, str]]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        if domain.flavour is not codomain.flavour:
             raise FlavourMismatch("domain and codomain flavours differ")
-        mapping = dict(self.pairs)
+        mapping = dict(pairs)
         object.__setattr__(self, "pairs", tuple(sorted(mapping.items())))
         object.__setattr__(self, "_map", mapping)
-        if mapping.keys() != self.domain.carrier:
+        if mapping.keys() != domain.carrier:
             raise IdentifierError("assignment is not total on the domain carrier")
-        if not self.codomain.carrier.issuperset(mapping.values()):
-            value = next(v for v in mapping.values() if v not in self.codomain.carrier)
+        if not codomain.carrier.issuperset(mapping.values()):
+            value = next(v for v in mapping.values() if v not in codomain.carrier)
             raise IdentifierError(f"value {value!r} not in codomain carrier")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.pairs) == (other.domain, other.codomain, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self.pairs))
 
     @classmethod
     def from_dict(
@@ -1381,24 +1443,23 @@ def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | No
 # Finite ordinary posets and their embedding
 
 
-@dataclass(frozen=True, slots=True)
-class FinitePoset:
+class FinitePoset(_Frozen):
     """A finite partial order, stored as its strict transitively closed pairs."""
 
-    elements: frozenset[str]
-    strict: frozenset[tuple[str, str]]
+    __slots__ = ("elements", "strict")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(self.elements))
-        object.__setattr__(self, "strict", frozenset(self.strict))
-        for a, b in self.strict:
-            if a not in self.elements or b not in self.elements:
+    def __init__(self, elements: Iterable[str], strict: Iterable[tuple[str, str]]):
+        elements, strict = frozenset(elements), frozenset(strict)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "strict", strict)
+        for a, b in strict:
+            if a not in elements or b not in elements:
                 raise IdentifierError("order pair outside the element set")
-            if a == b or (b, a) in self.strict:
+            if a == b or (b, a) in strict:
                 raise InvalidArgument("strict order must be irreflexive and anti-symmetric")
-        for a, b in self.strict:
-            for c, d in self.strict:
-                if b == c and (a, d) not in self.strict:
+        for a, b in strict:
+            for c, d in strict:
+                if b == c and (a, d) not in strict:
                     raise InvalidArgument("strict order must be transitively closed")
 
     @classmethod

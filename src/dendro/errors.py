@@ -92,3 +92,8 @@ class DuplicateEdge(DendroError):
 
 class FactorizationError(DendroError):
     """No valid decomposition step could be found."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attribute of an immutable value was assigned or deleted; also an
+    AttributeError."""

@@ -13,7 +13,6 @@ stump, the shape of a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     MonotoneMap,
     Pair,
     _TREE,
+    _Frozen,
     _chunk_candidates,
     _descendant_pairs,
     _held,
@@ -43,26 +43,33 @@ class EdgeKind(str, Enum):
     HAS_CHILDREN = "has_children"
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeClassification:
+class EdgeClassification(_Frozen):
     """Leaf, stump, or a vertex together with its word of children."""
 
-    kind: EdgeKind
-    children: BroadWord | None
+    __slots__ = ("kind", "children")
+
+    def __init__(self, kind: EdgeKind, children: BroadWord | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:
         return self.kind is EdgeKind.LEAF
 
 
-@dataclass(frozen=True, slots=True)
-class DendroReport:
-    is_dendroidal: bool
-    simple: bool
-    has_root: bool
-    children_axiom: bool
-    root: str | None
-    violations: tuple[str, ...]
+class DendroReport(_Frozen):
+    __slots__ = ("is_dendroidal", "simple", "has_root", "children_axiom", "root", "violations")
+
+    def __init__(
+        self, is_dendroidal: bool, simple: bool, has_root: bool, children_axiom: bool, root: str | None,
+        violations: tuple[str, ...],
+    ):
+        object.__setattr__(self, "is_dendroidal", is_dendroidal)
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "has_root", has_root)
+        object.__setattr__(self, "children_axiom", children_axiom)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "violations", violations)
 
     def to_json(self) -> dict:
         return {

@@ -15,13 +15,13 @@ matters in the planar flavour only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
     BroadPoset,
     BroadWord,
     Flavour,
+    _Frozen,
     _assignments,
     _check_flavour,
     _int_argument,
@@ -40,15 +40,17 @@ from .errors import (
 from .structure import _tree, leaves
 
 
-@dataclass(frozen=True, slots=True)
-class TreeTerm:
+class TreeTerm(_Frozen):
     """An edge with an optional vertex of subterms above it.
 
     ``children is None`` marks a bare leaf edge, an empty tuple a stump.
     """
 
-    edge: str
-    children: tuple["TreeTerm", ...] | None = None
+    __slots__ = ("edge", "children")
+
+    def __init__(self, edge: str, children: tuple["TreeTerm", ...] | None = None):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:

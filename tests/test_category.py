@@ -268,6 +268,31 @@ def test_classification_builds_no_index(example, monkeypatch):
         assert classify_map(sigma) is MapKind.DEGENERACY
 
 
+def test_classification_cuts_only_the_faces_that_keep_the_carrier(example, monkeypatch):
+    """A face's carrier is read off the vertex map, so each maximal subtree
+    of the worked example, which has one stump, costs one cut."""
+    subs = maximal_subtrees(example)
+    cuts = []
+    cut = category._cut
+    monkeypatch.setattr(category, "_cut", lambda *args: cuts.append(args) or cut(*args))
+    kinds = [classify_maximal(example, sub) for sub in subs]
+    assert len(cuts) == len(subs) == 4
+    assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in all_faces(example)), key=FaceKind.sort_key)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_every_face_domain_classifies_as_its_face(flavour):
+    """On the 7-edge corpus each face domain gets its own face's kind, and
+    the tree itself and a face of a face are no face of it; the stumps
+    of a tree share its carrier, so their faces are told apart by map."""
+    for tree in tree_corpus(flavour, 7):
+        faces = all_faces(tree)
+        assert [classify_maximal(tree, face.domain) for face in faces] == [face.kind for face in faces]
+        for other in [tree, *(f.domain for face in faces[:1] for f in all_faces(face.domain))]:
+            with pytest.raises(NotMaximal, match="not the domain of any face"):
+                classify_maximal(tree, other)
+
+
 def test_face_match_compares_flavour():
     # both faces towards a have an empty vertex map
     tree = to_broad(parse_term("r(a)"), C)

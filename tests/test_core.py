@@ -1147,8 +1147,8 @@ def test_relation_loops_build_no_words(flavour, monkeypatch):
     tree = to_broad(parse_term("r(a(b,c),d(e()),f)"), flavour)
     bare = BroadPoset(flavour, tree.carrier, tree.relation)
     built = []
-    post_init = BroadWord.__post_init__
-    monkeypatch.setattr(BroadWord, "__post_init__", lambda w: built.append(w) or post_init(w))
+    init = BroadWord.__init__
+    monkeypatch.setattr(BroadWord, "__init__", lambda w, *args: built.append(w) or init(w, *args))
     assert validate(product_).ok and not built
     assert find_isomorphism(product_, renamed) is not None and not built
     assert core._maxima_map(bare) == core._maxima_map(tree) and not built

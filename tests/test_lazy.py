@@ -264,6 +264,19 @@ def assert_held_as_built(poset: BroadPoset) -> None:
         assert twin._pairs == pairs
 
 
+def test_a_deep_copy_shares_the_pairs():
+    """A deep copy shares the immutable carrier and pairs, and copies
+    ``meta`` and the kept answers."""
+    left, right = (to_broad(parse_term(t), Flavour.PLANAR) for t in ("r(a(b,c),d)", "s(t(u,v),w)"))
+    poset = tensor(left, right)
+    _maxima_map(poset)  # an answer kept on the poset
+    twin = copy.deepcopy(poset)
+    assert twin == poset and len(poset._pairs) == 248
+    assert twin._pairs is poset._pairs and twin.carrier is poset.carrier
+    assert twin.meta == poset.meta and twin.meta is not poset.meta
+    assert twin._known == poset._known != {} and twin._known is not poset._known
+
+
 def algebra_inputs(flavour: Flavour) -> list[BroadPoset]:
     """A word that repeats a letter, first so that it is the left side of
     its pairs, then trees up to 4 edges, chains of 1 to 3 edges and the
