@@ -28,6 +28,7 @@ from .core import (
     _int_argument,
     _held,
     _is_isomorphism,
+    _kept,
     _maxima_map,
     _relation_pairs,
     _top_down,
@@ -156,9 +157,10 @@ def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
     return inclusion(_cut(poset, SUBTREE, branch), poset)
 
 
-def _faces(poset: BroadPoset) -> list[tuple[FaceKind, str, str]]:
+@_kept
+def _faces(poset: BroadPoset) -> tuple[tuple[FaceKind, str, str], ...]:
     """Every face of a tree in order: its kind, and how and where
-    :func:`_cut` cuts it out."""
+    :func:`_cut` cuts it out.  Kept on the tree, as it holds no tree."""
     vertices, top = _tree(poset)
     out = [(FaceKind(FaceType.INNER, edge=edge), CONTRACT, edge) for edge in sorted(vertices.keys() - {top})]
     for vertex, kids in sorted(vertices.items()):
@@ -168,7 +170,7 @@ def _faces(poset: BroadPoset) -> list[tuple[FaceKind, str, str]]:
     for branch in sorted(kids):
         if vertices.keys().isdisjoint(set(kids) - {branch}):
             out.append((FaceKind(FaceType.ROOT, branch=branch), SUBTREE, branch))
-    return out
+    return tuple(out)
 
 
 def all_faces(poset: BroadPoset) -> list[Face]:

@@ -224,8 +224,9 @@ class BroadPoset:
     implies the constructor's checks of every pair.  A tree's pairs are
     written from its map when first read (two threads may both write
     them, and store equal values).  Equality, hashing, JSON, ``repr``
-    and pickling read the pairs, so they do not tell how a poset was
-    built.
+    and pickling read the pairs, or for equality between two trees that
+    have not written theirs the vertex maps and roots, which fix them;
+    so they do not tell how a poset was built.
     """
 
     __slots__ = ("flavour", "carrier", "_pairs", "meta", "_known")
@@ -263,8 +264,17 @@ class BroadPoset:
         return frozenset([(_canonical_word(flavour, letters), t) for letters, t in _relation_pairs(self)])
 
     def __eq__(self, other) -> bool:
+        """Equal flavours, carriers and pairs.  Two trees whose pairs are not
+        written compare their vertex maps and roots, which fix their pairs,
+        so neither is written."""
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self._pairs is None and other._pairs is None:
+            return (self.flavour, self.carrier, self._known[_TREE]) == (
+                other.flavour, other.carrier, other._known[_TREE]
+            )
         return (self.flavour, self.carrier, _relation_pairs(self)) == (
             other.flavour, other.carrier, _relation_pairs(other)
         )
@@ -749,6 +759,26 @@ def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
     return sum(count.values())
 
 
+def _pair_count(poset: BroadPoset) -> int:
+    """The number of pairs in the relation; a tree whose pairs are not
+    written counts them off its vertex map and writes none."""
+    if poset._pairs is not None:
+        return len(poset._pairs)
+    vertices, top = poset._known[_TREE]
+    return _relation_size(vertices, reversed([x for x in _top_down(vertices, top) if x in vertices]))
+
+
+def _told_apart(left: BroadPoset, right: BroadPoset) -> bool:
+    """Whether two broad posets differ in flavour, carrier size or pair
+    count, any of which rules out an isomorphism.  Nothing is recognised
+    or written, so a side that is no tree is told apart like any other."""
+    return (
+        left.flavour is not right.flavour
+        or len(left.carrier) != len(right.carrier)
+        or _pair_count(left) != _pair_count(right)
+    )
+
+
 def _top_down(vertices: dict, top: str) -> list[str]:
     """The edges of the tree with the given vertex map and root, each one
     after its parent."""
@@ -790,10 +820,10 @@ def _tree_poset(
     _check_flavour(flavour)
     _check_pairs(flavour, carrier, [(w, x) for x, w in vertices.items()])
     (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
-    order = [x for x in _top_down(vertices, top) if x in vertices]
-    if _relation_size(vertices, reversed(order)) > MAX_RELATION_PAIRS:
+    tree = _held(flavour, carrier, None, meta, {_TREE: (vertices, top)})
+    if _pair_count(tree) > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
-    return _held(flavour, carrier, None, meta, {_TREE: (vertices, top)})
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -1416,13 +1446,13 @@ def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int
 def find_isomorphism(left: BroadPoset, right: BroadPoset) -> dict[str, str] | None:
     """Search for a bijection monotone both ways; None when there is none.
 
+    Sides that differ in flavour, carrier size or pair count get None at
+    once (:func:`_told_apart`), the pairs of a tree counted, not written.
     The shared search's first injective monotone assignment needs no check:
     between carriers and relations of equal size it is an isomorphism."""
-    if left.flavour is not right.flavour:
+    if _told_apart(left, right):
         return None
     pairs = [_relation_pairs(side) for side in (left, right)]
-    if len(left.carrier) != len(right.carrier) or len(pairs[0]) != len(pairs[1]):
-        return None
     lengths = [sorted([len(letters) for letters, _ in side]) for side in pairs]
     if lengths[0] != lengths[1]:
         return None

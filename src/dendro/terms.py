@@ -26,6 +26,7 @@ from .core import (
     _check_flavour,
     _int_argument,
     _is_isomorphism,
+    _told_apart,
     _top_down,
     _tree_poset,
 )
@@ -299,9 +300,12 @@ def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str
     between which every injective monotone assignment is an isomorphism.
     This enumerates them all, n! of them between two n-leaf commutative
     corollas, so it is only for callers who want every one; to decide
-    isomorphism use :func:`are_isomorphic`.
+    isomorphism use :func:`are_isomorphic`.  Sides that differ in flavour,
+    carrier size or pair count have none, and neither is recognised, so a
+    side that is no tree gets ``[]`` then; with equal counts it raises
+    :class:`NotDendroidal`.
     """
-    if left.flavour is not right.flavour:
+    if _told_apart(left, right):
         return []
     ltop, lv, lcodes = _coded(left)
     rtop, rv, rcodes = _coded(right)
@@ -338,10 +342,13 @@ def are_isomorphic(
     code-consistent assignment closed upward extends to an isomorphism,
     so no choice is ever undone; the other edges on the path have larger
     names, and their images are forced by the edge's own.
+
+    Sides that differ in flavour, carrier size or pair count are told
+    apart first, the pairs of a tree counted, not written, and neither
+    side is recognised; so a side that is no tree gets ``(False, None)``
+    then, and with equal counts raises :class:`NotDendroidal`.
     """
-    if left.flavour is not right.flavour:
-        return False, None
-    if len(left.carrier) != len(right.carrier):
+    if _told_apart(left, right):
         return False, None
     ltop, lv, lcodes = _coded(left)
     rtop, rv, rcodes = _coded(right)

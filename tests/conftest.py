@@ -1,3 +1,4 @@
+import inspect
 import sys
 from collections import defaultdict
 from functools import cache
@@ -49,6 +50,31 @@ def stump_poset(name: str = "x", flavour: Flavour = Flavour.COMMUTATIVE) -> Broa
 def linear_tree(length: int, flavour: Flavour = Flavour.COMMUTATIVE) -> BroadPoset:
     """The tree with one leaf and only unary vertices, as a broad poset."""
     return embed_poset(FinitePoset.chain(length), flavour)
+
+
+def refusal(message: str):
+    """A stand-in that raises ``AssertionError(message)`` when called."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError(message)
+
+    return refused
+
+
+@pytest.fixture
+def refuse(monkeypatch):
+    """``refuse(owner, name, message)`` patches ``owner.name`` for the rest
+    of the test, or until ``monkeypatch.undo()``, to raise
+    ``AssertionError(message)`` when called, or when read if it is a
+    property."""
+
+    def refuse(owner, name: str, message: str) -> None:
+        stand_in = refusal(message)
+        if isinstance(inspect.getattr_static(owner, name), property):
+            stand_in = property(stand_in)
+        monkeypatch.setattr(owner, name, stand_in)
+
+    return refuse
 
 
 @pytest.fixture(scope="session")

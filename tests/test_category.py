@@ -249,16 +249,13 @@ def test_maximal_subtrees_past_the_subtree_cap(flavour, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "total: 20"
 
 
-def test_classification_builds_no_index(example, monkeypatch):
+def test_classification_builds_no_index(example, refuse):
     subs = maximal_subtrees(example)
     faces = all_faces(example)
     # unary vertices below the root, and a unary root
     sigmas = [s for t in ("r(a(b(c)),d)", "r(a(b))") for s in degeneracies(to_broad(parse_term(t), C))]
 
-    def refuse(poset):
-        raise AssertionError("a relation was written")
-
-    monkeypatch.setattr(core, "_tree_relation", refuse)
+    refuse(core, "_tree_relation", "a relation was written")
     kinds = [classify_maximal(example, sub) for sub in subs]
     assert sorted(kinds, key=FaceKind.sort_key) == sorted((f.kind for f in faces), key=FaceKind.sort_key)
     for face in faces:
@@ -544,17 +541,14 @@ def test_factorize_constant_collapse():
 
 
 @pytest.mark.parametrize("flavour", [C, P])
-def test_factorize_lists_no_faces(monkeypatch, flavour):
+def test_factorize_lists_no_faces(refuse, flavour):
     """A face chain reads its faces off the vertex maps, so factorizing
     every map from a small tree into one of up to 4 edges lists none."""
     small, codomains = tree_corpus(flavour, 3), tree_corpus(flavour, 4)
     maps = [m for a in small for b in codomains for m in enumerate_monotone(a, b)]
     expected = [factorize(m) for m in maps]
 
-    def refuse(poset):
-        raise AssertionError("the faces of a tree were listed")
-
-    monkeypatch.setattr(category, "_faces", refuse)
+    refuse(category, "_faces", "the faces of a tree were listed")
     assert [factorize(m) for m in maps] == expected
     assert sum(len(fac.faces) for fac in expected) > len(maps)
 

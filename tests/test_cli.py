@@ -398,14 +398,11 @@ def test_check_refuses_a_relation_over_budget(capsys):
     assert time.perf_counter() - start < 10
 
 
-def test_check_does_not_validate_a_tree(monkeypatch, capsys):
+def test_check_does_not_validate_a_tree(refuse, capsys):
     from dendro import core, structure
 
-    def refuse(poset):
-        raise AssertionError("a tree was validated")
-
-    monkeypatch.setattr(core, "validate", refuse)
-    monkeypatch.setattr(structure, "validate", refuse)
+    refuse(core, "validate", "a tree was validated")
+    refuse(structure, "validate", "a tree was validated")
     code, out, _ = invoke(capsys, "--output=json", "check", "q(b(e,f),c,d())")
     assert code == 0
     assert json.loads(out)["validation"] == {

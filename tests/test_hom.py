@@ -51,15 +51,12 @@ def bare(poset: BroadPoset) -> BroadPoset:
 
 
 @pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
-def test_tree_hom_sets_match_the_search_on_the_corpus(flavour, monkeypatch):
+def test_tree_hom_sets_match_the_search_on_the_corpus(flavour, monkeypatch, refuse):
     pairs = list(itertools.product(tree_corpus(flavour, 4), repeat=2))
     expected = [searched(a, b) for a, b in pairs]
 
-    def refuse(*args):
-        raise AssertionError("a hom set between trees ran the backtracker")
-
     monkeypatch.setattr(core, "SEARCH_AT_MOST", 0)  # every tree pair takes the tree path
-    monkeypatch.setattr(core, "_assignments", refuse)
+    refuse(core, "_assignments", "a hom set between trees ran the backtracker")
     for (a, b), assignments in zip(pairs, expected):
         maps = enumerate_monotone(a, b)
         assert [m.pairs for m in maps] == [tuple(sorted(x.items())) for x in assignments]
@@ -79,21 +76,18 @@ def test_tree_hom_sets_match_the_oracle(flavour, source, target, recognised):
         assert listed(enumerate_monotone(domain, codomain)) == expected
 
 
-def test_small_hom_sets_read_no_tree(monkeypatch):
+def test_small_hom_sets_read_no_tree(refuse):
     """Up to SEARCH_AT_MOST assignments the search runs on the relation
     alone, out of a domain that holds no vertex map: 4^3 = 64 here."""
     source = bare(to_broad(parse_term("r(a,b)"), Flavour.COMMUTATIVE))
     target = bare(to_broad(parse_term("s(c,d)"), Flavour.COMMUTATIVE))
 
-    def refuse(poset):
-        raise AssertionError("a tree was read")
-
-    monkeypatch.setattr(core, "_maxima_map", refuse)
+    refuse(core, "_maxima_map", "a tree was read")
     assert len(enumerate_monotone(source, target)) == 2
 
 
 @pytest.mark.parametrize("flavour", list(Flavour))
-def test_held_small_hom_sets_take_the_tree_path(flavour, monkeypatch):
+def test_held_small_hom_sets_take_the_tree_path(flavour, refuse):
     """A domain that holds its vertex map reads its maps off it at any size,
     here at most 5^3 = 125 assignments, with no search; the maps are those
     the search finds, in the same order."""
@@ -101,10 +95,7 @@ def test_held_small_hom_sets_take_the_tree_path(flavour, monkeypatch):
     posets = [[to_broad(parse_term(term), flavour) for term in pair] for pair in cases]
     expected = [searched(source, target) for source, target in posets]
 
-    def refuse(*args):
-        raise AssertionError("the search ran")
-
-    monkeypatch.setattr(core, "_assignments", refuse)
+    refuse(core, "_assignments", "the search ran")
     assert [[m.mapping for m in enumerate_monotone(source, target)] for source, target in posets] == expected
     assert [len(maps) for maps in expected] == ([2, 4, 1, 0] if flavour is Flavour.COMMUTATIVE else [1, 2, 1, 0])
 
@@ -171,14 +162,11 @@ def tree_and_tensor(flavour: Flavour) -> tuple[BroadPoset, BroadPoset]:
 
 
 @pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
-def test_a_tree_into_a_tensor_runs_no_search(flavour, monkeypatch):
+def test_a_tree_into_a_tensor_runs_no_search(flavour, refuse):
     domain, codomain = tree_and_tensor(flavour)
     expected = [list(x.items()) for x in brute_monotone_maps(domain, codomain)]
 
-    def refuse(*args):
-        raise AssertionError("a hom set out of a tree ran the backtracker")
-
-    monkeypatch.setattr(core, "_assignments", refuse)
+    refuse(core, "_assignments", "a hom set out of a tree ran the backtracker")
     maps = enumerate_monotone(domain, codomain)
     assert len(maps) == (10 if flavour is Flavour.COMMUTATIVE else 5)
     assert listed(maps) == expected
@@ -235,14 +223,11 @@ def test_internal_hom_is_the_enumerated_one(flavour):
 
 
 @pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
-def test_internal_hom_tests_no_word_with_leq(flavour, monkeypatch):
+def test_internal_hom_tests_no_word_with_leq(flavour, refuse):
     corpus = internal_hom_corpus(flavour)
     expected = {(a, b): enumerated_internal_hom(corpus[a], corpus[b]) for a, b in itertools.product(range(0, len(corpus), 3), repeat=2)}
 
-    def refuse(*args):
-        raise AssertionError("the internal hom asked the codomain's leq")
-
-    monkeypatch.setattr(BroadPoset, "leq", refuse)
+    refuse(BroadPoset, "leq", "the internal hom asked the codomain's leq")
     for (a, b), hom in expected.items():
         assert internal_hom(corpus[a], corpus[b]) == hom
 

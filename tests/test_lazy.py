@@ -37,7 +37,8 @@ from dendro.core import (
     validate,
 )
 from dendro.structure import classify_all, leaves, links, subtree_at
-from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad
+from dendro.errors import NotDendroidal
+from dendro.terms import are_isomorphic, canonical_code, enumerate_trees, parse_term, to_broad, tree_isomorphisms
 
 from conftest import tree_corpus
 from oracles import subtree_vertex_choices
@@ -97,7 +98,7 @@ def test_held_trees_are_the_posets_the_constructor_builds(flavour):
     assert len(trees) > (500 if flavour is C else 1000)
 
 
-def test_questions_answered_off_the_map_write_no_relation(monkeypatch):
+def test_questions_answered_off_the_map_write_no_relation(refuse):
     """Structure, faces, factorization, codes and isomorphism of written
     trees, with the relation writer made to raise."""
     tree = to_broad(parse_term("r(a(b(c)),d())"), C)
@@ -110,10 +111,7 @@ def test_questions_answered_off_the_map_write_no_relation(monkeypatch):
         MonotoneMap.from_dict(chain, tree, {"x": "r", "y": "r", "z": "a"}),  # a degeneracy, then three faces
     ]
 
-    def refuse(poset):
-        raise AssertionError("a relation was written")
-
-    monkeypatch.setattr(core, "_tree_relation", refuse)
+    refuse(core, "_tree_relation", "a relation was written")
     assert len(classify_all(tree)) == 5
     assert len(links(tree)) == 4
     assert len(all_faces(tree)) == 5
@@ -125,7 +123,7 @@ def test_questions_answered_off_the_map_write_no_relation(monkeypatch):
 
 
 @pytest.mark.parametrize("flavour", [C, P])
-def test_graft_of_held_trees_writes_no_relation(flavour, monkeypatch):
+def test_graft_of_held_trees_writes_no_relation(flavour, monkeypatch, refuse):
     """A held tree's leaves are its carrier less its vertex map's edges, so
     grafting two held trees reads no relation; a bare tree's are the
     carrier less the relation's targets, the same set."""
@@ -133,10 +131,7 @@ def test_graft_of_held_trees_writes_no_relation(flavour, monkeypatch):
     expected = {"b", "y"}
     assert leaves(bare(host)) == leaves(host) == {"a", "b"}
 
-    def refuse(poset):
-        raise AssertionError("a relation was written")
-
-    monkeypatch.setattr(core, "_tree_relation", refuse)
+    refuse(core, "_tree_relation", "a relation was written")
     grafted = terms.graft(host, "a", scion)
     assert leaves(grafted) == expected
     monkeypatch.undo()
@@ -198,6 +193,78 @@ def test_isomorphism_is_decided_as_the_pair_check_decides(flavour, monkeypatch):
     monkeypatch.setattr(terms, "_is_isomorphism", check_isomorphism)
     assert ours == [are_isomorphic(left, right) for left, right in pairs]
     assert sum(found for found, _ in ours) == 3 * len(lefts)  # one tree per class
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_isomorphism_is_ruled_out_by_pair_counts(flavour, refuse):
+    """A held tree and a tree built from words, on carriers of one size
+    with relations of 3 and 1 pairs, are told apart by their counts: no
+    tree is recognised and no relation written, either way round."""
+    held = to_broad(parse_term("r(a(b))"), flavour)
+    words = bare(to_broad(parse_term("s(t,u)"), flavour))
+    refuse(core, "_tree_words", "a tree was recognised")
+    refuse(core, "_tree_relation", "a relation was written")
+    for left, right in ((held, words), (words, held)):
+        assert are_isomorphic(left, right) == (False, None)
+        assert tree_isomorphisms(left, right) == []
+        assert find_isomorphism(left, right) is None
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_a_non_tree_with_another_pair_count_is_not_isomorphic(flavour):
+    """A broad poset that is no tree, whose pair count differs from the
+    other side's, is not isomorphic to it whichever side it takes; against
+    itself it is still refused as no tree."""
+    tree = to_broad(parse_term("r(a(b))"), flavour)
+    discrete = BroadPoset.build(flavour, ["p", "q", "s"])
+    forked = BroadPoset.build(flavour, ["p", "q", "s"], [(("p",), "s"), (("q",), "s")])  # no word p·q below s
+    for other in (discrete, forked):
+        for left, right in ((tree, other), (other, tree)):
+            assert are_isomorphic(left, right) == (False, None)
+            assert tree_isomorphisms(left, right) == []
+            assert find_isomorphism(left, right) is None
+        with pytest.raises(NotDendroidal):
+            are_isomorphic(other, other)
+        with pytest.raises(NotDendroidal):
+            tree_isomorphisms(other, other)
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_held_trees_compare_by_their_vertex_maps(flavour, refuse):
+    """Two trees whose pairs are not written are equal exactly when their
+    relations are, read off their vertex maps with no relation written;
+    they come from terms, faces, subtrees at an edge, degeneracies and
+    subtree lists, so equal trees are met built in different ways."""
+    trees = []
+    for term in enumerate_trees(4, flavour):
+        tree = to_broad(term, flavour)
+        trees += [tree, *(face.domain for face in all_faces(tree))]
+        trees += [subtree_at(tree, x) for x in sorted(tree.carrier)]
+        trees += [sigma.codomain for sigma in degeneracies(tree)] + enumerate_subtrees(tree)
+    trees = [unwritten(t) for t in trees]  # a subtree list writes the pairs it sorts by
+    keys = [(t.carrier, core._tree_relation(t)) for t in trees]
+    expected = [a == b for a in keys for b in keys]
+    words = bare(unwritten(trees[-1]))
+    refuse(core, "_tree_relation", "a relation was written")
+    assert [a == b for a in trees for b in trees] == expected
+    assert sum(expected) > len(trees)
+    refuse(core, "_relation_pairs", "a relation was read")
+    assert words == words
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_factorizations_compose_with_no_relation_written(flavour, monkeypatch, refuse):
+    """Composing a factorization compares each codomain with the next
+    domain, and held trees compare by their vertex maps, so factorizing
+    every map between trees up to 4 edges, built first, and composing
+    the pieces writes no relation."""
+    trees = [to_broad(t, flavour) for t in enumerate_trees(4, flavour)]
+    maps = [m for a in trees for b in trees for m in enumerate_monotone(a, b)]
+    refuse(core, "_tree_relation", "a relation was written")
+    composites = [factorize(m).composite() for m in maps]
+    monkeypatch.undo()
+    assert composites == maps
+    assert len(maps) > 1000
 
 
 @pytest.mark.parametrize("flavour", [C, P])
@@ -337,7 +404,7 @@ def test_algebra_outputs_are_the_posets_the_constructor_builds(flavour):
 
 
 @pytest.mark.parametrize("flavour", [C, P])
-def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
+def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch, refuse):
     """Tensors of fresh trees, validation, isomorphism search,
     symmetrization and hom sets read letter pairs, with the ``relation``
     view made to raise, so none of them writes a ``BroadWord`` relation;
@@ -349,10 +416,7 @@ def test_algebra_on_held_pairs_writes_no_relation(flavour, monkeypatch):
     small = [to_broad(parse_term(term), flavour) for term in ("r(a)", "s(t)")]
     target = to_broad(parse_term("p(q,w)"), flavour)
 
-    def refuse(poset):
-        raise AssertionError("a held relation was written")
-
-    monkeypatch.setattr(BroadPoset, "relation", property(refuse))
+    refuse(BroadPoset, "relation", "a held relation was written")
     t, twin = tensor(x, y), tensor(*renamed)
     report = validate(t)
     found = find_isomorphism(t, twin)

@@ -57,7 +57,7 @@ from dendro.terms import (
     tree_isomorphisms,
 )
 
-from conftest import flavours, tree_corpus, tree_terms
+from conftest import flavours, refusal, tree_corpus, tree_terms
 from oracles import descendant_scan_tree_words, is_subtree
 
 
@@ -173,8 +173,7 @@ def by_search(fn, poset):
         return fn(bare(poset))
 
 
-def refuse_recognition(poset):
-    raise AssertionError("a written tree was recognised")
+refuse_recognition = refusal("a written tree was recognised")
 
 
 def assert_matches_search(poset):
@@ -433,15 +432,12 @@ def tree_entry_points(poset: BroadPoset) -> list:
 
 
 @pytest.mark.parametrize("flavour", [Flavour.COMMUTATIVE, Flavour.PLANAR])
-def test_tree_entry_points_check_no_tree_against_the_axioms(flavour, monkeypatch):
+def test_tree_entry_points_check_no_tree_against_the_axioms(flavour, refuse):
     """A tree is read off its vertex map, written or recognised, so its
     answers come without a report of the tree axioms."""
 
-    def refuse(poset):
-        raise AssertionError("a tree was checked against the axioms")
-
     tree = to_broad(parse_term("r(a(b(c),d()),e)"), flavour)
-    monkeypatch.setattr(structure, "is_dendroidal", refuse)
+    refuse(structure, "is_dendroidal", "a tree was checked against the axioms")
     written = [call() for call in tree_entry_points(tree)]
     assert [call() for call in tree_entry_points(bare(tree))] == written
 
