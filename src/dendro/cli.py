@@ -166,10 +166,7 @@ def cmd_check(args, flavour: Flavour):
     from . import structure
     poset = _parse_tree(args.term, flavour)
     report = structure.is_dendroidal(poset)
-    # a tree satisfies the broad poset axioms, and is_dendroidal has checked it is one
-    validation = (
-        core.ValidationReport(True, True, True, ()) if report.is_dendroidal else core.validate(poset)
-    )
+    validation = core.validate(poset)  # kept, and read off the vertex map of a tree
     lv = sorted(structure.leaves(poset))
     deg = structure.degree(poset)
     text = [

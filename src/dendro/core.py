@@ -221,12 +221,15 @@ class BroadPoset:
     :func:`product`, :func:`forget_symmetry` or :func:`internal_hom`,
     handed pairs whose letters come only from checked inputs; and a tree
     that holds its vertex map and root, checked vertex by vertex, which
-    implies the constructor's checks of every pair.  A tree's pairs are
-    written from its map when first read (two threads may both write
-    them, and store equal values).  Equality, hashing, JSON, ``repr``
-    and pickling read the pairs, or for equality between two trees that
-    have not written theirs the vertex maps and roots, which fix them;
-    so they do not tell how a poset was built.
+    implies the constructor's checks of every pair.  A closure the kernel
+    writes is also handed its all-true :func:`validate` report, kept with
+    the poset's other answers.  A tree's pairs are written from its map
+    when first read (two threads may both write them, and store equal
+    values).  Equality, JSON, ``repr`` and pickling read the pairs, or
+    for equality between two trees that have not written theirs the
+    vertex maps and roots, which fix them; hashing reads the pair count,
+    which a tree counts off its map.  So none of them tells how a poset
+    was built.
     """
 
     __slots__ = ("flavour", "carrier", "_pairs", "meta", "_known")
@@ -280,7 +283,10 @@ class BroadPoset:
         )
 
     def __hash__(self) -> int:
-        return hash((self.flavour, self.carrier, _relation_pairs(self)))
+        """Of the flavour, carrier and pair count, which equal posets
+        share; a tree whose pairs are not written counts them off its
+        vertex map and writes none."""
+        return hash((self.flavour, self.carrier, _pair_count(self)))
 
     def __reduce__(self):
         return _held, (self.flavour, self.carrier, self._pairs, self.meta, self._known)
@@ -568,16 +574,25 @@ def _word_leq(
 
 
 def _take(rest: tuple[str, ...], chunk: tuple[str, ...]) -> tuple[str, ...] | None:
-    """The sorted letters ``rest`` less those of the sorted ``chunk``, each
-    found by bisection after the last, or None when it lacks one."""
-    left = list(rest)
+    """The sorted letters ``rest`` less those of the sorted ``chunk``, or
+    None when it lacks one.  Each letter is found by bisection in ``rest``
+    past the position the one before took, so a repeated letter takes
+    distinct positions; the rest is built only once every letter is found."""
+    n = len(rest)
+    taken = []
     i = 0
     for x in chunk:
-        i = bisect_left(left, x, i)
-        if i == len(left) or left[i] != x:
+        i = bisect_left(rest, x, i)
+        if i == n or rest[i] != x:
             return None
-        del left[i]
-    return tuple(left)
+        taken.append(i)
+        i += 1
+    left = ()
+    start = 0
+    for i in taken:
+        left += rest[start:i]
+        start = i + 1
+    return left + rest[start:]
 
 
 @_kept
@@ -989,7 +1004,10 @@ def _closure(
     acyclic generator set pays nothing for them.  The kernel works on
     letter tuples and hands them to the result (:func:`_held`): they join
     only letters of the generators, which the callers have checked, so no
-    pair is checked again and no word is built.
+    pair is checked again and no word is built.  The result is handed its
+    all-true :func:`validate` report as a kept answer: the product rule
+    closes under substitution, the collapse leaves no unary cycle, and any
+    other cycle is refused, so it satisfies all three axioms.
     """
     if max_word_len is None:
         bound = max(1, len(carrier))
@@ -1016,7 +1034,7 @@ def _closure(
         )
     closed = _product_closure(flavour, by_target, order, bound)
     relation = frozenset([(w, x) for x, ws in closed.items() for w in ws])
-    return _held(flavour, carrier, relation, {"collapsed": collapsed} if collapsed else None)
+    return _held(flavour, carrier, relation, {"collapsed": collapsed} if collapsed else None, {_VALIDATED: _VALID})
 
 
 # ---------------------------------------------------------------------------
@@ -1045,12 +1063,22 @@ class ValidationReport(_Frozen):
         }
 
 
+@_kept
 def validate(poset: BroadPoset) -> ValidationReport:
     """Report whether candidate data satisfies the broad poset axioms.
 
     ``stratified`` asks that the descendant preorder is anti-symmetric;
     for finite relations this is automatic once the other two hold.
+
+    The report is kept on the poset (:func:`_kept`).  A closure the kernel
+    writes (:func:`generate_broad_poset`, :func:`tensor`, :func:`pushout`,
+    :func:`abelianize`) is handed the all-true report, and a tree that
+    holds or has recognised its vertex map gets it with no pair written:
+    its relation is generated by its vertices.  Any other poset is checked
+    pair by pair.
     """
+    if poset._known.get(_TREE, ({}, None))[1] is not None:
+        return _VALID
     violations: list[str] = []
 
     flavour = poset.flavour
@@ -1105,6 +1133,11 @@ def validate(poset: BroadPoset) -> ValidationReport:
     violations.extend(cycles)
 
     return ValidationReport(transitive, antisymmetric, not cycles, tuple(violations))
+
+
+# the key a poset's report is kept under, and the report of every broad poset
+_VALIDATED = validate.__name__
+_VALID = ValidationReport(True, True, True, ())
 
 
 # ---------------------------------------------------------------------------
@@ -1763,11 +1796,20 @@ def abelianize(poset: BroadPoset) -> BroadPoset:
     """Forget word order: each planar source becomes its multiset.
 
     Closure may keep words as long as the input's, which can exceed the
-    carrier size when a word repeats a letter.
+    carrier size when a word repeats a letter.  A poset whose kept
+    :func:`validate` report is ok, as every closure the kernel writes is,
+    is not closed again: the multisets of a broad poset's words are closed
+    under commutative substitution and have its unary and descendant
+    pairs, so nothing would collapse and no word exceeds the bound.  They
+    are handed over with the all-true report.  The report is read only
+    when kept, never worked out, since validating costs more than closing.
     """
     if poset.flavour is not Flavour.PLANAR:
         raise FlavourMismatch("abelianize expects a planar broad poset")
-    pairs = {(_canonical(Flavour.COMMUTATIVE, w), t) for w, t in _relation_pairs(poset)}
+    pairs = frozenset([(_canonical(Flavour.COMMUTATIVE, w), t) for w, t in _relation_pairs(poset)])
+    report = poset._known.get(_VALIDATED)
+    if report is not None and report.ok:
+        return _held(Flavour.COMMUTATIVE, poset.carrier, pairs, None, {_VALIDATED: _VALID})
     bound = max([1, len(poset.carrier), *(len(w) for w, _ in pairs)])
     return _closure(Flavour.COMMUTATIVE, poset.carrier, pairs, bound)
 

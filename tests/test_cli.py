@@ -399,10 +399,12 @@ def test_check_refuses_a_relation_over_budget(capsys):
 
 
 def test_check_does_not_validate_a_tree(refuse, capsys):
-    from dendro import core, structure
+    """The report of a tree is read off its vertex map: no pair is written
+    and no substitution is tried."""
+    from dendro import core
 
-    refuse(core, "validate", "a tree was validated")
-    refuse(structure, "validate", "a tree was validated")
+    refuse(core, "_substitution_sites", "a tree was validated pair by pair")
+    refuse(core, "_tree_relation", "a tree's pairs were written")
     code, out, _ = invoke(capsys, "--output=json", "check", "q(b(e,f),c,d())")
     assert code == 0
     assert json.loads(out)["validation"] == {

@@ -2,6 +2,8 @@ import itertools
 import random
 import sys
 from collections import Counter, defaultdict
+from contextlib import suppress
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,9 +48,10 @@ from dendro.errors import (
     InvalidArgument,
     ParseError,
 )
+from dendro.structure import is_dendroidal
 from dendro.terms import canonical_code, enumerate_trees, parse_term, term_code, to_broad
 
-from conftest import stump_poset, tree_corpus
+from conftest import refusal, stump_poset, tree_corpus
 from oracles import (
     brute_word_leq,
     brute_descendant_cycles,
@@ -1250,7 +1253,102 @@ def broad_posets(draw):
 @settings(max_examples=60, deadline=None)
 @given(broad_posets())
 def test_generated_posets_validate(poset):
-    assert validate(poset).ok
+    """Through the constructor-built twin, which keeps no report, so every
+    substitution is tried."""
+    assert validate(BroadPoset(poset.flavour, poset.carrier, poset.relation)).ok
+
+
+ALL_TRUE = core.ValidationReport(True, True, True, ())
+
+
+def assert_kept_report_is_the_twins(poset: BroadPoset) -> None:
+    """The poset was handed its report, and it is the all-true report that
+    validating its constructor-built twin works out."""
+    kept = poset._known[validate.__name__]
+    assert kept == validate(BroadPoset(poset.flavour, poset.carrier, poset.relation)) == ALL_TRUE
+
+
+def closed_or_none(flavour: Flavour, case) -> BroadPoset | None:
+    carrier, generators, bound = case
+    try:
+        return generate_broad_poset(carrier, generators, flavour, bound)
+    except ClosureOverflow:
+        return None
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(generator_sets(), acyclic_generator_sets()),
+    st.sampled_from(["s", "s()", "s(t)", "s(t,u)", "s(t(),u)"]),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=2),
+)
+@example((["x", "y"], [(("x",), "y"), (("y",), "x")], 10), "s(t)", 1, 0)  # collapses
+@example((["r", "a", "b", "c"], [(("a", "b"), "r"), (("c", "c"), "a")], 3), "s(t,u)", 3, 1)  # the bound is the longest word
+@example((["r", "a", "b"], [(("a", "b"), "r"), ((), "a")], 10), "s()", 1, 0)  # a stump
+def test_kernel_results_keep_the_report_their_twins_get(flavour, case, term, left_at, right_at):
+    """Every closure, tensor and pushout is handed the report validating
+    its constructor-built twin gives, all true; the tensor and the pushout
+    take the closure and a small tree, the pushout glued at a point."""
+    closed = closed_or_none(flavour, case)
+    if closed is None:
+        return
+    tree = to_broad(parse_term(term), flavour)
+    results = [closed]
+    with suppress(ClosureOverflow):
+        results.append(tensor(closed, tree))
+    point = star("p", flavour)
+    legs = [
+        MonotoneMap.from_dict(point, side, {"p": sorted(side.carrier)[at % len(side.carrier)]})
+        for side, at in ((closed, left_at), (tree, right_at))
+    ]
+    with suppress(ClosureOverflow, CollapseError):
+        results.append(pushout(*legs)[0])
+    for poset in results:
+        assert_kept_report_is_the_twins(poset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generator_sets(), acyclic_generator_sets()), st.booleans())
+@example((["x0", "x1", "x2"], [(("x0", "x0"), "x1"), (("x1", "x1"), "x2")], 8), False)  # x0·x0·x0·x0 ≤ x2 is longer than the carrier
+@example((["r", "a", "b", "c"], [(("b", "a"), "r"), (("c", "a"), "b")], None), True)
+def test_abelianize_of_a_valid_planar_poset_is_its_sorted_pairs_closed(case, validated):
+    """A planar closure, or a word-built one once validated, keeps an ok
+    report; its abelianization is the closure of its sorted pairs, with
+    equal ``meta``, and is not closed again."""
+    closed = closed_or_none(P, case)
+    if closed is None:
+        return
+    poset = BroadPoset(P, closed.carrier, closed.relation) if validated else closed
+    if validated:
+        assert validate(poset).ok
+    sorted_pairs = [(tuple(sorted(letters)), t) for letters, t in closed._pairs]
+    bound = max([1, len(poset.carrier), *(len(w) for w, _ in sorted_pairs)])
+    expected = generate_broad_poset(poset.carrier, sorted_pairs, C, bound)
+    with mock.patch.object(core, "_closure", refusal("a closed poset was closed again")):
+        result = abelianize(poset)
+    assert result == expected and result.meta == expected.meta == {}
+    assert result._known == {validate.__name__: ALL_TRUE}
+
+
+@pytest.mark.parametrize("flavour", [C, P])
+def test_validating_a_tensor_a_pushout_or_a_tree_tries_no_substitution(flavour, refuse):
+    """A tensor and a pushout keep the report they were handed, a held
+    tree's is read off its vertex map with no pair written, and a non-tree
+    keeps the report :func:`is_dendroidal` worked out."""
+    x, y = (to_broad(parse_term(term), flavour) for term in ("r(a,b)", "s(t(u),v())"))
+    point = star("p", flavour)
+    glued = pushout(MonotoneMap.from_dict(point, x, {"p": "a"}), MonotoneMap.from_dict(point, y, {"p": "s"}))[0]
+    held = to_broad(parse_term("q(b(e,f),c,d())"), flavour)
+    not_a_tree = BroadPoset.build(flavour, "abc", [(("a",), "b"), (("b",), "a")])
+    assert not is_dendroidal(not_a_tree).is_dendroidal
+    refuse(core, "_substitution_sites", "a poset was validated pair by pair")
+    refuse(core, "_tree_relation", "a tree's pairs were written")
+    for poset in (tensor(x, y), glued, held):
+        assert validate(poset) == ALL_TRUE
+    assert held._pairs is None
+    assert not validate(not_a_tree).antisymmetric
 
 
 @settings(max_examples=60, deadline=None)

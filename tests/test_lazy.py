@@ -253,6 +253,20 @@ def test_held_trees_compare_by_their_vertex_maps(flavour, refuse):
 
 
 @pytest.mark.parametrize("flavour", [C, P])
+def test_hashing_a_held_tree_writes_no_relation(flavour, refuse):
+    """A held tree hashes by its pair count, read off its vertex map, and
+    hashes as its word-built twin does: the 40-edge chain, whose relation
+    has 780 pairs, and a branching tree with a stump."""
+    chain = "".join(f"d{i}(" for i in range(39)) + "x" + ")" * 39
+    trees = [to_broad(parse_term(term), flavour) for term in (chain, "q(b(e,f),c,d())")]
+    built = [bare(unwritten(t)) for t in trees]
+    refuse(core, "_tree_relation", "a relation was written")
+    hashes = [hash(t) for t in trees]
+    assert all(t._pairs is None for t in trees)
+    assert hashes == [hash(b) for b in built] and len(built[0].relation) == 780
+
+
+@pytest.mark.parametrize("flavour", [C, P])
 def test_factorizations_compose_with_no_relation_written(flavour, monkeypatch, refuse):
     """Composing a factorization compares each codomain with the next
     domain, and held trees compare by their vertex maps, so factorizing
