@@ -574,25 +574,16 @@ def _word_leq(
 
 
 def _take(rest: tuple[str, ...], chunk: tuple[str, ...]) -> tuple[str, ...] | None:
-    """The sorted letters ``rest`` less those of the sorted ``chunk``, or
-    None when it lacks one.  Each letter is found by bisection in ``rest``
-    past the position the one before took, so a repeated letter takes
-    distinct positions; the rest is built only once every letter is found."""
-    n = len(rest)
-    taken = []
+    """The sorted letters ``rest`` less those of the sorted ``chunk``, each
+    found by bisection after the last, or None when it lacks one."""
+    left = list(rest)
     i = 0
     for x in chunk:
-        i = bisect_left(rest, x, i)
-        if i == n or rest[i] != x:
+        i = bisect_left(left, x, i)
+        if i == len(left) or left[i] != x:
             return None
-        taken.append(i)
-        i += 1
-    left = ()
-    start = 0
-    for i in taken:
-        left += rest[start:i]
-        start = i + 1
-    return left + rest[start:]
+        del left[i]
+    return tuple(left)
 
 
 @_kept
