@@ -143,7 +143,8 @@ def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
         raise InvalidArgument(f"cluster must be a (word, edge) pair, not {cluster!r}")
     vertices, _ = _tree(poset)
     kids, edge = cluster
-    if not (isinstance(edge, str) and vertices.get(edge) == kids and vertices.keys().isdisjoint(kids.letters)):
+    is_vertex = isinstance(edge, str) and kids.flavour is poset.flavour and vertices.get(edge) == kids.letters
+    if not (is_vertex and vertices.keys().isdisjoint(kids.letters)):
         raise NotOuterCluster(f"{pair_str(cluster)} is not an outer cluster")
     return inclusion(_cut(poset, PRUNE, edge), poset)
 
@@ -151,26 +152,37 @@ def outer_face(poset: BroadPoset, cluster: Pair) -> MonotoneMap:
 def root_face(poset: BroadPoset, branch: str) -> MonotoneMap:
     """Inclusion of the branch left after removing the root vertex."""
     vertices, top = _tree(poset)
-    kids = vertices[top].letters if top in vertices else ()
+    kids = vertices.get(top, ())
     if not (isinstance(branch, str) and branch in kids and vertices.keys().isdisjoint(set(kids) - {branch})):
         raise NoRootFace(f"{branch!r} is not a child of the root whose other children are all leaves")
     return inclusion(_cut(poset, SUBTREE, branch), poset)
 
 
+# how _cut cuts out a face of each type, at the face's identifying edge
+_HOW = {FaceType.INNER: CONTRACT, FaceType.OUTER: PRUNE, FaceType.ROOT: SUBTREE}
+
+
 @_kept
-def _faces(poset: BroadPoset) -> tuple[tuple[FaceKind, str, str], ...]:
-    """Every face of a tree in order: its kind, and how and where
-    :func:`_cut` cuts it out.  Kept on the tree, as it holds no tree."""
+def _faces(poset: BroadPoset) -> tuple[tuple[FaceType, str], ...]:
+    """Every face of a tree in order, as its type and identifying edge:
+    an inner face's edge, an outer face's vertex and a root face's branch.
+    Kept on the tree, as it holds no tree and no word."""
     vertices, top = _tree(poset)
-    out = [(FaceKind(FaceType.INNER, edge=edge), CONTRACT, edge) for edge in sorted(vertices.keys() - {top})]
-    for vertex, kids in sorted(vertices.items()):
-        if vertices.keys().isdisjoint(kids.letters):
-            out.append((FaceKind(FaceType.OUTER, cluster=(kids, vertex)), PRUNE, vertex))
-    kids = vertices[top].letters if top in vertices else ()
-    for branch in sorted(kids):
-        if vertices.keys().isdisjoint(set(kids) - {branch}):
-            out.append((FaceKind(FaceType.ROOT, branch=branch), SUBTREE, branch))
+    out = [(FaceType.INNER, edge) for edge in sorted(vertices.keys() - {top})]
+    out += [(FaceType.OUTER, vertex) for vertex, kids in sorted(vertices.items()) if vertices.keys().isdisjoint(kids)]
+    kids = vertices.get(top, ())
+    out += [(FaceType.ROOT, branch) for branch in sorted(kids) if vertices.keys().isdisjoint(set(kids) - {branch})]
     return tuple(out)
+
+
+def _face_kind(poset: BroadPoset, type: FaceType, edge: str) -> FaceKind:
+    """The kind of the face of a tree with the given type and identifying
+    edge; an outer face's cluster is its vertex's word and edge."""
+    if type is FaceType.INNER:
+        return FaceKind(type, edge=edge)
+    if type is FaceType.ROOT:
+        return FaceKind(type, branch=edge)
+    return FaceKind(type, cluster=(_canonical_word(poset.flavour, _tree(poset)[0][edge]), edge))
 
 
 def all_faces(poset: BroadPoset) -> list[Face]:
@@ -180,7 +192,7 @@ def all_faces(poset: BroadPoset) -> list[Face]:
 
 def _face_domains(poset: BroadPoset) -> list[tuple[FaceKind, BroadPoset]]:
     """Every face of a tree with its domain, each cut out of the tree."""
-    return [(kind, _cut(poset, how, edge)) for kind, how, edge in _faces(poset)]
+    return [(_face_kind(poset, t, edge), _cut(poset, _HOW[t], edge)) for t, edge in _faces(poset)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +224,13 @@ def enumerate_subtrees(poset: BroadPoset, cap: int = MAX_SUBTREE_CARRIER) -> lis
     flavour = poset.flavour
     bottom_up = list(reversed(_top_down(vertices, top)))
     below = _words_below(vertices, [x for x in bottom_up if x in vertices])
-    rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, BroadWord], ...]]]] = {}
+    rooted: dict[str, list[tuple[frozenset[str], tuple[tuple[str, tuple[str, ...]], ...]]]] = {}
     for x in bottom_up:
         pieces = rooted[x] = [(frozenset([x]), ())]
         for letters in sorted([_canonical(flavour, w) for w in below.get(x, ())], key=lambda w: (len(w), w)):
-            w = _canonical_word(flavour, letters)
             for combo in itertools.product(*(rooted[c] for c in letters)):
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
-                pieces.append((carrier, sum((v for _, v in combo), ((x, w),))))
+                pieces.append((carrier, sum((v for _, v in combo), ((x, letters),))))
     return _subtree_order([
         _held(flavour, carrier, None, known={_TREE: (dict(verts), x)})
         for x in sorted(poset.carrier)
@@ -245,7 +256,7 @@ def maximal_subtrees(poset: BroadPoset) -> list[BroadPoset]:
     """The subtrees with one vertex fewer than the tree: each is the domain
     of exactly one face, so they are cut out as the faces are, and sorted
     as :func:`enumerate_subtrees` sorts."""
-    return _subtree_order([domain for _, domain in _face_domains(poset)])
+    return _subtree_order([_cut(poset, _HOW[t], edge) for t, edge in _faces(poset)])
 
 
 def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
@@ -260,16 +271,16 @@ def classify_maximal(poset: BroadPoset, sub: BroadPoset) -> FaceKind:
     if sub.flavour is poset.flavour and sub.carrier <= poset.carrier:
         vertices, top = _tree(poset)
         lost = len(poset.carrier) - len(sub.carrier)
-        for kind, how, edge in faces:
-            if how == CONTRACT:
+        for kind_type, edge in faces:
+            if kind_type is FaceType.INNER:
                 dropped = (edge,)
-            elif how == PRUNE:
-                dropped = vertices[edge].letters
+            elif kind_type is FaceType.OUTER:
+                dropped = vertices[edge]
             else:
-                dropped = (top, *(c for c in vertices[top].letters if c != edge))
+                dropped = (top, *(c for c in vertices[top] if c != edge))
             same_carrier = len(dropped) == lost and sub.carrier.isdisjoint(dropped)
-            if same_carrier and _maxima_map(_cut(poset, how, edge)) == _maxima_map(sub):
-                return kind
+            if same_carrier and _maxima_map(_cut(poset, _HOW[kind_type], edge)) == _maxima_map(sub):
+                return _face_kind(poset, kind_type, edge)
     raise NotMaximal("the subtree is not the domain of any face")
 
 
@@ -300,10 +311,10 @@ def degeneracies(poset: BroadPoset) -> list[MonotoneMap]:
     return [_collapse(poset, child, edge) for edge, child in _unary(_tree(poset)[0])]
 
 
-def _unary(vertices: dict[str, BroadWord]) -> list[tuple[str, str]]:
+def _unary(vertices: dict[str, tuple[str, ...]]) -> list[tuple[str, str]]:
     """The unary vertices of a tree's vertex map, each edge with its
     child, sorted."""
-    return sorted((edge, w.letters[0]) for edge, w in vertices.items() if len(w) == 1)
+    return sorted([(edge, kids[0]) for edge, kids in vertices.items() if len(kids) == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +401,10 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> list[Face]:
         for edge, kids in vertices.items():
             if edge != top and edge not in inside:
                 holding.append((edge, FaceType.INNER))
-            if (
-                edge in leaf
-                and vertices.keys().isdisjoint(kids.letters)
-                and inside.isdisjoint(kids.letters)
-            ):
+            if edge in leaf and vertices.keys().isdisjoint(kids) and inside.isdisjoint(kids):
                 holding.append((edge, FaceType.OUTER))
         if top in vertices and top not in inside:
-            kids = vertices[top].letters
+            kids = vertices[top]
             for branch in kids:
                 others = [x for x in kids if x != branch]
                 if vertices.keys().isdisjoint(others) and inside.isdisjoint(others):
@@ -405,14 +412,8 @@ def _face_chain(ambient: BroadPoset, target: BroadPoset) -> list[Face]:
         if not holding:
             raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
         edge, kind_type = min(holding)
-        if kind_type is FaceType.INNER:
-            kind, how = FaceKind(kind_type, edge=edge), CONTRACT
-        elif kind_type is FaceType.OUTER:
-            kind, how = FaceKind(kind_type, cluster=(vertices[edge], edge)), PRUNE
-        else:
-            kind, how = FaceKind(kind_type, branch=edge), SUBTREE
-        domain = _cut(current, how, edge)
-        steps.append(Face(kind, domain, inclusion(domain, current)))
+        domain = _cut(current, _HOW[kind_type], edge)
+        steps.append(Face(_face_kind(current, kind_type, edge), domain, inclusion(domain, current)))
         current = domain
     return steps[::-1]
 
@@ -440,8 +441,9 @@ def factorize(mapping: MonotoneMap) -> Factorization:
         vertices, _ = _tree(current)
 
     values = {x: mapping(x) for x in current.carrier}
-    image_vertices = {values[x]: mapping.word(w) for x, w in vertices.items()}
-    image = _tree_poset(mapping.codomain.flavour, frozenset(values.values()), image_vertices)
+    flavour = mapping.codomain.flavour
+    image_vertices = {values[x]: _canonical(flavour, tuple([values[c] for c in kids])) for x, kids in vertices.items()}
+    image = _tree_poset(flavour, frozenset(values.values()), image_vertices)
     iso = MonotoneMap.from_dict(current, image, values)
     chain = _face_chain(mapping.codomain, image)
     return Factorization(tuple(degs), iso, tuple(f.map for f in chain), tuple(f.kind for f in chain))

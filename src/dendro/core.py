@@ -122,15 +122,8 @@ class BroadWord(_Frozen):
     __slots__ = ("flavour", "letters")
 
     def __init__(self, flavour: Flavour, letters: Iterable[str]):
-        letters = tuple(letters)
-        if flavour is Flavour.COMMUTATIVE:
-            try:
-                letters = tuple(sorted(letters))
-            except TypeError:  # letters that do not compare: name one that is no string
-                _check_identifiers(letters)
-                raise
         _set_flavour(self, flavour)
-        _set_letters(self, letters)
+        _set_letters(self, _canonical(flavour, tuple(letters)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -184,8 +177,15 @@ def _canonical_word(flavour: Flavour, letters: tuple[str, ...]) -> BroadWord:
 
 def _canonical(flavour: Flavour, letters: tuple[str, ...]) -> tuple[str, ...]:
     """The letters of the word of that flavour: sorted when commutative
-    and longer than one letter."""
-    return tuple(sorted(letters)) if flavour is Flavour.COMMUTATIVE and len(letters) > 1 else letters
+    and longer than one letter, naming one that is no string if they do
+    not compare."""
+    if flavour is Flavour.COMMUTATIVE and len(letters) > 1:
+        try:
+            return tuple(sorted(letters))
+        except TypeError:
+            _check_identifiers(letters)
+            raise
+    return letters
 
 
 def _flavour_mismatch(w: BroadWord) -> FlavourMismatch:
@@ -213,18 +213,19 @@ class BroadPoset:
     to check those, or :func:`generate_broad_poset` to build a closed
     relation from generators.
 
-    Every poset stores its relation in one form, the frozenset of its
-    pairs' canonical ``(letters, target)`` tuples, which hash in C and
-    are read through :func:`_relation_pairs`; ``relation`` is a view that
-    wraps them as words on each read.  Two kinds of poset are built past
-    the constructor (:func:`_held`): one made by the closure kernel,
-    :func:`product`, :func:`forget_symmetry` or :func:`internal_hom`,
-    handed pairs whose letters come only from checked inputs; and a tree
-    that holds its vertex map and root, checked vertex by vertex, which
-    implies the constructor's checks of every pair.  A closure the kernel
-    writes is also handed its all-true :func:`validate` report, kept with
-    the poset's other answers.  A tree's pairs are written from its map
-    when first read (two threads may both write them, and store equal
+    Inside the package a word is the tuple of its canonical letters.
+    Every poset stores its relation as the frozenset of its pairs'
+    ``(letters, target)`` tuples, read through :func:`_relation_pairs`;
+    ``relation`` is a view that wraps them as words on each read.  The
+    constructor and :meth:`build` check them (:func:`_check_pairs`).
+    Two kinds of poset are built past both (:func:`_held`): one made by
+    the closure kernel, :func:`product`, :func:`forget_symmetry` or
+    :func:`internal_hom` from checked inputs' letters; and a tree that
+    holds its vertex map, each non-leaf edge with the letters of its
+    children, and root, checked vertex by vertex, which implies the check
+    of every pair.  A closure the kernel writes is also handed its
+    all-true :func:`validate` report.  A tree's pairs are written from its
+    map when first read (two threads may both write them, and store equal
     values).  Equality, JSON, ``repr`` and pickling read the pairs, or
     for equality between two trees that have not written theirs the
     vertex maps and roots, which fix them; hashing reads the pair count,
@@ -245,16 +246,13 @@ class BroadPoset:
     def __new__(cls, flavour: Flavour, carrier: Iterable[str], relation: Iterable[Pair], meta: dict | None = None):
         _check_flavour(flavour)
         carrier = _carrier(carrier)
-        if iter(relation) is relation:  # an iterator, which a failure reads again
-            relation = list(relation)
-        try:
-            words = frozenset(relation)
-        except TypeError:  # an entry that does not hash
-            _check_identifiers(carrier)
-            _refuse_least_bad_pair(flavour, carrier, relation)
-            raise
-        _check_pairs(flavour, carrier, words)
-        return _held(flavour, carrier, frozenset([(w.letters, t) for w, t in words]), meta)
+        relation = list(relation)  # which a failure reads again
+        words = [e[0] for e in relation if isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], BroadWord)]
+        if len(words) < len(relation) or any(w.flavour is not flavour for w in words):
+            _refuse_least_bad_pair(carrier, relation, flavour)
+        pairs = [(w.letters, t) for w, t in relation]
+        _check_pairs(carrier, pairs)
+        return _held(flavour, carrier, frozenset(pairs), meta)
 
     __setattr__ = _Frozen.__setattr__
     __delattr__ = _Frozen.__delattr__
@@ -306,31 +304,35 @@ class BroadPoset:
         pairs: Iterable[tuple[Sequence[str] | BroadWord, str]] = (),
         meta: dict | None = None,
     ) -> "BroadPoset":
-        """Normalise raw ``(letters, target)`` pairs and drop reflexive ones."""
+        """Normalise raw ``(letters, target)`` pairs and drop reflexive ones;
+        the pairs are checked as the constructor checks them."""
         carrier = _carrier(carrier)
         try:
             raw = [(s if isinstance(s, BroadWord) else tuple(s), t) for s, t in pairs]
         except (TypeError, ValueError):  # an entry that is no pair, or a source that is no sequence
             raise InvalidArgument("pairs must be (letters, target) pairs") from None
         _check_identifiers(itertools.chain(carrier, *(s for s, _ in raw if type(s) is tuple)))  # before letters sort
-        words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, s), t) for s, t in raw]
-        for w, _ in words:  # before a reflexive pair is dropped, and before a word is hashed
-            if w.flavour is not flavour:
-                raise _flavour_mismatch(w)
-        return cls(flavour, carrier, [(w, t) for w, t in words if w.letters != (t,)], meta or {})
+        for s, _ in raw:  # before a reflexive pair is dropped
+            if type(s) is not tuple and s.flavour is not flavour:
+                raise _flavour_mismatch(s)
+        letters = [(_canonical(flavour, s) if type(s) is tuple else s.letters, t) for s, t in raw]
+        letters = [(s, t) for s, t in letters if s != (t,)]
+        _check_flavour(flavour)
+        _check_pairs(carrier, letters)
+        return _held(flavour, carrier, frozenset(letters), meta or {})
 
     def leq(self, source: Sequence[str] | BroadWord, target: str) -> bool:
         """Whether ``source <= target`` holds, counting implicit reflexivity."""
-        w = source if isinstance(source, BroadWord) else BroadWord(self.flavour, tuple(source))
-        _check_word(self, w, target)
-        return w.letters == (target,) or (w.letters, target) in _relation_pairs(self)
+        letters = _letters(self, source, target)
+        return letters == (target,) or (letters, target) in _relation_pairs(self)
 
     def sources(self, target: str) -> frozenset[BroadWord]:
         """All stored words strictly below ``target``."""
         try:
-            return sources_map(self)[target]
+            below = _chunk_candidates(self)[target]
         except KeyError:
             raise IdentifierError(f"{target!r} not in carrier") from None
+        return frozenset([_canonical_word(self.flavour, letters) for letters in below if letters != (target,)])
 
     def unary_pairs(self) -> frozenset[tuple[str, str]]:
         """Stored pairs whose source has length one, as element pairs."""
@@ -458,42 +460,49 @@ def _carrier(identifiers: Iterable) -> frozenset:
         raise
 
 
-def _check_pairs(flavour: Flavour, carrier: frozenset, pairs: Collection[Pair]) -> None:
-    """Raise unless the identifiers are strings and each pair is a ``(BroadWord,
-    str)`` pair of the flavour, on the carrier and not reflexive; a failure
-    names the least bad pair in ``repr`` order, which no hash seed moves."""
+def _check_pairs(carrier: frozenset, pairs: Collection[LetterPair]) -> None:
+    """Raise unless the carrier's identifiers are strings and each
+    ``(letters, target)`` pair lies on the carrier and is not reflexive."""
     _check_identifiers(carrier)  # letters and targets must lie in it, so they are strings too
-    with suppress(DendroError, AttributeError, TypeError, ValueError):  # the last three from a malformed entry
-        return _scan_pairs(flavour, carrier, pairs)
-    _refuse_least_bad_pair(flavour, carrier, pairs)
+    with suppress(DendroError, TypeError):  # TypeError from an identifier that does not hash
+        return _scan_pairs(carrier, pairs)
+    _refuse_least_bad_pair(carrier, pairs)
 
 
-def _refuse_least_bad_pair(flavour: Flavour, carrier: frozenset, pairs: Collection) -> None:
-    """Raise for the least pair in ``repr`` order that :func:`_check_pairs`
-    refuses: an entry that is no ``(BroadWord, str)`` pair, or holds an
-    identifier that does not hash, is an :class:`InvalidArgument`."""
-    for pair in sorted(pairs, key=repr):
-        if not isinstance(pair, tuple) or len(pair) != 2 or not isinstance(pair[0], BroadWord):
-            raise InvalidArgument(f"relation entries must be (BroadWord, str) pairs, not {pair!r}")
+def _refuse_least_bad_pair(carrier: frozenset, entries: Collection, flavour: Flavour | None = None) -> None:
+    """Raise for the least entry in ``repr`` order, which no hash seed
+    moves, that :func:`_check_pairs` refuses.  Given a flavour, the entries
+    are the constructor's: one that is no ``(BroadWord, str)`` pair is an
+    :class:`InvalidArgument`, and a word of another flavour a
+    :class:`FlavourMismatch`.  An identifier that does not hash, or a
+    letter that does not print, is an :class:`InvalidArgument`."""
+    _check_identifiers(carrier)
+    for pair in sorted(entries, key=repr):
+        w = None
+        if flavour is not None:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], BroadWord)):
+                raise InvalidArgument(f"relation entries must be (BroadWord, str) pairs, not {pair!r}")
+            w, target = pair
+            pair = (w.letters, target)
         try:
-            _scan_pairs(flavour, carrier, [pair])
-        except TypeError:  # an identifier that does not hash, so is no string
-            _check_identifiers([pair[1], *pair[0].letters])
+            if w is not None and w.flavour is not flavour:
+                raise _flavour_mismatch(w)
+            _scan_pairs(carrier, [pair])
+        except TypeError:  # so the identifier is no string
+            _check_identifiers([pair[1], *pair[0]])
             raise
 
 
-def _scan_pairs(flavour: Flavour, carrier: frozenset, pairs: Iterable[Pair]) -> None:
+def _scan_pairs(carrier: frozenset, pairs: Iterable[LetterPair]) -> None:
     """Raise at the first pair, in the order given, that :func:`_check_pairs` refuses."""
-    for w, target in pairs:
-        if w.flavour is not flavour:
-            raise _flavour_mismatch(w)
+    for letters, target in pairs:
         if target not in carrier:
             raise IdentifierError(f"target {target!r} not in carrier")
-        for letter in w.letters:
+        for letter in letters:
             if letter not in carrier:
                 raise IdentifierError(f"letter {letter!r} not in carrier")
-        if w.letters == (target,):
-            raise InvalidArgument(f"reflexive pair {pair_str((w, target))} must stay implicit")
+        if letters == (target,):
+            raise InvalidArgument(f"reflexive pair {pair_str((letters, target))} must stay implicit")
 
 
 def _check_flavour(flavour) -> None:
@@ -502,25 +511,21 @@ def _check_flavour(flavour) -> None:
         raise InvalidArgument(f"flavour must be a Flavour member, not {flavour!r}")
 
 
-def _check_word(poset: BroadPoset, w: BroadWord, *targets: str) -> None:
-    """Raise unless the word has the poset's flavour and the word and the
-    targets name only elements of its carrier."""
-    if w.flavour is not poset.flavour:
-        raise _flavour_mismatch(w)
+def _letters(poset: BroadPoset, source: Sequence[str] | BroadWord, *targets: str) -> tuple[str, ...]:
+    """The canonical letters of a word, or of a sequence of letters, once
+    a word has the poset's flavour and the letters and the targets name
+    only elements of its carrier."""
+    if isinstance(source, BroadWord):
+        if source.flavour is not poset.flavour:
+            raise _flavour_mismatch(source)
+        letters = source.letters
+    else:
+        letters = _canonical(poset.flavour, tuple(source))
     carrier = poset.carrier
-    for x in (*w.letters, *targets):
+    for x in (*letters, *targets):
         if x not in carrier:
             raise IdentifierError(f"{x!r} not in carrier")
-
-
-@_kept
-def sources_map(poset: BroadPoset) -> dict[str, frozenset[BroadWord]]:
-    """Map each element to the set of stored words below it."""
-    by_target: dict[str, set[BroadWord]] = {x: set() for x in poset.carrier}
-    flavour = poset.flavour
-    for letters, target in _relation_pairs(poset):
-        by_target[target].add(_canonical_word(flavour, letters))
-    return {x: frozenset(ws) for x, ws in by_target.items()}
+    return letters
 
 
 @_kept
@@ -545,9 +550,7 @@ def word_leq(poset: BroadPoset, lower: BroadWord, upper: BroadWord) -> bool:
     ``len(lower) + 1`` states when planar and one per sub-multiset of
     ``lower`` when commutative.
     """
-    _check_word(poset, lower)
-    _check_word(poset, upper)
-    return _word_leq(_chunk_candidates(poset), poset.flavour, lower.letters, upper.letters)
+    return _word_leq(_chunk_candidates(poset), poset.flavour, _letters(poset, lower), _letters(poset, upper))
 
 
 def _word_leq(
@@ -621,9 +624,9 @@ def _maximum_word(
     return best
 
 
-def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
-    """The vertex map of a tree, each non-leaf edge with the word of its
-    children, together with its root; or None when the poset is not a tree.
+def _tree_words(poset: BroadPoset) -> tuple[dict[str, tuple[str, ...]], str] | None:
+    """The vertex map of a tree, each non-leaf edge with the letters of
+    its children, together with its root; or None when it is no tree.
 
     The map is guessed by counting.  Let N(x) be one more than the number
     of words below x.  In a tree N(x) is one more than the product of N
@@ -647,24 +650,23 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
     for target, words in below.items():
         size[target] += len(words)
     look = size.__getitem__
-    flavour = poset.flavour
-    guess: dict[str, BroadWord] = {}
+    guess: dict[str, tuple[str, ...]] = {}
     for target, words in below.items():
         n = len(words)
         for letters in words:
             if prod(map(look, letters)) == n:
-                guess[target] = _canonical_word(flavour, letters)
+                guess[target] = letters
                 break
         else:
             return None
-    kids = [c for w in guess.values() for c in w.letters]
+    kids = [c for w in guess.values() for c in w]
     tops = poset.carrier.difference(kids)
     if len(tops) != 1 or len(kids) != len(poset.carrier) - 1:
         return None
     (top,) = tops
     vertices = {x: guess[x] for x in _top_down(guess, top) if x in guess}
     for x, words in _words_below(vertices, reversed(vertices)).items():
-        if flavour is Flavour.COMMUTATIVE:  # a word of one letter is already sorted
+        if poset.flavour is Flavour.COMMUTATIVE:  # a word of one letter is already sorted
             words = [w if len(w) < 2 else tuple(sorted(w)) for w in words]
         if not below[x].issuperset(words):
             return None
@@ -672,9 +674,9 @@ def _tree_words(poset: BroadPoset) -> tuple[dict[str, BroadWord], str] | None:
 
 
 @_kept
-def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | None]:
-    """For each non-leaf element, the maximum word below it, or None; and
-    the root when the poset is a tree, else None.
+def _maxima_map(poset: BroadPoset) -> tuple[dict[str, tuple[str, ...] | None], str | None]:
+    """For each non-leaf element, the letters of the maximum word below
+    it, or None; and the root when the poset is a tree, else None.
 
     A tree written from its vertex map or cut out of a tree holds the map
     and root as this answer (:func:`_held`), and a tree from
@@ -687,13 +689,11 @@ def _maxima_map(poset: BroadPoset) -> tuple[dict[str, BroadWord | None], str | N
     if tree is not None:
         return tree
     candidates = _chunk_candidates(poset)
-    flavour = poset.flavour
-    out: dict[str, BroadWord | None] = {}
+    out: dict[str, tuple[str, ...] | None] = {}
     for target, chunks in candidates.items():
         below = [c for c in chunks if c != (target,)]  # sorted by length, then letters
         if below:
-            best = _maximum_word(candidates, flavour, below)
-            out[target] = None if best is None else _canonical_word(flavour, best)
+            out[target] = _maximum_word(candidates, poset.flavour, below)
     return out, None
 
 
@@ -706,10 +706,11 @@ def _held(
 ) -> BroadPoset:
     """The broad poset with the given carrier and canonical ``(letters,
     target)`` pairs, its slots set past its frozen ``__setattr__``.  A
-    tree passes None for its pairs and its vertex map and root in
-    ``known`` under :data:`_TREE`, as its :func:`_maxima_map` answer; its
-    pairs are written when first read.  Nothing is checked, and the
-    caller must not change what it hands over afterwards."""
+    tree passes None for its pairs and its vertex map (each non-leaf edge
+    with its children's letters) and root in ``known`` under :data:`_TREE`,
+    as its :func:`_maxima_map` answer; its pairs are written when first
+    read.  Nothing is checked, and the caller must not change what it
+    hands over afterwards."""
     poset = object.__new__(BroadPoset)
     values = (flavour, carrier, pairs, {} if meta is None else meta, {} if known is None else known)
     for name, value in zip(BroadPoset.__slots__, values):
@@ -731,7 +732,7 @@ def _tree_relation(tree: BroadPoset) -> frozenset[LetterPair]:
     return frozenset([(w if len(w) < 2 else tuple(sorted(w)), x) for x, ws in below.items() for w in ws])
 
 
-def _tree_leq(vertices: dict[str, BroadWord], flavour: Flavour, letters: tuple[str, ...], target: str) -> bool:
+def _tree_leq(vertices: dict[str, tuple[str, ...]], flavour: Flavour, letters: tuple[str, ...], target: str) -> bool:
     """Whether the word with the given canonical letters is at or below
     ``target`` in the tree with the given vertex map: it is the target, or
     the word got by expanding, from the target down, every other edge."""
@@ -745,13 +746,13 @@ def _tree_leq(vertices: dict[str, BroadWord], flavour: Flavour, letters: tuple[s
         if x in keep and x != target:
             found.append(x)
         elif x in vertices:
-            pending.extend(reversed(vertices[x].letters))
+            pending.extend(reversed(vertices[x]))
         else:
             return False  # a leaf the word does not hold, or a target with no vertex
     return tuple(found if flavour is Flavour.PLANAR else sorted(found)) == letters
 
 
-def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
+def _relation_size(vertices: dict[str, tuple[str, ...]], bottom_up) -> int:
     """The number of pairs in the relation of the tree with the given
     vertex map, its edges with a vertex listed children first: an edge has
     one word below it per choice, for each child, of the child itself or
@@ -759,7 +760,7 @@ def _relation_size(vertices: dict[str, BroadWord], bottom_up) -> int:
     count: dict[str, int] = {}
     for x in bottom_up:
         words = 1
-        for c in vertices[x].letters:
+        for c in vertices[x]:
             words *= 1 + count.get(c, 0)
         count[x] = words
     return sum(count.values())
@@ -790,13 +791,11 @@ def _top_down(vertices: dict, top: str) -> list[str]:
     after its parent."""
     order = [top]
     for x in order:
-        w = vertices.get(x)
-        if w is not None:
-            order.extend(w.letters)
+        order.extend(vertices.get(x, ()))
     return order
 
 
-def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
+def _words_below(vertices: dict[str, tuple[str, ...]], bottom_up: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
     """The letters of the words below each edge of the tree with the given
     vertex map, its edges with a vertex listed children first: one choice
     per child, of the child itself or a word below it, concatenated in
@@ -804,7 +803,7 @@ def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> di
     below: dict[str, list[tuple[str, ...]]] = {}
     for x in bottom_up:
         words: list[tuple[str, ...]] = [()]
-        for c in vertices[x].letters:
+        for c in vertices[x]:
             choices = [(c,), *below.get(c, ())]
             words = [w + v for w in words for v in choices]
         below[x] = words
@@ -812,20 +811,20 @@ def _words_below(vertices: dict[str, BroadWord], bottom_up: Iterable[str]) -> di
 
 
 def _tree_poset(
-    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, BroadWord], meta=None
+    flavour: Flavour, carrier: frozenset[str], vertices: dict[str, tuple[str, ...]], meta=None
 ) -> BroadPoset:
     """The tree with the given edges and vertex map, its pairs written
     when they are first read (:func:`_held`).
 
     The map must span the carrier as one rooted tree: every edge but the
-    root is a child of exactly one edge.  The constructor checks each pair
-    of the relation; here each vertex is checked as a pair, which implies
-    it.  A relation of more than :data:`MAX_RELATION_PAIRS` pairs is
-    counted, not written, and raises :class:`BudgetExceeded`.
+    root is a child of exactly one edge.  Each vertex goes through the
+    constructor's check of a pair (:func:`_check_pairs`), which implies
+    it for every pair.  A relation of more than :data:`MAX_RELATION_PAIRS`
+    pairs is counted, not written, and raises :class:`BudgetExceeded`.
     """
     _check_flavour(flavour)
-    _check_pairs(flavour, carrier, [(w, x) for x, w in vertices.items()])
-    (top,) = carrier - {c for kids in vertices.values() for c in kids.letters}
+    _check_pairs(carrier, [(w, x) for x, w in vertices.items()])
+    (top,) = carrier - {c for kids in vertices.values() for c in kids}
     tree = _held(flavour, carrier, None, meta, {_TREE: (vertices, top)})
     if _pair_count(tree) > MAX_RELATION_PAIRS:
         raise BudgetExceeded(f"the tree's relation has more than {MAX_RELATION_PAIRS} pairs")
@@ -1226,7 +1225,7 @@ def is_monotone(assignment: Mapping[str, str], domain: BroadPoset, codomain: Bro
     (vertices, top), (image, image_top) = [p._known.get(_TREE, ({}, None)) for p in (domain, codomain)]
     if top is not None and image_top is not None:
         return all(
-            _tree_leq(image, flavour, _canonical(flavour, tuple([assignment[x] for x in w.letters])), assignment[e])
+            _tree_leq(image, flavour, _canonical(flavour, tuple([assignment[x] for x in w])), assignment[e])
             for e, w in vertices.items()
         )
     relation = frozenset(_relation_pairs(codomain))
@@ -1288,7 +1287,7 @@ def enumerate_monotone(
 
 
 def _tree_maps(
-    tree: tuple[dict[str, BroadWord], str], codomain: BroadPoset, elements: list[str]
+    tree: tuple[dict[str, tuple[str, ...]], str], codomain: BroadPoset, elements: list[str]
 ) -> list[tuple[str, ...]]:
     """Every monotone map from the tree with the given vertex map and root
     into ``codomain``, any broad poset, as its values at ``elements``, the
@@ -1324,7 +1323,7 @@ def _tree_maps(
         if e not in vertices:
             maps[e], block[e] = leaf, (e,)
             continue
-        kids = vertices[e].letters
+        kids = vertices[e]
         block[e] = (e, *itertools.chain.from_iterable(block[c] for c in kids))
         below = [maps[c] for c in kids]
         maps[e] = {}
@@ -1435,8 +1434,7 @@ def _is_isomorphism(left: BroadPoset, right: BroadPoset, assignment: Mapping[str
     if len(left.carrier) != len(right.carrier) or assignment[ltop] != rtop:
         return False
     flavour = right.flavour
-    image = {assignment[x]: _canonical(flavour, tuple([assignment[c] for c in w.letters])) for x, w in lv.items()}
-    return image == {x: w.letters for x, w in rv.items()}
+    return rv == {assignment[x]: _canonical(flavour, tuple([assignment[c] for c in w])) for x, w in lv.items()}
 
 
 def _element_profiles(poset: BroadPoset, ids: dict[tuple, int]) -> dict[str, int]:

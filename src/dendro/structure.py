@@ -22,6 +22,8 @@ from .core import (
     Pair,
     _TREE,
     _Frozen,
+    _canonical,
+    _canonical_word,
     _chunk_candidates,
     _descendant_pairs,
     _held,
@@ -31,7 +33,6 @@ from .core import (
     _top_down,
     _word_leq,
     pair_str,
-    sources_map,
     validate,
 )
 from .errors import IdentifierError, NoParent, NotDendroidal
@@ -109,10 +110,9 @@ def classify_all(poset: BroadPoset) -> dict[str, EdgeClassification]:
         top = maxima[element]
         if top is None:
             out[element] = EdgeClassification(EdgeKind.HAS_CHILDREN, None)  # no maximum
-        elif top.is_empty:
-            out[element] = EdgeClassification(EdgeKind.STUMP, top)
         else:
-            out[element] = EdgeClassification(EdgeKind.HAS_CHILDREN, top)
+            kind = EdgeKind.HAS_CHILDREN if top else EdgeKind.STUMP
+            out[element] = EdgeClassification(kind, _canonical_word(poset.flavour, top))
     return out
 
 
@@ -221,9 +221,9 @@ def is_dendroidal(poset: BroadPoset) -> DendroReport:
     return DendroReport(ok, simple, has_root, children_axiom, the_root, tuple(violations))
 
 
-def _tree(poset: BroadPoset) -> tuple[dict[str, BroadWord], str]:
-    """A tree's vertex map, each non-leaf edge with its word of children,
-    and its root; a broad poset that is not a tree raises
+def _tree(poset: BroadPoset) -> tuple[dict[str, tuple[str, ...]], str]:
+    """A tree's vertex map, each non-leaf edge with the canonical letters
+    of its children, and its root; a broad poset that is not a tree raises
     :class:`NotDendroidal` with the violations :func:`is_dendroidal` finds."""
     vertices, top = _maxima_map(poset)
     if top is None:
@@ -234,29 +234,23 @@ def _tree(poset: BroadPoset) -> tuple[dict[str, BroadWord], str]:
 @_kept
 def _parents(poset: BroadPoset) -> dict[str, str]:
     """Each edge of a tree but the root, with the edge whose vertex holds it."""
-    return {c: x for x, word in _tree(poset)[0].items() for c in word.letters}
+    return {c: x for x, kids in _tree(poset)[0].items() for c in kids}
 
 
 def links(poset: BroadPoset) -> frozenset[Pair]:
     """Covering pairs: words strictly below a target with nothing between.
 
-    In a tree every link is a vertex, one per non-leaf edge.
+    In a tree every link is a vertex, one per non-leaf edge.  Below a
+    target with no maximum, each word is searched against the others.
     """
     maxima, _ = _maxima_map(poset)
-    out = {(top, target) for target, top in maxima.items() if top is not None}
-    unresolved = [target for target, top in maxima.items() if top is None]
-    if unresolved:
-        srcs = sources_map(poset)
+    flavour = poset.flavour
+    out = [(top, target) for target, top in maxima.items() if top is not None]
+    for target in [target for target, top in maxima.items() if top is None]:
         candidates = _chunk_candidates(poset)
-        for target in unresolved:
-            below = srcs[target]
-            for w in below:
-                if not any(
-                    v != w and _word_leq(candidates, poset.flavour, w.letters, v.letters)
-                    for v in below
-                ):
-                    out.add((w, target))
-    return frozenset(out)
+        below = [c for c in candidates[target] if c != (target,)]
+        out += [(w, target) for w in below if not any(v != w and _word_leq(candidates, flavour, w, v) for v in below)]
+    return frozenset([(_canonical_word(flavour, w), target) for w, target in out])
 
 
 def degree(poset: BroadPoset) -> int:
@@ -266,7 +260,7 @@ def degree(poset: BroadPoset) -> int:
 
 def vertices(poset: BroadPoset) -> frozenset[Pair]:
     """Links of a dendroidally ordered set."""
-    return frozenset((word, x) for x, word in _tree(poset)[0].items())
+    return frozenset([(_canonical_word(poset.flavour, kids), x) for x, kids in _tree(poset)[0].items()])
 
 
 # the three ways _cut takes a smaller tree out of a tree
@@ -293,14 +287,15 @@ def _cut(poset: BroadPoset, how: str, edge: str) -> BroadPoset:
         vertices = dict(vertices)
         kids = vertices.pop(edge)
         if how == PRUNE:
-            carrier = carrier.difference(kids.letters)
+            carrier = carrier.difference(kids)
         else:
             carrier = carrier - {edge}
             if edge == top:
-                (top,) = kids.letters
+                (top,) = kids
             else:
                 up = _parents(poset)[edge]
-                vertices[up] = vertices[up].substitute(vertices[up].letters.index(edge), kids)
+                spliced = [c for x in vertices[up] for c in (kids if x == edge else (x,))]
+                vertices[up] = _canonical(poset.flavour, tuple(spliced))
     return _held(poset.flavour, carrier, None, known={_TREE: (vertices, top)})
 
 
@@ -316,14 +311,12 @@ def inner_edges(poset: BroadPoset) -> frozenset[str]:
 
 def outer_clusters(poset: BroadPoset) -> frozenset[Pair]:
     """Vertices all of whose children are leaves, including stumps."""
-    classified = classify_all(poset)
-    out = set()
-    for element, cls in classified.items():
-        if cls.children is None:
-            continue
-        if all(classified[c].kind is EdgeKind.LEAF for c in cls.children.letters):
-            out.add((cls.children, element))
-    return frozenset(out)
+    maxima, _ = _maxima_map(poset)
+    return frozenset([
+        (_canonical_word(poset.flavour, kids), x)
+        for x, kids in maxima.items()
+        if kids is not None and maxima.keys().isdisjoint(kids)
+    ])
 
 
 def subtree_at(poset: BroadPoset, element: str) -> BroadPoset:
@@ -339,7 +332,7 @@ def root_corolla(poset: BroadPoset) -> BroadPoset:
     if top not in vertices:
         return BroadPoset.build(poset.flavour, [top])
     children = vertices[top]
-    return BroadPoset.build(poset.flavour, {top, *children.letters}, [(children, top)])
+    return BroadPoset.build(poset.flavour, {top, *children}, [(children, top)])
 
 
 def inclusion(sub: BroadPoset, ambient: BroadPoset) -> MonotoneMap:

@@ -19,10 +19,10 @@ from typing import Iterator, Mapping
 
 from .core import (
     BroadPoset,
-    BroadWord,
     Flavour,
     _Frozen,
     _assignments,
+    _canonical,
     _check_flavour,
     _int_argument,
     _is_isomorphism,
@@ -192,8 +192,8 @@ def graft(host: BroadPoset, leaf: str, scion: BroadPoset) -> BroadPoset:
         used.add(fresh)
 
     vertices = dict(host_vertices)
-    for target, word in scion_vertices.items():
-        vertices[renaming[target]] = BroadWord(host.flavour, tuple(renaming[x] for x in word.letters))
+    for target, kids in scion_vertices.items():
+        vertices[renaming[target]] = _canonical(host.flavour, tuple([renaming[x] for x in kids]))
     meta = {"renamed": {k: v for k, v in renaming.items() if k != v}}
     return _tree_poset(host.flavour, frozenset(used), vertices, meta)
 
@@ -210,10 +210,11 @@ def full_graft(host: BroadPoset, assignment: Mapping[str, BroadPoset]) -> BroadP
 # Codecs between terms and dendroidally ordered sets
 
 
-def _term_vertices(term: TreeTerm, flavour: Flavour) -> tuple[frozenset[str], dict[str, BroadWord]]:
-    """The edges of a term and its vertex map; a repeated edge raises."""
+def _term_vertices(term: TreeTerm, flavour: Flavour) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
+    """The edges of a term and its vertex map, each edge with a vertex with
+    the canonical letters of its children; a repeated edge raises."""
     carrier: set[str] = set()
-    vertices: dict[str, BroadWord] = {}
+    vertices: dict[str, tuple[str, ...]] = {}
     pending = [term]
     while pending:
         t = pending.pop()
@@ -221,7 +222,7 @@ def _term_vertices(term: TreeTerm, flavour: Flavour) -> tuple[frozenset[str], di
             raise DuplicateEdge(f"edge {t.edge!r} appears twice")
         carrier.add(t.edge)
         if t.children is not None:
-            vertices[t.edge] = BroadWord(flavour, tuple(child.edge for child in t.children))
+            vertices[t.edge] = _canonical(flavour, tuple([child.edge for child in t.children]))
             pending.extend(t.children)
     return frozenset(carrier), vertices
 
@@ -239,9 +240,8 @@ def to_term(poset: BroadPoset) -> TreeTerm:
     order = _top_down(vertices, top)
     built: dict[str, TreeTerm] = {}
     for edge in reversed(order):
-        word = vertices.get(edge)
-        kids = None if word is None else tuple(built[c] for c in word.letters)
-        built[edge] = TreeTerm(edge, kids)
+        kids = vertices.get(edge)
+        built[edge] = TreeTerm(edge, None if kids is None else tuple([built[c] for c in kids]))
     return built[order[0]]
 
 
@@ -249,7 +249,7 @@ def to_term(poset: BroadPoset) -> TreeTerm:
 # Canonical codes and isomorphism
 
 
-def _codes(top: str, vertices: Mapping[str, BroadWord], flavour: Flavour) -> dict[str, str]:
+def _codes(top: str, vertices: Mapping[str, tuple[str, ...]], flavour: Flavour) -> dict[str, str]:
     """The code of every edge of a tree, built children first."""
     order = _top_down(vertices, top)
     codes: dict[str, str] = {}
@@ -257,14 +257,14 @@ def _codes(top: str, vertices: Mapping[str, BroadWord], flavour: Flavour) -> dic
         if edge not in vertices:
             codes[edge] = "*"
             continue
-        parts = [codes[c] for c in vertices[edge].letters]
+        parts = [codes[c] for c in vertices[edge]]
         if flavour is Flavour.COMMUTATIVE:
             parts.sort()
         codes[edge] = "(" + "".join(parts) + ")"
     return codes
 
 
-def _coded(tree: BroadPoset) -> tuple[str, dict[str, BroadWord], dict[str, str]]:
+def _coded(tree: BroadPoset) -> tuple[str, dict[str, tuple[str, ...]], dict[str, str]]:
     """A tree's root, its vertex map and the code of every edge."""
     vertices, top = _tree(tree)
     return top, vertices, _codes(top, vertices, tree.flavour)
@@ -312,13 +312,13 @@ def tree_isomorphisms(left: BroadPoset, right: BroadPoset) -> list[dict[str, str
     if lcodes[ltop] != rcodes[rtop]:
         return []
     planar = left.flavour is Flavour.PLANAR
-    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids.letters)}
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
 
     def candidates(x: str, assignment: Mapping[str, str]) -> list[str]:
         if x == ltop:
             return [rtop]
         parent, i = lparent[x]
-        kids = rv[assignment[parent]].letters
+        kids = rv[assignment[parent]]
         return [y for y in ((kids[i],) if planar else kids) if rcodes[y] == lcodes[x]]
 
     order = _top_down(lv, ltop)
@@ -355,8 +355,8 @@ def are_isomorphic(
     if lcodes[ltop] != rcodes[rtop]:
         return False, None
     planar = left.flavour is Flavour.PLANAR
-    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids.letters)}
-    rparent = {c: x for x, kids in rv.items() for c in kids.letters}
+    lparent = {c: (x, i) for x, kids in lv.items() for i, c in enumerate(kids)}
+    rparent = {c: x for x, kids in rv.items() for c in kids}
     witness = {ltop: rtop}
     used = {rtop}
     for edge in sorted(left.carrier):
@@ -371,7 +371,7 @@ def are_isomorphic(
             reachable = [
                 c
                 for y in reachable
-                for i, c in enumerate(rv[y].letters)
+                for i, c in enumerate(rv[y])
                 if rcodes[c] == lcodes[x] and c not in used and (i == index or not planar)
             ]
         image = min(reachable)

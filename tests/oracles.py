@@ -18,12 +18,15 @@ import itertools
 import math
 from collections import Counter, defaultdict, deque
 
-from dendro.category import Face, _faces
+from dendro.category import _HOW, Face, _face_kind, _faces
 from dendro.core import (
     BroadPoset,
     BroadWord,
     Flavour,
     _canonical,
+    _carrier,
+    _check_identifiers,
+    _flavour_mismatch,
     _relation_size,
     _top_down,
     _words_below,
@@ -31,7 +34,7 @@ from dendro.core import (
     map_signature,
     pair_str,
 )
-from dendro.errors import BudgetExceeded, FactorizationError
+from dendro.errors import BudgetExceeded, DendroError, FactorizationError, IdentifierError, InvalidArgument
 from dendro.structure import PRUNE, _cut, _tree, inclusion, is_dendroidal
 
 
@@ -364,7 +367,7 @@ def subtree_vertex_choices(poset: BroadPoset):
         for w in below[x]:
             for combo in itertools.product(*(rooted(c) for c in w.letters)):
                 carrier = frozenset([x]).union(*(c for c, _ in combo))
-                out.append((carrier, ((x, w),) + sum((v for _, v in combo), ())))
+                out.append((carrier, ((x, w.letters),) + sum((v for _, v in combo), ())))
         return out
 
     for x in sorted(poset.carrier):
@@ -520,7 +523,7 @@ def descendant_scan_tree_words(poset: BroadPoset):
             match = next((w for w in below if len(w) == len(kids) and set(w.letters) == kids), None)
             if match is None:
                 return None
-            guess[target] = match
+            guess[target] = match.letters
     words = {x: guess[x] for x in _top_down(guess, tops[0]) if x in guess}
     if _relation_size(words, reversed(words)) != len(poset.relation):
         return None
@@ -543,9 +546,10 @@ def listed_face_chain(ambient: BroadPoset, target: BroadPoset) -> list:
     current = ambient
     while _tree(current) != _tree(target):
         candidates = [
-            (kind, how, edge)
-            for kind, how, edge in _faces(current)
-            if target.carrier <= _cut(current, how, edge).carrier and (how != PRUNE or edge in leaf)
+            (_face_kind(current, kind_type, edge), _HOW[kind_type], edge)
+            for kind_type, edge in _faces(current)
+            if target.carrier <= _cut(current, _HOW[kind_type], edge).carrier
+            and (_HOW[kind_type] != PRUNE or edge in leaf)
         ]
         if not candidates:
             raise FactorizationError(f"no face of {current!r} contains the image {target!r}")
@@ -595,3 +599,63 @@ def enumerated_internal_hom(domain: BroadPoset, codomain: BroadPoset, budget: in
                     relation.add((BroadWord(flavour, combo), target_name))
 
     return BroadPoset(flavour, frozenset(names), frozenset(relation))
+
+
+def word_build(flavour: Flavour, carrier, pairs, meta=None) -> BroadPoset:
+    """``BroadPoset.build`` as the constructor on words: each source that
+    is no word is wrapped as a ``BroadWord``, once the identifiers are
+    checked, a word of another flavour is refused in the order given, and
+    the pairs that are not reflexive go to ``BroadPoset(...)``."""
+    carrier = _carrier(carrier)
+    try:
+        raw = [(s if isinstance(s, BroadWord) else tuple(s), t) for s, t in pairs]
+    except (TypeError, ValueError):
+        raise InvalidArgument("pairs must be (letters, target) pairs") from None
+    _check_identifiers(itertools.chain(carrier, *(s for s, _ in raw if type(s) is tuple)))
+    words = [(s if isinstance(s, BroadWord) else BroadWord(flavour, s), t) for s, t in raw]
+    for w, _ in words:
+        if w.flavour is not flavour:
+            raise _flavour_mismatch(w)
+    return BroadPoset(flavour, carrier, [(w, t) for w, t in words if w.letters != (t,)], meta or {})
+
+
+def word_pairs_checked(flavour: Flavour, carrier, relation) -> frozenset:
+    """The letter pairs of a relation given as ``(BroadWord, str)`` pairs,
+    checked as the constructor checked its words before it held letters:
+    the entries hashed and scanned as words, and on a failure the
+    carrier's identifiers checked and the least bad entry in ``repr``
+    order named."""
+    carrier = _carrier(carrier)
+    relation = list(relation)
+
+    def scan(pairs):
+        for w, target in pairs:
+            if w.flavour is not flavour:
+                raise _flavour_mismatch(w)
+            if target not in carrier:
+                raise IdentifierError(f"target {target!r} not in carrier")
+            for letter in w.letters:
+                if letter not in carrier:
+                    raise IdentifierError(f"letter {letter!r} not in carrier")
+            if w.letters == (target,):
+                raise InvalidArgument(f"reflexive pair {pair_str((w, target))} must stay implicit")
+
+    def refuse():
+        _check_identifiers(carrier)
+        for pair in sorted(relation, key=repr):
+            if not isinstance(pair, tuple) or len(pair) != 2 or not isinstance(pair[0], BroadWord):
+                raise InvalidArgument(f"relation entries must be (BroadWord, str) pairs, not {pair!r}") from None
+            try:
+                scan([pair])
+            except TypeError:
+                _check_identifiers([pair[1], *pair[0].letters])
+                raise
+
+    try:
+        words = frozenset(relation)
+        scan(words)
+    except (DendroError, AttributeError, TypeError, ValueError):
+        refuse()
+        raise
+    _check_identifiers(carrier)
+    return frozenset([(w.letters, t) for w, t in words])

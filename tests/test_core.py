@@ -1478,7 +1478,7 @@ def test_the_pair_check_names_the_least_bad_pair(flavour):
     pairs = [(BroadWord(flavour, (x,)), t) for x, t in (("x", "a"), ("y", "b"), ("z", "a"))]
     for order in itertools.permutations(pairs):
         with pytest.raises(IdentifierError) as info:
-            core._check_pairs(flavour, frozenset("ab"), list(order))
+            core._check_pairs(frozenset("ab"), [(w.letters, t) for w, t in order])
         assert str(info.value) == "letter 'x' not in carrier"
     with pytest.raises(IdentifierError) as info:
         BroadPoset.build(flavour, ["a", "b"], [(("x",), "a"), (("y",), "b"), (("z",), "a")])

@@ -434,21 +434,23 @@ def test_a_cut_that_keeps_a_removed_edge_is_refused():
     """A vertex map edited as a cut edits it, but keeping an edge the cut
     removes, is refused as the constructor refuses such a pair."""
     with pytest.raises(IdentifierError) as info:
-        written_from(C, {"r", "b"}, {"r": BroadWord(C, ("a", "b"))})
+        written_from(C, {"r", "b"}, {"r": ("a", "b")})
     assert str(info.value) == "letter 'a' not in carrier"
     with pytest.raises(IdentifierError) as info:
-        written_from(C, {"r", "c"}, {"a": BroadWord(C, ("c",))})
+        written_from(C, {"r", "c"}, {"a": ("c",)})
     assert str(info.value) == "target 'a' not in carrier"
 
 
 def test_a_cut_with_a_pair_the_tree_lacks_is_refused():
-    """A vertex of the other flavour, or a reflexive vertex, is refused as
-    the constructor refuses such a pair."""
+    """A reflexive vertex is refused as the constructor refuses such a
+    pair.  A vertex map holds letters, which have no flavour, so a word of
+    the other flavour can only come as a pair, which the constructor
+    refuses."""
     with pytest.raises(FlavourMismatch) as info:
-        written_from(C, {"r", "a", "b"}, {"r": BroadWord(P, ("a", "b"))})
+        BroadPoset(C, {"r", "a", "b"}, [(BroadWord(P, ("a", "b")), "r")])
     assert str(info.value) == "word a·b has flavour planar"
     with pytest.raises(InvalidArgument) as info:
-        written_from(C, {"r", "a", "b"}, {"r": BroadWord(C, ("a", "b")), "a": BroadWord(C, ("a",))})
+        written_from(C, {"r", "a", "b"}, {"r": ("a", "b"), "a": ("a",)})
     assert str(info.value) == "reflexive pair a ≤ a must stay implicit"
 
 
